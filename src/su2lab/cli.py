@@ -188,6 +188,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = _nonneg_int(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {text}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -213,7 +220,7 @@ def _add_output_flags(sub):
 def _add_plan_flags(sub, trials_default=10000):
     sub.add_argument("-r", "--radius", type=_positive_float, default=1.0)
     sub.add_argument("--trials", type=_positive_int, default=trials_default)
-    sub.add_argument("--seed", type=_nonneg_int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--workers", type=_positive_int, default=None)
 
 
@@ -227,18 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="emit sampled coefficients")
     p.add_argument("-N", "--degree", type=_nonneg_int, required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_output_flags(p)
 
     p = subs.add_parser("roots", help="emit all roots of a sampled polynomial")
     p.add_argument("-N", "--degree", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_output_flags(p)
 
     p = subs.add_parser("count", help="zero count of a sampled polynomial in B(0,r)")
     p.add_argument("-N", "--degree", type=_positive_int, required=True)
     p.add_argument("-r", "--radius", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_output_flags(p)
 
     p = subs.add_parser("mean-zeros", help="Monte Carlo mean zero count")
@@ -317,9 +324,8 @@ def _estimate_row(plan: mc.TrialPlan, est: mc.Estimate, extra: dict | None = Non
 
 
 def _make_plan(args, degree: int) -> mc.TrialPlan:
-    workers = args.workers if args.workers is not None else mc.default_workers()
     return mc.TrialPlan(degree=degree, radius=args.radius, trials=args.trials,
-                        master_seed=args.seed, workers=workers)
+                        master_seed=args.seed, workers=args.workers)
 
 
 def _handle_sample(args) -> ExperimentRecord:
@@ -538,6 +544,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     try:
+        if hasattr(args, "workers") and args.workers is None:
+            try:
+                args.workers = mc.default_workers()
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
         record = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=DIAG)
@@ -553,9 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     wall = time.monotonic() - started
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = mc.default_workers() if hasattr(args, "trials") else 1
+    workers = getattr(args, "workers", 1)
     print(
         f"su2lab {record.command}: ok ({wall:.2f}s, workers={workers}, "
         f"started {stamp})",

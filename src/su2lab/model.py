@@ -13,6 +13,7 @@ are only materialized under an explicit overflow guard.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +46,12 @@ def log_binomial(n: int, j: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
 
 
+@functools.lru_cache(maxsize=None)
 def _log_weights(degree: int) -> np.ndarray:
-    """log sqrt(C(N, j)) for j = 0..N."""
-    return np.array([0.5 * log_binomial(degree, j) for j in range(degree + 1)])
+    """log sqrt(C(N, j)) for j = 0..N; cached, so the array is read-only."""
+    logw = np.array([0.5 * log_binomial(degree, j) for j in range(degree + 1)])
+    logw.flags.writeable = False
+    return logw
 
 
 @dataclass(frozen=True)

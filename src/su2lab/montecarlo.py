@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import log_binomial
+from .model import _log_weights, log_binomial
 from .rng import gaussian_matrix
 from .zeros import (
     _aberth_batch,
     _batch_boundary_log_max,
     _batch_circle_log_means,
+    _batch_schur_cohn,
     _batch_winding,
     _normalized_residuals,
 )
@@ -67,7 +68,7 @@ __all__ = [
 Z95 = 1.959963984540054
 BLOCK_TRIALS = 4096
 MAX_FAILED_FRACTION = 0.01
-CROSS_CHECK_EVERY = 100  # hole trials re-counted through the root oracle
+CROSS_CHECK_EVERY = 100  # hole trials re-counted through winding and roots
 
 
 class ReliabilityError(RuntimeError):
@@ -75,9 +76,16 @@ class ReliabilityError(RuntimeError):
 
 
 def default_workers() -> int:
+    """``SU2LAB_WORKERS`` when set (a positive integer), else the CPU count."""
     env = os.environ.get("SU2LAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"SU2LAB_WORKERS must be a positive integer, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -112,6 +120,8 @@ class TrialPlan:
             raise ValueError("radius must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must fit in 64 unsigned bits")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -182,39 +192,48 @@ def _sample_block(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
     return gaussian_matrix(plan.master_seed, trials, plan.degree + 1)
 
 
+def _root_counts(alpha: np.ndarray, plan: TrialPlan):
+    """Aberth zero counts in B(0, r) with a trust mask (converged and
+    residuals within tolerance) and the rows' roots."""
+    roots, conv = _aberth_batch(alpha * np.exp(_log_weights(plan.degree)))
+    res = _normalized_residuals(alpha, plan.degree, roots).max(axis=1)
+    trusted = conv & (res <= plan.tolerances.root_residual)
+    return (np.abs(roots) < plan.radius).sum(axis=1).astype(np.int64), trusted, roots
+
+
 def _block_root_counts(plan: TrialPlan, start: int, stop: int):
     """Per-trial zero counts in B(0, r) through the root oracle."""
-    n = plan.degree
-    alpha = _sample_block(plan, start, stop)
-    logw = np.array([0.5 * log_binomial(n, k) for k in range(n + 1)])
-    w = alpha * np.exp(logw)
-    roots, conv = _aberth_batch(w)
-    res = _normalized_residuals(alpha, n, roots).max(axis=1)
-    failed = (~conv) | (res > plan.tolerances.root_residual)
-    dist = np.abs(roots)
-    counts = (dist < plan.radius).sum(axis=1).astype(np.int64)
-    near = (np.abs(dist - plan.radius) <= plan.tolerances.boundary_margin).any(axis=1)
-    return counts, near, failed
+    counts, trusted, roots = _root_counts(_sample_block(plan, start, stop), plan)
+    near = (np.abs(np.abs(roots) - plan.radius)
+            <= plan.tolerances.boundary_margin).any(axis=1)
+    return counts, near, ~trusted
 
 
 def _block_hole(plan: TrialPlan, start: int, stop: int):
-    """Hole indicators via the winding counter, root-checked every 100th trial."""
-    n = plan.degree
+    """Hole indicators via the Schur-Cohn counter.
+
+    Rows it cannot certify (including any it cannot prove clear of the
+    boundary margin) are counted by winding, under its margin and failure
+    rules.  Every 100th trial is recounted by winding and by the
+    root oracle; a trustworthy disagreement fails the trial and marks it a
+    mismatch."""
+    n, r, margin = plan.degree, plan.radius, plan.tolerances.boundary_margin
     alpha = _sample_block(plan, start, stop)
-    counts, ok = _batch_winding(alpha, n, plan.radius,
-                                plan.tolerances.boundary_margin)
+    counts, ok = _batch_schur_cohn(alpha, n, r, margin)
+    sampled = np.arange(start, stop) % CROSS_CHECK_EVERY == 0
+    redo = np.nonzero(~ok | sampled)[0]
     mism = np.zeros(len(counts), dtype=bool)
-    check = np.nonzero((np.arange(start, stop) % CROSS_CHECK_EVERY == 0) & ok)[0]
+    if len(redo):
+        wcounts, wok = _batch_winding(alpha[redo], n, r, margin)
+        fallback = ~ok[redo]
+        counts[redo[fallback]] = wcounts[fallback]
+        ok[redo[fallback]] = wok[fallback]
+        mism[redo[~fallback & wok & (wcounts != counts[redo])]] = True
+    check = np.nonzero(sampled & ok)[0]
     if len(check):
-        logw = np.array([0.5 * log_binomial(n, k) for k in range(n + 1)])
-        w = alpha[check] * np.exp(logw)
-        roots, conv = _aberth_batch(w)
-        res = _normalized_residuals(alpha[check], n, roots).max(axis=1)
-        rcounts = (np.abs(roots) < plan.radius).sum(axis=1)
-        trustworthy = conv & (res <= plan.tolerances.root_residual)
-        disagree = trustworthy & (rcounts != counts[check])
-        mism[check[disagree]] = True
-        ok[check[disagree]] = False
+        rcounts, trusted, _ = _root_counts(alpha[check], plan)
+        mism[check[trusted & (rcounts != counts[check])]] = True
+    ok &= ~mism
     hole = (counts == 0) & ok
     return hole, ~ok, mism
 

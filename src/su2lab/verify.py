@@ -53,8 +53,8 @@ def check_point_value_distribution(trials: int = 10000) -> CheckResult:
     n, zeta = 20, 0.3 + 0.4j
     alpha = gaussian_matrix(VERIFY_SEED + 2, np.arange(trials, dtype=np.uint64), n + 1)
     j = np.arange(n + 1)
-    logw = np.array([0.5 * model.log_binomial(n, k) for k in range(n + 1)])
-    w = np.exp(logw + j * math.log(abs(zeta)) - (n / 2.0) * math.log1p(abs(zeta) ** 2))
+    w = np.exp(model._log_weights(n) + j * math.log(abs(zeta))
+               - (n / 2.0) * math.log1p(abs(zeta) ** 2))
     vals = alpha @ (w * np.exp(1j * j * np.angle(zeta)))
     sq = np.abs(vals) ** 2
     se = float(sq.std(ddof=1) / math.sqrt(trials))
@@ -147,6 +147,7 @@ def check_root_residuals() -> CheckResult:
 
 
 def check_oracle_equivalence(instances: int = 200) -> CheckResult:
+    """Roots, winding and, where it certifies, Schur-Cohn give one count."""
     rng = np.random.default_rng(VERIFY_SEED + 6)
     radii = (0.5, 1.0, 2.0)
     mismatches = 0
@@ -163,7 +164,9 @@ def check_oracle_equivalence(instances: int = 200) -> CheckResult:
             by_winding = zeros.count_zeros_argument_principle(p, zeros.Disk(0.0, r))
         except zeros.ContourError:
             continue
-        if by_roots.count != by_winding.count:
+        by_schur, certified = zeros._batch_schur_cohn(p.coefficients[None], n, r)
+        if by_roots.count != by_winding.count or (
+                certified[0] and by_schur[0] != by_roots.count):
             mismatches += 1
         done += 1
     return CheckResult("oracle-equivalence", float(mismatches), 0.0, mismatches == 0)

@@ -1,10 +1,18 @@
 """Zero sets of SU(2) polynomials and the circle-average machinery.
 
 Root finding is simultaneous Aberth-Ehrlich iteration over all roots at
-once; zero counts come either from the computed roots or from phase
-tracking of the polynomial around the disk boundary (the two are
-independent oracles and are cross-checked in the test suite).  All
-boundary evaluations use the spherically normalized values
+once.  Zero counts in a disk come from three independent kernels, which
+the test suite cross-checks:
+
+- roots: count the Aberth roots inside the disk;
+- winding: track the phase of the polynomial around the boundary circle;
+- Schur-Cohn: run the Schur-Cohn recursion on the coefficients of
+  psi(r z), N vectorized steps with no FFT and no roots.  A row counts
+  only when every step's decisive gap clears ``SCHUR_COHN_MIN_GAP``,
+  N <= ``SCHUR_COHN_MAX_DEGREE`` and no zero lies within the boundary
+  margin of the contour; other rows fall back to winding.
+
+All boundary evaluations use the spherically normalized values
 ``psi(z)/(1+|z|^2)^(N/2)``, whose magnitudes stay in double range at any
 degree; the positive normalization never changes a phase or a zero.
 
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SU2Polynomial, evaluate_normalized, log_binomial
+from .model import SU2Polynomial, _log_weights, evaluate_normalized
 
 __all__ = [
     "Disk",
@@ -48,6 +56,30 @@ DEFAULT_BOUNDARY_MARGIN = 1e-9
 DEFAULT_QUADRATURE_TARGET = 1e-9
 NODE_CAP = 1 << 20
 TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
+
+# Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
+# recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
+# per setting.  "err" is the worst error of a normalized |a_0| or |a_d| on
+# certified rows, "fall back" the share of rows left to winding:
+#
+#        r = 0.5            r = 1              r = 2
+#   N    err      fall back err      fall back err      fall back
+#   4    5.2e-14  0         5.9e-11  0.008 %   4.4e-14  0
+#   8    3.9e-12  0         6.3e-11  0         2.4e-12  0
+#   10   1.1e-10  0         5.5e-10  0         1.6e-12  0
+#   12   1.5e-11  0.004 %   4.6e-10  0.004 %   3.7e-11  0
+#   16   6.7e-11  0         4.8e-10  0.020 %   1.1e-10  0
+#   24   1.4e-10  0.008 %   3.8e-09  0.057 %   1.1e-09  0
+#   32   4.9e-10  0.004 %   4.6e-10  0.83 %    3.8e-09  0.012 %
+#
+# Every certified step's error is below 3.3e-6 of that step's own gap, so
+# no flip decision is in doubt; the log of the margin floor is off by at
+# most 3.7e-6, against the factor of 2 it is given.  Past the cap the
+# recursion loses the sign: at N = 50, r = 0.5 the error reaches 1.3e-7,
+# above the threshold, and at N = 100 it is 2e-2; at N = 50, r = 1 gaps
+# fall to 4e-13 and 99 % of rows would fall back anyway.
+SCHUR_COHN_MIN_GAP = 1e-7
+SCHUR_COHN_MAX_DEGREE = 32
 
 
 class RootFindingError(RuntimeError):
@@ -125,9 +157,7 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float) -> np.ndarr
     """
     n = degree
     j = np.arange(n + 1)
-    logw = np.array([0.5 * log_binomial(n, k) for k in range(n + 1)])
-    logr = math.log(r)
-    scale = np.exp(logw + j * logr - (n / 2.0) * math.log1p(r * r))
+    scale = np.exp(_log_weights(n) + j * math.log(r) - (n / 2.0) * math.log1p(r * r))
     return alpha * scale
 
 
@@ -249,23 +279,34 @@ def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
         return roots, np.ones(rows, dtype=bool)
     z = _bini_start_points(w)
     active = np.ones((rows, m), dtype=bool)
+    # sweeps run on the live rows only (those with an active root); every
+    # operation is row-local, so compaction leaves the results bit-identical
+    live = np.arange(rows)
+    wl, zl, al = w, z, active
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for _ in range(max_sweeps):
-            newton, _, deriv_zero = _newton_ratio(w, z)
-            s = np.zeros_like(z)
+            newton, _, deriv_zero = _newton_ratio(wl, zl)
+            s = np.zeros_like(zl)
             for jcol in range(m):
-                diff = z - z[:, jcol, None]
+                diff = zl - zl[:, jcol, None]
                 s += np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1.0, diff))
             denom = 1.0 - newton * s
             step = np.where(denom == 0, newton, newton / np.where(denom == 0, 1.0, denom))
             step = np.where(deriv_zero & (newton == 0), 0.0, step)
             collided = deriv_zero & (newton != 0)
-            step = np.where(collided, -0.1 * (1.0 + np.abs(z)), step)
-            done = np.abs(step) <= tol * (1.0 + np.abs(z))
-            z = np.where(active & ~done, z - step, z)
-            active = active & ~done
-            if not active.any():
-                break
+            step = np.where(collided, -0.1 * (1.0 + np.abs(zl)), step)
+            done = np.abs(step) <= tol * (1.0 + np.abs(zl))
+            zl = np.where(al & ~done, zl - step, zl)
+            al = al & ~done
+            keep = al.any(axis=1)
+            if not keep.all():
+                z[live[~keep]] = zl[~keep]
+                active[live[~keep]] = False
+                live, wl, zl, al = live[keep], wl[keep], zl[keep], al[keep]
+                if not len(live):
+                    break
+        z[live] = zl
+        active[live] = al
         converged = ~active.any(axis=1)
         for _ in range(polish):
             newton, _, deriv_zero = _newton_ratio(w, z)
@@ -276,8 +317,7 @@ def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
 def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> np.ndarray:
     """|psi_hat| at candidate roots, batched and overflow-safe."""
     n = degree
-    logw = np.array([0.5 * log_binomial(n, k) for k in range(n + 1)])
-    w = np.atleast_2d(alpha) * np.exp(logw)
+    w = np.atleast_2d(alpha) * np.exp(_log_weights(n))
     roots = np.atleast_2d(roots)
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -497,6 +537,103 @@ def _batch_winding(alpha: np.ndarray, degree: int, r: float,
 
 
 # ---------------------------------------------------------------------------
+# Schur-Cohn counting
+
+
+def _schur_cohn_steps(b: np.ndarray):
+    """Run the Schur-Cohn recursion on the rows f(z) = sum_k b_k z^k.
+
+    Step ``s`` (degree ``d = N - s``) rescales the row so its largest
+    entry has modulus 1, records ``|a_0|`` and ``|a_d|``, and replaces f by
+    ``F = conj(a_0) f - a_d f*`` with ``f*(z) = z^d conj(f(1/conj z))``,
+    whose degree is at most ``d - 1``.  Returns ``(trail, lead, log_floor)``:
+    the ``(B, N)`` moduli, in the real dtype of ``b``, and per row a lower
+    bound on ``log min |f|`` over |z| = 1.  The bound chains
+    ``|f| >= top |F| / (|a_0| + |a_d|)`` (from ``|f*| = |f|`` there) down to
+    the final constant.  A row where F vanishes identically turns to NaN
+    from then on.
+    """
+    c = np.ascontiguousarray(b.T)  # coefficient-major: each step slices whole rows
+    n1, rows = c.shape
+    trail = np.empty((n1 - 1, rows), dtype=c.real.dtype)
+    lead = np.empty_like(trail)
+    log_floor = np.zeros(rows, dtype=trail.dtype)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for s, d in enumerate(range(n1 - 1, 0, -1)):
+            mag = np.abs(c)
+            top = mag.max(axis=0)
+            trail[s] = mag[0] / top
+            lead[s] = mag[d] / top
+            log_floor += np.log(top) - np.log(trail[s] + lead[s])
+            # F on the rescaled row a = c / top, with the rescaling folded
+            # into the two multipliers
+            top2 = top * top
+            c = (np.conj(c[0]) / top2) * c[:d] - (c[d] / top2) * np.conj(c[d:0:-1])
+        log_floor += np.log(np.abs(c[0]))
+    return trail.T, lead.T, log_floor
+
+
+def _schur_cohn_counts(alpha: np.ndarray, degree: int, r: float):
+    """Counts in B(0, r) with the gap rule, the floor and the coefficients.
+
+    On |z| = 1, |f*| = |f|, so by Rouche count(f) = count(F) when
+    |a_0| > |a_d| and d - count(F) otherwise.  Returns ``(counts,
+    certified, log_floor, b)``: ``certified`` holds where every step's
+    normalized gap ||a_0| - |a_d|| is at least ``SCHUR_COHN_MIN_GAP``.
+    """
+    b = _circle_fourier_coeffs(alpha, degree, r)
+    trail, lead, log_floor = _schur_cohn_steps(b)
+    gap = trail - lead
+    with np.errstate(invalid="ignore"):
+        # a finite floor also rules out a null row, which has no steps at N = 0
+        certified = (np.abs(gap) >= SCHUR_COHN_MIN_GAP).all(axis=1)
+        certified &= np.isfinite(log_floor)
+        flips = gap < 0
+    # count = sum over flipping steps of +-d, the sign alternating per flip
+    earlier = np.cumsum(flips, axis=1) - flips
+    sign = 1 - 2 * (earlier & 1)
+    counts = (flips * sign * np.arange(degree, 0, -1)).sum(axis=1).astype(np.int64)
+    return counts, certified, log_floor, b
+
+
+def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
+                      boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
+    """Zero counts in B(0, r) by the Schur-Cohn recursion, batched.
+
+    Runs on f(z) = psi_hat(r z): N vectorized steps, O(N^2) per row, no
+    FFT and no roots.  Returns ``(counts, certified)``; counts are
+    meaningful only on certified rows.  A row is certified when
+    N <= ``SCHUR_COHN_MAX_DEGREE``, every step clears
+    ``SCHUR_COHN_MIN_GAP``, and no zero lies within ``boundary_margin`` of
+    the contour.  The last is proved by the recursion's floor on |f| over
+    the circle or, where that floor is too weak, by equal certified counts
+    at radii ``r - boundary_margin`` and ``r + boundary_margin``.
+    """
+    alpha = np.atleast_2d(alpha)
+    rows = alpha.shape[0]
+    if degree > SCHUR_COHN_MAX_DEGREE:
+        return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
+    counts, certified, log_floor, b = _schur_cohn_counts(alpha, degree, r)
+    # a zero w of f with ||w| - 1| <= h forces |f(w / |w|)| <= h max|f'|
+    # <= h sum_k k |b_k| (1 + h)^(k-1); the floor must clear twice that
+    h = boundary_margin / r
+    k = np.arange(1, degree + 1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        log_slope = np.log(2.0 * h * (np.abs(b[:, 1:]) @ (k * (1.0 + h) ** (k - 1))))
+        clear = log_floor > log_slope
+    unclear = np.nonzero(certified & ~clear)[0]
+    if len(unclear):
+        sub = alpha[unclear]
+        outer, outer_ok, _, _ = _schur_cohn_counts(sub, degree, r + boundary_margin)
+        inner, inner_ok = 0, True  # the inner disk is empty for margin >= r
+        if boundary_margin < r:
+            inner, inner_ok, _, _ = _schur_cohn_counts(sub, degree, r - boundary_margin)
+        clear[unclear] = (outer_ok & inner_ok & (inner == outer)
+                          & (outer == counts[unclear]))
+    return counts, certified & clear
+
+
+# ---------------------------------------------------------------------------
 # circle averages of log |psi|
 
 
@@ -534,8 +671,10 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     Returns ``(mean_log, mean_abs_log, ok, gap)`` arrays.  Node counts
     double until two successive estimates agree within ``target`` (for
     both quantities) or the cap is reached; rows at the cap report
-    ``ok=False`` with their best estimate.  Each doubling reuses earlier
-    samples: only the half-step midpoints are evaluated afresh.
+    ``ok=False`` with their best estimate and their last doubling delta as
+    ``gap`` (NaN only when the cap allowed no doubling).  Each doubling
+    reuses earlier samples: only the half-step midpoints are evaluated
+    afresh.
     """
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
@@ -571,10 +710,12 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     sum1, sum2 = _accumulate(b, m0, half=False)
     m = m0
     prev1, prev2 = sum1 / m, sum2 / m
+    prev_delta = np.full(rows, np.nan)
     while len(active):
         if 2 * m > node_cap:
             mean_log[active] = prev1
             mean_abs[active] = prev2
+            gap[active] = prev_delta
             ok[active] = False
             break
         a1, a2 = _accumulate(b[active], m, half=True)
@@ -592,6 +733,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
         active = active[keep]
         sum1, sum2 = sum1[keep], sum2[keep]
         prev1, prev2 = cur1[keep], cur2[keep]
+        prev_delta = delta[keep]
     return mean_log, mean_abs, ok, gap
 
 

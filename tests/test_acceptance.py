@@ -183,7 +183,10 @@ def test_criterion_7_cross_oracle_counts():
             by_phase = zeros.count_zeros_argument_principle(p, zeros.Disk(0.0, r))
         except zeros.ContourError:
             continue
-        if by_phase.count != by_roots.count:
+        # third oracle where it certifies (N <= SCHUR_COHN_MAX_DEGREE)
+        by_schur, certified = zeros._batch_schur_cohn(p.coefficients[None], n, r)
+        if by_phase.count != by_roots.count or (
+                certified[0] and by_schur[0] != by_roots.count):
             mismatches += 1
         accepted += 1
     ok = mismatches == 0

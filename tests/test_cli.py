@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -27,6 +28,32 @@ class TestExitCodes:
                      "4,1.0,100,0,0.43,0.01,0.41,0.45,1\n")
         code, _ = run_cli(["fit-decay", str(f)])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["hole", "-N", "2", "--trials", "10"],
+        ["sample", "-N", "2"],
+        ["roots", "-N", "2"],
+        ["count", "-N", "2"],
+    ])
+    def test_seed_beyond_64_bits_is_usage_error(self, argv, capsys):
+        code, out = run_cli(argv + ["--seed", str(2**64)])
+        assert code == 2
+        assert out == b""
+        assert "below 2**64" in capsys.readouterr().err
+        code, _ = run_cli(argv + ["--seed", str(2**64 - 1), "--format", "json"])
+        assert code == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_environment_is_usage_error(self, value, monkeypatch):
+        monkeypatch.setenv("SU2LAB_WORKERS", value)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli(["hole", "-N", "1", "--trials", "10"])
+        assert code == 2
+        assert out == b""
+        assert "SU2LAB_WORKERS must be a positive integer" in diag.getvalue()
+        code, _ = run_cli(["hole", "-N", "1", "--trials", "10", "--workers", "1"])
+        assert code == 0
 
     def test_success_is_zero(self):
         code, out = run_cli(["omega-bound", "-N", "2", "-r", "1"])
@@ -244,6 +271,10 @@ class TestWorkerDefaults:
 
         monkeypatch.setenv("SU2LAB_WORKERS", "3")
         assert mc.default_workers() == 3
+        for bad in ("abc", "0", "-1", "2.5"):
+            monkeypatch.setenv("SU2LAB_WORKERS", bad)
+            with pytest.raises(ValueError, match="SU2LAB_WORKERS"):
+                mc.default_workers()
         monkeypatch.delenv("SU2LAB_WORKERS")
         assert mc.default_workers() >= 1
 

@@ -38,6 +38,16 @@ class TestLogBinomial:
         got = model.log_binomial(n, j)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    def test_log_weights_cached_read_only(self):
+        for n in (0, 7, 60):
+            logw = model._log_weights(n)
+            assert logw is model._log_weights(n)
+            assert not logw.flags.writeable
+            want = np.array([0.5 * model.log_binomial(n, k) for k in range(n + 1)])
+            assert np.array_equal(logw, want)
+            with pytest.raises(ValueError):
+                logw[0] = 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             model.log_binomial(4, 5)

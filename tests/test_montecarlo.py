@@ -30,6 +30,11 @@ class TestPlanAndEstimateTypes:
             mc.TrialPlan(3, 1.0, 0, 0)
         with pytest.raises(ValueError):
             mc.TrialPlan(-1, 1.0, 10, 0)
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            mc.TrialPlan(3, 1.0, 10, 2**64)
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            mc.TrialPlan(3, 1.0, 10, -1)
+        mc.TrialPlan(3, 1.0, 10, 2**64 - 1)
 
     def test_estimate_interval_contract(self):
         with pytest.raises(ValueError):
@@ -124,6 +129,35 @@ class TestHole:
         hole = float((kept == 0).mean())
         dev = float((np.abs(kept - mu) >= mu / 2).mean())
         assert hole <= dev
+
+    @pytest.mark.parametrize("degree,r", [(8, 0.5), (24, 1.0), (40, 0.5)])
+    def test_schur_cohn_path_matches_winding_path(self, degree, r, monkeypatch):
+        # the same block counted by winding alone: identical indicators
+        plan = mc.TrialPlan(degree, r, 4096, 11)
+        fast = mc._block_hole(plan, 0, 4096)
+        monkeypatch.setattr(mc, "_batch_schur_cohn", lambda a, n, radius, margin: (
+            np.zeros(len(a), dtype=np.int64), np.zeros(len(a), dtype=bool)))
+        slow = mc._block_hole(plan, 0, 4096)
+        for got, want in zip(fast, slow):
+            assert np.array_equal(got, want)
+        assert not fast[2].any()
+
+    def test_cross_check_flags_disagreement(self, monkeypatch):
+        # a counter that is always off by one is caught on every sampled
+        # trial, by winding and by roots, and only there
+        real = mc._batch_schur_cohn
+
+        def off_by_one(alpha, n, r, margin):
+            counts, certified = real(alpha, n, r, margin)
+            return counts + 1, certified
+
+        monkeypatch.setattr(mc, "_batch_schur_cohn", off_by_one)
+        plan = mc.TrialPlan(6, 0.5, 1000, 12)
+        hole, failed, mism = mc._block_hole(plan, 0, 1000)
+        sampled = np.arange(1000) % mc.CROSS_CHECK_EVERY == 0
+        assert np.array_equal(mism, sampled)
+        assert np.array_equal(failed, sampled)
+        assert not hole.any()  # every count is at least 1
 
     def test_reversal_symmetry(self):
         # hole at (N, r) <-> all N zeros inside closed B(0, 1/r) for the

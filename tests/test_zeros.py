@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import match_max_distance
 from su2lab import model, zeros
 from su2lab.model import SU2Polynomial
+from su2lab.rng import gaussian_matrix
 
 
 def random_poly(rng, degree):
@@ -55,6 +57,22 @@ class TestFindAllRoots:
             zeros.find_all_roots(SU2Polynomial(0, [1.0]))
         with pytest.raises(ValueError):
             zeros.find_all_roots(SU2Polynomial(2, [0, 0, 0]))
+
+
+class TestAberthBatch:
+    @pytest.mark.parametrize("degree,rows", [(10, 48), (50, 12)])
+    def test_rows_are_independent(self, degree, rows):
+        # converged rows leave the sweeps early; each row's roots and flag
+        # must be bit-identical to a one-row solve
+        alpha = gaussian_matrix(23, np.arange(rows, dtype=np.uint64), degree + 1)
+        w = alpha * np.exp(model._log_weights(degree))
+        roots, conv = zeros._aberth_batch(w)
+        assert conv.all()
+        assert zeros._normalized_residuals(alpha, degree, roots).max() <= 1e-8
+        for i in range(rows):
+            one_roots, one_conv = zeros._aberth_batch(w[i : i + 1])
+            assert np.array_equal(one_roots[0], roots[i])
+            assert one_conv[0] == conv[i]
 
 
 class TestCountFromRoots:
@@ -117,6 +135,148 @@ class TestArgumentPrinciple:
             checked += 1
 
 
+def _sample(seed, rows, degree):
+    return gaussian_matrix(seed, np.arange(rows, dtype=np.uint64), degree + 1)
+
+
+def _alpha_with_zero_at(rng, degree, zero):
+    """Coefficients of a random polynomial times (z - zero)."""
+    inner = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    w = np.convolve(inner, [-zero, 1.0])
+    return w * np.exp(-model._log_weights(degree))
+
+
+SCHUR_COHN_GRID = [(n, r) for n in (1, 4, 8, 12, 16, 24, 32) for r in (0.5, 1.0, 2.0)]
+
+
+class TestSchurCohn:
+    @pytest.mark.parametrize("degree,r", SCHUR_COHN_GRID)
+    def test_agrees_with_winding_and_roots(self, degree, r):
+        alpha = _sample(300 + degree, 16384, degree)
+        counts, certified = zeros._batch_schur_cohn(alpha, degree, r)
+        assert certified.mean() > 0.99
+        wcounts, wok = zeros._batch_winding(alpha, degree, r)
+        both = certified & wok
+        assert wok.all()
+        assert np.array_equal(counts[both], wcounts[both])
+        sub = alpha[:1024]
+        roots, conv = zeros._aberth_batch(sub * np.exp(model._log_weights(degree)))
+        res = zeros._normalized_residuals(sub, degree, roots).max(axis=1)
+        trusted = conv & (res <= 1e-8) & certified[:1024]
+        assert trusted.mean() > 0.95
+        rcounts = (np.abs(roots) < r).sum(axis=1)
+        assert np.array_equal(counts[:1024][trusted], rcounts[trusted])
+
+    def test_degree_zero(self):
+        counts, certified = zeros._batch_schur_cohn(np.array([[2.0 + 1j], [0.0]]), 0, 0.7)
+        assert counts.tolist() == [0, 0]
+        assert certified.tolist() == [True, False]
+
+    def test_degree_one(self):
+        # psi = a0 + a1 z has its zero at -a0/a1
+        alpha = np.array([[1.0, 4.0], [1.0, 1.0], [3.0, -1j], [1.0, 3.0]])
+        counts, certified = zeros._batch_schur_cohn(alpha, 1, 0.5)
+        assert certified.all()
+        assert counts.tolist() == [1, 0, 0, 1]
+        counts, certified = zeros._batch_schur_cohn(alpha, 1, 4.0)
+        assert certified.all()
+        assert counts.tolist() == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("degree,r", [(1, 1.0), (8, 0.5), (12, 1.0), (20, 2.0)])
+    def test_zero_on_circle_is_uncertified(self, degree, r):
+        rng = np.random.default_rng(degree)
+        rows = [_alpha_with_zero_at(rng, degree, r * np.exp(1j * t))
+                for t in rng.uniform(0, 2 * np.pi, 16)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for margin in (zeros.DEFAULT_BOUNDARY_MARGIN, 0.0):
+                _, certified = zeros._batch_schur_cohn(np.array(rows), degree, r, margin)
+                assert not certified.any()
+
+    def test_gap_rule(self):
+        # at N = 32, r = 1 about 1 % of rows have a step gap below the
+        # threshold; exactly those are refused
+        alpha = _sample(77, 4096, 32)
+        _, certified = zeros._batch_schur_cohn(alpha, 32, 1.0, boundary_margin=0.0)
+        trail, lead, _ = zeros._schur_cohn_steps(zeros._circle_fourier_coeffs(alpha, 32, 1.0))
+        small = (np.abs(trail - lead) < zeros.SCHUR_COHN_MIN_GAP).any(axis=1)
+        assert small.sum() >= 10
+        assert np.array_equal(certified, ~small)
+
+    def test_degree_above_cap_is_uncertified(self):
+        n = zeros.SCHUR_COHN_MAX_DEGREE + 1
+        counts, certified = zeros._batch_schur_cohn(_sample(5, 64, n), n, 0.5)
+        assert not certified.any()
+        assert counts.shape == (64,)
+
+    def test_vanishing_recursion_is_uncertified_without_warnings(self):
+        # psi = 1 + z^2 equals its own reflection on |z| = 1, so F = 0;
+        # a null row divides 0 by 0 at the first step
+        alpha = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.25]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts, certified = zeros._batch_schur_cohn(alpha, 2, 1.0)
+        assert certified.tolist() == [False, False, True]
+        assert counts[2] == 0  # zeros of 1 + z^2/4 at +-2i
+
+    @pytest.mark.parametrize("degree,r", [(4, 0.5), (12, 1.0), (24, 2.0), (32, 1.0)])
+    def test_floor_bounds_circle_minimum(self, degree, r):
+        # the floor must sit below min |f| on |z| = 1, which a dense grid
+        # over-estimates
+        b = zeros._circle_fourier_coeffs(_sample(40 + degree, 2048, degree), degree, r)
+        _, _, log_floor = zeros._schur_cohn_steps(b)
+        grid_min = np.abs(zeros._eval_circle_grid(b, 64 * (degree + 1))).min(axis=1)
+        finite = np.isfinite(log_floor)
+        assert finite.mean() > 0.99
+        assert (log_floor[finite] <= np.log(grid_min[finite])).all()
+
+    @pytest.mark.parametrize("degree,r", [(6, 0.5), (12, 2.0)])
+    def test_margin_excludes_near_contour_zero(self, degree, r):
+        # a zero 1e-4 r outside the contour: clear of a 1e-9 margin, inside
+        # a 1e-3 r one
+        rng = np.random.default_rng(degree)
+        rows = np.array([_alpha_with_zero_at(rng, degree, r * (1 + 1e-4) * np.exp(1j * t))
+                         for t in rng.uniform(0, 2 * np.pi, 32)])
+        counts, certified = zeros._batch_schur_cohn(rows, degree, r)
+        wcounts, wok = zeros._batch_winding(rows, degree, r)
+        assert certified.mean() > 0.9
+        assert np.array_equal(counts[certified & wok], wcounts[certified & wok])
+        _, certified = zeros._batch_schur_cohn(rows, degree, r, boundary_margin=1e-3 * r)
+        assert not certified.any()
+
+    def test_margin_wider_than_radius(self):
+        # zeros of 1 + 1e-6 z^2 sit at |z| = 1000, far from B(0, 3); the
+        # sampled rows have zeros in B(0, 3)
+        alpha = np.vstack([[1.0, 0.0, 1e-6], _sample(9, 64, 2)])
+        counts, certified = zeros._batch_schur_cohn(alpha, 2, 1.0, boundary_margin=2.0)
+        assert certified[0] and counts[0] == 0
+        _, wok = zeros._batch_winding(alpha, 2, 1.0, boundary_margin=2.0)
+        assert not (certified[1:] | wok[1:]).any()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is no wider than double here")
+    def test_calibration_against_long_double(self):
+        # the same recursion rerun in clongdouble on the same inputs: on
+        # certified rows each step's error must sit far below that step's
+        # gap and below a tenth of the certification threshold, and the
+        # floor's log within 1e-3 (its use leaves a factor of 2)
+        tau = zeros.SCHUR_COHN_MIN_GAP
+        worst = 0.0
+        for degree, r in SCHUR_COHN_GRID:
+            alpha = _sample(700 + degree, 8192, degree)
+            b = zeros._circle_fourier_coeffs(alpha, degree, r)
+            trail, lead, log_floor = zeros._schur_cohn_steps(b)
+            trail_ld, lead_ld, log_floor_ld = zeros._schur_cohn_steps(b.astype(np.clongdouble))
+            gap = np.abs(trail - lead)
+            certified = (gap >= tau).all(axis=1)
+            err = np.maximum(np.abs(trail - trail_ld), np.abs(lead - lead_ld)).astype(float)
+            assert (err[certified] < gap[certified] / 100).all(), (degree, r)
+            floor_err = np.abs(log_floor - log_floor_ld).astype(float)[certified]
+            assert (floor_err < 1e-3).all(), (degree, r)
+            worst = max(worst, float(err[certified].max()))
+        assert worst < tau / 10
+
+
 class TestCircleLogIntegral:
     def test_constant(self):
         assert zeros.circle_log_integral(SU2Polynomial(0, [3.0]), 1.0) == \
@@ -136,6 +296,18 @@ class TestCircleLogIntegral:
         with pytest.raises(zeros.QuadratureError) as err:
             zeros.circle_log_integral(p, 1.0)
         assert math.isfinite(err.value.best_estimate)
+
+    def test_node_cap_reports_last_gap(self):
+        p = SU2Polynomial(1, [1 + 1e-12, 1])
+        with pytest.raises(zeros.QuadratureError) as err:
+            zeros.circle_log_integral(p, 1.0, node_cap=1024)
+        assert math.isfinite(err.value.gap)
+        assert err.value.gap >= zeros.DEFAULT_QUADRATURE_TARGET
+        _, _, ok, gap = zeros._batch_circle_log_means(
+            np.array([[1 + 1e-12, 1], [1.0, 0.0]]), 1, 1.0, node_cap=1024
+        )
+        assert ok.tolist() == [False, True]
+        assert np.isfinite(gap).all()
 
     def test_abs_log_integral_constant(self):
         # |log| of a unit constant is 0, below any outlier threshold
