@@ -190,8 +190,10 @@ def _nonneg_int(text: str) -> int:
 
 def _seed(text: str) -> int:
     value = _nonneg_int(text)
-    if value >= 2**64:
-        raise argparse.ArgumentTypeError(f"must be below 2**64, got {text}")
+    try:
+        RngSeed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
     return value
 
 

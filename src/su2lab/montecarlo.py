@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import _log_weights, log_binomial
-from .rng import gaussian_matrix
+from .rng import RngSeed, gaussian_matrix
 from .zeros import (
     _aberth_batch,
     _batch_boundary_log_max,
@@ -120,8 +120,7 @@ class TrialPlan:
             raise ValueError("radius must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        RngSeed(self.master_seed)  # refuses a seed outside 64 unsigned bits
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

@@ -9,8 +9,9 @@ the test suite cross-checks:
 - Schur-Cohn: run the Schur-Cohn recursion on the coefficients of
   psi(r z), N vectorized steps with no FFT and no roots.  A row counts
   only when every step's decisive gap clears ``SCHUR_COHN_MIN_GAP``,
-  N <= ``SCHUR_COHN_MAX_DEGREE`` and no zero lies within the boundary
-  margin of the contour; other rows fall back to winding.
+  N <= ``SCHUR_COHN_MAX_DEGREE`` and the recursion's floor on |psi| over
+  the circle proves no zero lies within the boundary margin of the
+  contour; other rows fall back to winding.
 
 All boundary evaluations use the spherically normalized values
 ``psi(z)/(1+|z|^2)^(N/2)``, whose magnitudes stay in double range at any
@@ -60,24 +61,28 @@ TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
 # per setting.  "err" is the worst error of a normalized |a_0| or |a_d| on
-# certified rows, "fall back" the share of rows left to winding:
+# rows that clear the gap rule, "gap" the share of rows the gap rule
+# refuses, "all" the share left to winding once the floor must also clear
+# the default boundary margin:
 #
-#        r = 0.5            r = 1              r = 2
-#   N    err      fall back err      fall back err      fall back
-#   4    5.2e-14  0         5.9e-11  0.008 %   4.4e-14  0
-#   8    3.9e-12  0         6.3e-11  0         2.4e-12  0
-#   10   1.1e-10  0         5.5e-10  0         1.6e-12  0
-#   12   1.5e-11  0.004 %   4.6e-10  0.004 %   3.7e-11  0
-#   16   6.7e-11  0         4.8e-10  0.020 %   1.1e-10  0
-#   24   1.4e-10  0.008 %   3.8e-09  0.057 %   1.1e-09  0
-#   32   4.9e-10  0.004 %   4.6e-10  0.83 %    3.8e-09  0.012 %
+#        r = 0.5                 r = 1                   r = 2
+#   N    err      gap     all    err      gap     all    err      gap     all
+#   4    5.2e-14  0       0      5.9e-11  0.008%  0.008% 4.4e-14  0       0
+#   8    3.9e-12  0       0      6.3e-11  0       0.008% 2.4e-12  0       0
+#   10   1.1e-10  0       0      5.5e-10  0       0.11%  1.6e-12  0       0.004%
+#   12   1.5e-11  0.004%  0.008% 4.6e-10  0.004%  0.89%  3.7e-11  0       0.012%
+#   16   6.7e-11  0       0.069% 4.8e-10  0.020%  12%    1.1e-10  0       0.081%
+#   24   1.4e-10  0.008%  2.2%   3.8e-09  0.057%  95%    1.1e-09  0       2.0%
+#   32   4.9e-10  0.004%  27%    4.6e-10  0.83%   100%   3.8e-09  0.012%  25%
 #
 # Every certified step's error is below 3.3e-6 of that step's own gap, so
 # no flip decision is in doubt; the log of the margin floor is off by at
-# most 3.7e-6, against the factor of 2 it is given.  Past the cap the
-# recursion loses the sign: at N = 50, r = 0.5 the error reaches 1.3e-7,
-# above the threshold, and at N = 100 it is 2e-2; at N = 50, r = 1 gaps
-# fall to 4e-13 and 99 % of rows would fall back anyway.
+# most 3.7e-6, against the factor of 2 it is given.  The floor is loose
+# (it multiplies N per-step bounds), which is what sends most rows at
+# N >= 24, r = 1 to winding.  Past the cap the recursion loses the sign:
+# at N = 50, r = 0.5 the error reaches 1.3e-7, above the threshold, and at
+# N = 100 it is 2e-2; at N = 50, r = 1 gaps fall to 4e-13 and 99 % of rows
+# would fall back anyway.
 SCHUR_COHN_MIN_GAP = 1e-7
 SCHUR_COHN_MAX_DEGREE = 32
 
@@ -573,64 +578,41 @@ def _schur_cohn_steps(b: np.ndarray):
     return trail.T, lead.T, log_floor
 
 
-def _schur_cohn_counts(alpha: np.ndarray, degree: int, r: float):
-    """Counts in B(0, r) with the gap rule, the floor and the coefficients.
-
-    On |z| = 1, |f*| = |f|, so by Rouche count(f) = count(F) when
-    |a_0| > |a_d| and d - count(F) otherwise.  Returns ``(counts,
-    certified, log_floor, b)``: ``certified`` holds where every step's
-    normalized gap ||a_0| - |a_d|| is at least ``SCHUR_COHN_MIN_GAP``.
-    """
-    b = _circle_fourier_coeffs(alpha, degree, r)
-    trail, lead, log_floor = _schur_cohn_steps(b)
-    gap = trail - lead
-    with np.errstate(invalid="ignore"):
-        # a finite floor also rules out a null row, which has no steps at N = 0
-        certified = (np.abs(gap) >= SCHUR_COHN_MIN_GAP).all(axis=1)
-        certified &= np.isfinite(log_floor)
-        flips = gap < 0
-    # count = sum over flipping steps of +-d, the sign alternating per flip
-    earlier = np.cumsum(flips, axis=1) - flips
-    sign = 1 - 2 * (earlier & 1)
-    counts = (flips * sign * np.arange(degree, 0, -1)).sum(axis=1).astype(np.int64)
-    return counts, certified, log_floor, b
-
-
 def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
                       boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
     """Zero counts in B(0, r) by the Schur-Cohn recursion, batched.
 
     Runs on f(z) = psi_hat(r z): N vectorized steps, O(N^2) per row, no
-    FFT and no roots.  Returns ``(counts, certified)``; counts are
-    meaningful only on certified rows.  A row is certified when
-    N <= ``SCHUR_COHN_MAX_DEGREE``, every step clears
-    ``SCHUR_COHN_MIN_GAP``, and no zero lies within ``boundary_margin`` of
-    the contour.  The last is proved by the recursion's floor on |f| over
-    the circle or, where that floor is too weak, by equal certified counts
-    at radii ``r - boundary_margin`` and ``r + boundary_margin``.
+    FFT and no roots.  On |z| = 1, |f*| = |f|, so by Rouche count(f) =
+    count(F) when |a_0| > |a_d| and d - count(F) otherwise.  Returns
+    ``(counts, certified)``; counts are meaningful only on certified rows.
+    A row is certified when N <= ``SCHUR_COHN_MAX_DEGREE``, every step's
+    normalized gap ||a_0| - |a_d|| is at least ``SCHUR_COHN_MIN_GAP``, and
+    the recursion's floor on |f| over the circle proves no zero lies within
+    ``boundary_margin`` of the contour.
     """
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
     if degree > SCHUR_COHN_MAX_DEGREE:
         return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
-    counts, certified, log_floor, b = _schur_cohn_counts(alpha, degree, r)
+    b = _circle_fourier_coeffs(alpha, degree, r)
+    trail, lead, log_floor = _schur_cohn_steps(b)
+    gap = trail - lead
     # a zero w of f with ||w| - 1| <= h forces |f(w / |w|)| <= h max|f'|
-    # <= h sum_k k |b_k| (1 + h)^(k-1); the floor must clear twice that
+    # <= h sum_k k |b_k| (1 + h)^(k-1); the floor must clear twice that.
+    # A NaN floor (F = 0) or a -inf one (a null row) never does.
     h = boundary_margin / r
     k = np.arange(1, degree + 1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         log_slope = np.log(2.0 * h * (np.abs(b[:, 1:]) @ (k * (1.0 + h) ** (k - 1))))
-        clear = log_floor > log_slope
-    unclear = np.nonzero(certified & ~clear)[0]
-    if len(unclear):
-        sub = alpha[unclear]
-        outer, outer_ok, _, _ = _schur_cohn_counts(sub, degree, r + boundary_margin)
-        inner, inner_ok = 0, True  # the inner disk is empty for margin >= r
-        if boundary_margin < r:
-            inner, inner_ok, _, _ = _schur_cohn_counts(sub, degree, r - boundary_margin)
-        clear[unclear] = (outer_ok & inner_ok & (inner == outer)
-                          & (outer == counts[unclear]))
-    return counts, certified & clear
+        certified = (np.abs(gap) >= SCHUR_COHN_MIN_GAP).all(axis=1)
+        certified &= log_floor > log_slope
+        flips = gap < 0
+    # count = sum over flipping steps of +-d, the sign alternating per flip
+    earlier = np.cumsum(flips, axis=1) - flips
+    sign = 1 - 2 * (earlier & 1)
+    counts = (flips * sign * np.arange(degree, 0, -1)).sum(axis=1).astype(np.int64)
+    return counts, certified
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class TestExitCodes:
         code, out = run_cli(argv + ["--seed", str(2**64)])
         assert code == 2
         assert out == b""
-        assert "below 2**64" in capsys.readouterr().err
+        assert "64 unsigned bits" in capsys.readouterr().err
         code, _ = run_cli(argv + ["--seed", str(2**64 - 1), "--format", "json"])
         assert code == 0
 
