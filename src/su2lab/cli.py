@@ -204,14 +204,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _grid(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty grid")
-    return values
+def _grid(entry):
+    """``--grid`` parser whose entries obey ``entry``, the subcommand's
+    ``-N`` rule."""
+
+    def parse(text: str) -> list[int]:
+        try:
+            values = [entry(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError("empty grid")
+        return values
+
+    return parse
 
 
 def _add_output_flags(sub):
@@ -264,21 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("hole", help="hole probability estimate")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-N", "--degree", type=_nonneg_int)
-    group.add_argument("--grid", type=_grid, metavar="N1,N2,...")
+    group.add_argument("--grid", type=_grid(_nonneg_int), metavar="N1,N2,...")
     _add_plan_flags(p, trials_default=100000)
     _add_output_flags(p)
 
     p = subs.add_parser("omega-bound", help="exact explicit-event lower bound")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-N", "--degree", type=_positive_int)
-    group.add_argument("--grid", type=_grid, metavar="N1,N2,...")
+    group.add_argument("--grid", type=_grid(_positive_int), metavar="N1,N2,...")
     p.add_argument("-r", "--radius", type=_positive_float, default=1.0)
     _add_output_flags(p)
 
     p = subs.add_parser("fit-decay", help="fit log P against N^2")
     p.add_argument("results_file", nargs="?", default=None,
                    help="hole-results CSV/JSON file; otherwise use --grid")
-    p.add_argument("--grid", type=_grid, metavar="N1,N2,...", default=None)
+    p.add_argument("--grid", type=_grid(_nonneg_int), metavar="N1,N2,...",
+                   default=None)
     _add_plan_flags(p, trials_default=100000)
     _add_output_flags(p)
 

@@ -21,13 +21,24 @@ quadrature caps, unconverged roots) are excluded from estimates but counted
 and reported; above 1% the estimate is refused outright, since such failures
 correlate with near-boundary zeros and silent dropping would bias hole
 statistics.
+
+Blocks run in one worker pool per process.  It starts on the first
+estimate that splits across workers, serves later estimates of the same
+pool size, is replaced (its workers joined first) when the size changes,
+is dropped when a worker dies, and is joined at interpreter exit by
+``concurrent.futures``.  Workers see module state as of their start, so a
+later change to a module attribute reaches only ``workers = 1`` runs; a
+forked child starts its own pool rather than using its parent's.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +87,8 @@ class ReliabilityError(RuntimeError):
 
 
 def default_workers() -> int:
-    """``SU2LAB_WORKERS`` when set (a positive integer), else the CPU count."""
+    """``SU2LAB_WORKERS`` when set (a positive integer), else the number of
+    CPUs this process may run on (the CPU count where that is unknown)."""
     env = os.environ.get("SU2LAB_WORKERS")
     if env:
         try:
@@ -86,6 +98,8 @@ def default_workers() -> int:
         if workers < 1:
             raise ValueError(f"SU2LAB_WORKERS must be a positive integer, got {env!r}")
         return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -167,12 +181,69 @@ def _invoke(args):
     return fn(plan, start, stop)
 
 
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+_pool_pid = 0  # the process that started the pool
+_pool_lock = threading.Lock()  # estimates from several threads take turns
+
+
+def _exit_with_parent() -> None:
+    """Worker initializer: exit once the process that started the worker is
+    gone.  Idle workers wait on their task queue forever, so without this a
+    killed client would leave them running."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _close_pool() -> None:
+    """Shut the shared pool down and join its workers.  A pool inherited
+    through fork belongs to the parent and is only forgotten."""
+    global _pool
+    if _pool is not None and _pool_pid == os.getpid():
+        _pool.shutdown(wait=True)
+    _pool = None
+
+
+def _worker_pool(size: int) -> ProcessPoolExecutor:
+    """The shared pool, started anew unless it has ``size`` workers and
+    belongs to this process."""
+    global _pool, _pool_size, _pool_pid
+    if _pool is not None and (_pool_size, _pool_pid) != (size, os.getpid()):
+        _close_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+        _pool_size, _pool_pid = size, os.getpid()
+    return _pool
+
+
+def _map_blocks(size: int, tasks: list) -> list:
+    with _pool_lock:
+        try:
+            results = _worker_pool(size).map(_invoke, tasks)
+        except BrokenProcessPool:  # a worker died while the pool sat idle
+            _close_pool()
+            results = _worker_pool(size).map(_invoke, tasks)
+        try:
+            return list(results)
+        except BrokenProcessPool:  # a worker died running these blocks
+            _close_pool()
+            raise
+
+
 def _run_blocked(plan: TrialPlan, fn):
     """Run ``fn(plan, start, stop)`` over fixed-size trial blocks.
 
     The block partition depends only on the trial count, never on the
     worker count, and results are concatenated in block order, so the
-    output is a pure function of the plan.
+    output is a pure function of the plan.  Several blocks at
+    ``workers > 1`` go to the shared pool, sized
+    ``min(workers, blocks)``.
     """
     blocks = [
         (s, min(s + BLOCK_TRIALS, plan.trials))
@@ -181,8 +252,8 @@ def _run_blocked(plan: TrialPlan, fn):
     if plan.workers == 1 or len(blocks) == 1:
         parts = [fn(plan, s, e) for s, e in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=min(plan.workers, len(blocks))) as pool:
-            parts = list(pool.map(_invoke, [(fn, plan, s, e) for s, e in blocks]))
+        parts = _map_blocks(min(plan.workers, len(blocks)),
+                            [(fn, plan, s, e) for s, e in blocks])
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

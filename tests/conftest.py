@@ -1,7 +1,21 @@
 import io
+import multiprocessing
 import sys
 
 import numpy as np
+import pytest
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_workers():
+    """After the session, shut the shared worker pool down and fail if any
+    child process is still running."""
+    yield
+    from su2lab import montecarlo
+
+    montecarlo._close_pool()
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"child processes still running: {leaked}"
 
 
 def run_cli(argv):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 
 import pytest
 from conftest import run_cli
@@ -53,6 +54,23 @@ class TestExitCodes:
         assert out == b""
         assert "SU2LAB_WORKERS must be a positive integer" in diag.getvalue()
         code, _ = run_cli(["hole", "-N", "1", "--trials", "10", "--workers", "1"])
+        assert code == 0
+
+    @pytest.mark.parametrize("argv,rule", [
+        (["hole", "--grid", "4,-2"], "must be nonnegative"),
+        (["fit-decay", "--grid", "4,-1"], "must be nonnegative"),
+        (["omega-bound", "--grid", "0,3"], "must be at least 1"),
+    ])
+    def test_bad_grid_entry_is_usage_error(self, argv, rule, capsys):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == b""
+        assert rule in capsys.readouterr().err
+
+    def test_grid_entries_follow_degree_rule(self):
+        code, _ = run_cli(["hole", "--grid", "0,2", "--trials", "10", "--workers", "1"])
+        assert code == 0
+        code, _ = run_cli(["omega-bound", "--grid", "1,3"])
         assert code == 0
 
     def test_success_is_zero(self):
@@ -277,6 +295,19 @@ class TestWorkerDefaults:
                 mc.default_workers()
         monkeypatch.delenv("SU2LAB_WORKERS")
         assert mc.default_workers() >= 1
+
+    def test_default_is_cpus_this_process_may_use(self, monkeypatch):
+        from su2lab import montecarlo as mc
+
+        monkeypatch.delenv("SU2LAB_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert mc.default_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert mc.default_workers() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mc.default_workers() == 1
 
 
 class TestVerifyCommand:

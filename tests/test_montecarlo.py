@@ -1,4 +1,12 @@
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -424,3 +432,143 @@ class TestDeterminism:
         one = mc.estimate_zero_count_mean(mc.TrialPlan(workers=1, **base))
         two = mc.estimate_zero_count_mean(mc.TrialPlan(workers=2, **base))
         assert one == two
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _die(plan, start, stop):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _until_broken(pool):
+    """Submit no-ops until the pool has noticed a dead worker."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            pool.submit(int).result(timeout=30)
+        except BrokenProcessPool:
+            return
+    pytest.fail("the pool never noticed its dead worker")
+
+
+class TestWorkerPool:
+    """The one worker pool a process keeps across parallel estimates."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self):
+        mc._close_pool()
+        yield
+        mc._close_pool()
+
+    @staticmethod
+    def estimate(workers, blocks=2, degree=5):
+        plan = mc.TrialPlan(degree, 0.7, blocks * mc.BLOCK_TRIALS, 23, workers=workers)
+        return mc.estimate_hole_probability(plan)
+
+    def test_consecutive_estimates_share_workers(self):
+        first = self.estimate(2)
+        pids = _worker_pids()
+        second = self.estimate(2, degree=3)
+        assert len(pids) == 2
+        assert _worker_pids() == pids
+        assert first == self.estimate(1)
+        assert second == self.estimate(1, degree=3)
+
+    def test_new_size_replaces_pool(self):
+        self.estimate(2)
+        old_pool, old = mc._pool, multiprocessing.active_children()
+        got = self.estimate(3, blocks=3)
+        assert mc._pool is not old_pool
+        assert len(old) == 2
+        assert all(p.exitcode is not None for p in old)  # joined, not orphaned
+        new = _worker_pids()
+        assert len(new) == 3
+        assert not new & {p.pid for p in old}
+        assert got == self.estimate(1, blocks=3)
+
+    def test_killed_worker_is_replaced(self):
+        self.estimate(2)
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        _until_broken(mc._pool)
+        assert self.estimate(2) == self.estimate(1)
+        pids = _worker_pids()
+        assert len(pids) == 2
+        assert victim.pid not in pids
+
+    def test_worker_death_mid_estimate_propagates(self):
+        plan = mc.TrialPlan(5, 0.7, 2 * mc.BLOCK_TRIALS, 23, workers=2)
+        with pytest.raises(BrokenProcessPool):
+            mc._run_blocked(plan, _die)
+        assert mc._pool is None
+        assert self.estimate(2) == self.estimate(1)
+
+    def test_forked_child_forks_its_own_pool(self, tmp_path):
+        serial = self.estimate(1)
+        self.estimate(2)
+        parent_pool, parent_pids = mc._pool, _worker_pids()
+        report = tmp_path / "child.pickle"
+        pid = os.fork()
+        if pid == 0:  # the child reports and leaves without pytest's exit path
+            code = 1
+            try:
+                est = self.estimate(2)
+                reused = mc._pool is parent_pool
+                own = len(_worker_pids() - parent_pids)
+                mc._close_pool()
+                report.write_bytes(pickle.dumps((est, reused, own)))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        est, reused, own = pickle.loads(report.read_bytes())
+        assert not reused
+        assert own == 2
+        assert est == serial
+        assert mc._pool is parent_pool
+        assert self.estimate(2) == serial
+        assert _worker_pids() == parent_pids
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_workers_exit_after_parent_is_killed(self):
+        code = ("import multiprocessing, sys\n"
+                "from su2lab import montecarlo as mc\n"
+                f"plan = mc.TrialPlan(5, 0.7, {2 * mc.BLOCK_TRIALS}, 23, workers=2)\n"
+                "mc.estimate_hole_probability(plan)\n"
+                "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+                "sys.stdin.read()\n")
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdin.close()
+        proc.stdout.close()
+        try:
+            deadline = time.monotonic() + 30
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert len(pids) == 2
+            assert not any(map(_running, pids))
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
