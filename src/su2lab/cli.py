@@ -48,17 +48,14 @@ CSV_COLUMNS = {
 class ExperimentRecord:
     """Reproducible record of one command invocation.
 
-    ``wall_time_seconds`` and ``timestamp`` are volatile and optional;
-    the CLI reports them on the diagnostic stream and leaves them unset
-    in the data stream so output bytes depend on argv alone.
+    Holds nothing volatile: wall time and start time go to the diagnostic
+    stream, so output bytes depend on argv alone.
     """
 
     command: str
     plan: dict
     result: dict
     tool_version: str = __version__
-    wall_time_seconds: float | None = None
-    timestamp: str | None = None
 
 
 def _fmt(value) -> str:
@@ -79,10 +76,6 @@ def serialize_record(record: ExperimentRecord, fmt: str) -> bytes:
             "result": record.result,
             "tool_version": record.tool_version,
         }
-        if record.wall_time_seconds is not None:
-            payload["wall_time_seconds"] = record.wall_time_seconds
-        if record.timestamp is not None:
-            payload["timestamp"] = record.timestamp
         return (json.dumps(payload) + "\n").encode("utf-8")
     if fmt == "csv":
         columns = CSV_COLUMNS[record.command]
@@ -106,8 +99,6 @@ def parse_record(data: bytes) -> ExperimentRecord:
         plan=obj["plan"],
         result=obj["result"],
         tool_version=obj["tool_version"],
-        wall_time_seconds=obj.get("wall_time_seconds"),
-        timestamp=obj.get("timestamp"),
     )
 
 
@@ -436,6 +427,9 @@ def _handle_omega(args) -> ExperimentRecord:
 def _handle_fit_decay(args) -> ExperimentRecord:
     if (args.results_file is None) == (args.grid is None):
         raise UsageError("need exactly one of a results file or --grid")
+    if args.grid is not None and len(set(args.grid)) < 3:
+        raise UsageError(f"--grid needs at least 3 distinct degrees to fit, "
+                         f"got {len(set(args.grid))}")
     if args.results_file is not None:
         points = parse_results_file(args.results_file)
         plan_echo = {"results_file": args.results_file}

@@ -16,7 +16,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -173,91 +172,50 @@ class BasisChangeMatrix:
     matrix: np.ndarray
 
 
-def _dyadic(x: float) -> tuple[int, int]:
-    """Exact (numerator, shift) with x = numerator / 2**shift."""
-    f = Fraction(x)
-    shift = f.denominator.bit_length() - 1
-    return f.numerator, shift
-
-
-def _gaussian_int_powers(re: int, im: int, n: int) -> list[tuple[int, int]]:
-    out = [(1, 0)]
-    for _ in range(n):
-        a, b = out[-1]
-        out.append((a * re - b * im, a * im + b * re))
-    return out
-
-
-def _float_from_gaussian_int(re: int, im: int, log_scale: float) -> complex:
-    """(re + i*im) * exp(log_scale) without leaving double range."""
-    if re == 0 and im == 0:
-        return 0.0 + 0.0j
-    sh = max(re.bit_length(), im.bit_length()) - 52
-    if sh > 0:
-        ref, imf = float(re >> sh), float(im >> sh)
-    else:
-        sh = 0
-        ref, imf = float(re), float(im)
-    mag = math.hypot(ref, imf)
-    phase = math.atan2(imf, ref)
-    return cmath.exp(complex(math.log(mag) + sh * math.log(2.0) + log_scale, phase))
-
-
 def _expansion_matrix(degree: int, center: complex) -> np.ndarray:
     """Matrix whose column j expands the recentered basis element
 
-        sqrt(C(N,j)) (z - c)^j (1 + conj(c) z)^(N-j) / (1 + |c|^2)^(N/2)
+        E_j = sqrt(C(N,j)) u^j v^(N-j),  u = (z - c)/s,  v = (1 + conj(c) z)/s,
 
-    against the weighted monomials sqrt(C(N,k)) z^k.
+    with s = sqrt(1 + |c|^2), against the weighted monomials
+    sqrt(C(N,k)) z^k.
 
-    Floats are exact dyadic rationals, so the two binomial expansions and
-    their convolution run over scaled Gaussian integers; floats reappear
-    only in the final per-entry normalization.  A plain float convolution
-    loses ~C(N, N/2) worth of cancellation (1e-3 absolute error at N=100)
-    and cannot meet the unitarity budget.
+    Built degree by degree with Risbo's recursion (the matrix is the
+    spin-N/2 representation of an SU(2) element; T. Risbo, J. Geodesy 70
+    (1996) 383-396):
+
+        E_j^(m+1) = sqrt((m+1-j)/(m+1)) v E_j^m + sqrt(j/(m+1)) u E_(j-1)^m,
+
+    where in the weighted basis multiplying by 1 sends e_k^m to
+    sqrt((m+1-k)/(m+1)) e_k^(m+1) and multiplying by z sends it to
+    sqrt((k+1)/(m+1)) e_(k+1)^(m+1).  Every factor has modulus <= 1, so each
+    step is a contraction and plain floats stay accurate (unitarity error
+    ~2e-13 at N = 1000).  Expanding (z - c)^j (1 + conj(c) z)^(N-j) by a
+    float convolution instead cancels ~C(N, N/2) worth of digits.
     """
     n = degree
     c = complex(center)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("center must be finite")
-    ar, sr = _dyadic(c.real)
-    ai, si = _dyadic(c.imag)
-    s = max(sr, si)
-    a = ar << (s - sr)
-    b = ai << (s - si)
-    # center = (a + i b) / 2^s
-    neg_pows = _gaussian_int_powers(-a, -b, n)  # (-(a+ib))^m
-    conj_pows = _gaussian_int_powers(a, -b, n)  # (a-ib)^m
-    two_pows = [1 << (s * i) for i in range(n + 1)]
-    log_one_plus = math.log((1 << (2 * s)) + a * a + b * b) - 2 * s * math.log(2.0)
-    logw = _log_weights(n)
-    mat = np.empty((n + 1, n + 1), dtype=complex)
-    for j in range(n + 1):
-        # coefficients of (2^s z - (a+ib))^j and (2^s + (a-ib) z)^(N-j)
-        f = [
-            (math.comb(j, i) * two_pows[i] * neg_pows[j - i][0],
-             math.comb(j, i) * two_pows[i] * neg_pows[j - i][1])
-            for i in range(j + 1)
-        ]
-        g = [
-            (math.comb(n - j, m) * two_pows[n - j - m] * conj_pows[m][0],
-             math.comb(n - j, m) * two_pows[n - j - m] * conj_pows[m][1])
-            for m in range(n - j + 1)
-        ]
-        conv = [[0, 0] for _ in range(n + 1)]
-        for i in range(j + 1):
-            fr, fi = f[i]
-            row = conv
-            for m in range(n - j + 1):
-                gr, gi = g[m]
-                cell = row[i + m]
-                cell[0] += fr * gr - fi * gi
-                cell[1] += fr * gi + fi * gr
-        base = logw[j] - (n / 2.0) * log_one_plus - n * s * math.log(2.0)
-        for k in range(n + 1):
-            mat[k, j] = _float_from_gaussian_int(
-                conv[k][0], conv[k][1], base - logw[k]
-            )
+    if c == 0:
+        # exact: the recursion would leave sqrt(a)*sqrt(a) rounding on the diagonal
+        return np.eye(n + 1, dtype=complex)
+    # halved, so s/2 stays finite for every finite center
+    hr, hi = c.real / 2, c.imag / 2
+    half_s = math.hypot(0.5, hr, hi)
+    g = 0.5 / half_s
+    h = complex(hr / half_s, hi / half_s)  # c / s
+    mat = np.ones((1, 1), dtype=complex)
+    for m in range(1, n + 1):
+        up = np.sqrt(np.arange(m + 1) / m)  # sqrt(k/m)
+        down = up[::-1]  # sqrt((m-k)/m)
+        one = np.zeros((m + 1, m), dtype=complex)  # 1 * E^(m-1)
+        one[:-1] = down[:-1, None] * mat
+        zed = np.zeros((m + 1, m), dtype=complex)  # z * E^(m-1)
+        zed[1:] = up[1:, None] * mat
+        mat = np.zeros((m + 1, m + 1), dtype=complex)
+        mat[:, :-1] = (g * one + h.conjugate() * zed) * down[:-1]  # v E_j
+        mat[:, 1:] += (g * zed - h * one) * up[1:]  # u E_(j-1)
     return mat
 
 

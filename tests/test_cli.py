@@ -73,6 +73,29 @@ class TestExitCodes:
         code, _ = run_cli(["omega-bound", "--grid", "1,3"])
         assert code == 0
 
+    @pytest.mark.parametrize("grid", ["4", "4,8", "4,4,8"])
+    def test_short_fit_decay_grid_is_usage_error(self, grid, monkeypatch):
+        def no_trials(plan):
+            raise AssertionError("a trial ran before the grid was checked")
+
+        monkeypatch.setattr(cli.mc, "estimate_hole_probability", no_trials)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli(["fit-decay", "--grid", grid, "-r", "0.5"])
+        assert code == 2
+        assert out == b""
+        assert "at least 3 distinct degrees" in diag.getvalue()
+
+    def test_fit_decay_grid_without_enough_estimates_is_one(self, monkeypatch):
+        # N = 16 and 20 at r = 0.5 see no hole event in 200 trials
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli(["fit-decay", "--grid", "2,16,20", "-r", "0.5",
+                             "--trials", "200", "--workers", "1"])
+        assert code == 1
+        assert out == b""
+        assert "only 1 usable points" in diag.getvalue()
+
     def test_success_is_zero(self):
         code, out = run_cli(["omega-bound", "-N", "2", "-r", "1"])
         assert code == 0
@@ -110,8 +133,6 @@ class TestRecords:
                                  "boundary_margin": 1e-9,
                                  "quadrature_target": 1e-6}},
             result={"point": 0.5, "stderr": 0.0016},
-            wall_time_seconds=1.25,
-            timestamp="2026-01-01T00:00:00+00:00",
         )
         back = cli.parse_record(cli.serialize_record(rec, "json"))
         assert back == rec

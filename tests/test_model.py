@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,12 +186,41 @@ class TestBasisChange:
     @pytest.mark.parametrize("n,zeta", [
         (20, 0.7 + 0.2j),
         (60, 1.0 + 0.0j),
-        (100, 1.875 + 0.25j),  # |zeta| ~ 1.9, short dyadic form
+        (100, 1.875 + 0.25j),  # |zeta| ~ 1.9 > 1
         (100, 0.7 + 0.2j),
+        (200, 0.7 + 0.2j),
+        (200, 1.875 + 0.25j),
     ])
     def test_unitarity(self, n, zeta):
         u = model.basis_change_matrix(n, zeta).matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(n + 1))) <= 1e-10
+
+    @pytest.mark.parametrize("zeta", [1e200 + 1e200j, 1.5e308 - 1.5e308j])
+    def test_huge_finite_center(self, zeta):
+        # |c|^2 overflows, and so does sqrt(1 + |c|^2) for the second
+        u = model.basis_change_matrix(6, zeta).matrix
+        assert np.max(np.abs(u.conj().T @ u - np.eye(7))) <= 1e-10
+
+    @pytest.mark.parametrize("zeta", [math.inf, complex(0.5, math.nan)])
+    def test_non_finite_center(self, zeta):
+        with pytest.raises(ValueError, match="finite"):
+            model.basis_change_matrix(3, zeta)
+
+    @pytest.mark.parametrize("zeta", [0.5, -0.3 + 0.8j, 1.875 + 0.25j])
+    def test_matches_float_expansion(self, zeta):
+        # independent oracle: expand (z-c)^j (1+conj(c) z)^(N-j) by float
+        # convolution, harmless at these small degrees
+        for n in range(9):
+            b = model.basis_change_matrix(n, zeta).matrix.conj().T
+            weights = np.sqrt([math.comb(n, k) for k in range(n + 1)])
+            for j in range(n + 1):
+                coeffs = np.ones(1, dtype=complex)
+                for _ in range(j):
+                    coeffs = npoly.polymul(coeffs, [-zeta, 1])
+                for _ in range(n - j):
+                    coeffs = npoly.polymul(coeffs, [1, np.conj(zeta)])
+                want = weights[j] * coeffs / weights / (1 + abs(zeta) ** 2) ** (n / 2)
+                assert np.max(np.abs(b[:, j] - want)) <= 1e-13
 
 
 class TestEq2Identity:
@@ -210,11 +240,12 @@ class TestEq2Identity:
 
     def test_random_instances(self):
         rng = np.random.default_rng(23)
-        for n in (1, 11, 30):
+        for n, zeta in ((1, 0.5), (11, 0.5), (30, 0.5), (200, 0.5),
+                        (200, 1.875 + 0.25j)):
             p = random_poly(rng, n)
             pts = rng.standard_normal(20) + 1j * rng.standard_normal(20)
             pts = 2.0 * pts / np.max(np.abs(pts))
-            assert model.eq2_identity_residual(p, 0.5, pts) <= 1e-8
+            assert model.eq2_identity_residual(p, zeta, pts) <= 1e-8
 
 
 class TestInnerProduct:
