@@ -1,0 +1,40 @@
+#!/bin/sh
+# Write the 13 byte-identity outputs of the Monte Carlo estimators, each at
+# --workers 1 and 2, into OUTDIR (one file per run, 26 in all).
+#
+# The outputs are a pure function of argv, so two checkouts that agree on
+# every estimate give directories that `diff -r` finds equal:
+#
+#     scripts/identity_outputs.sh /tmp/ids-new
+#     /path/to/other/checkout/scripts/identity_outputs.sh /tmp/ids-old
+#     diff -r /tmp/ids-old /tmp/ids-new
+#
+# The package is imported from the src/ directory next to this script.
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+out=$1
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$out"
+
+su2lab() {
+    PYTHONPATH="$root/src" python3 -m su2lab "$@"
+}
+
+for w in 1 2; do
+    for r in 0.5 1 2; do
+        for s in 1 2 3; do
+            su2lab hole --grid 1,2,4,8,12,16 -r "$r" --trials 100000 --seed "$s" \
+                --format json --workers "$w" > "$out/hole_r${r}_s${s}_w${w}.json"
+        done
+    done
+    for n in 10 50; do
+        su2lab mean-zeros -N "$n" -r 1 --trials 2000 --seed 4 --workers "$w" \
+            > "$out/mean-zeros_N${n}_w${w}.csv"
+        su2lab deviation -N "$n" -r 1 --delta 0.2 --trials 4000 --seed 5 --workers "$w" \
+            > "$out/deviation_N${n}_w${w}.csv"
+    done
+done

@@ -248,10 +248,11 @@ def _recentered_basis_values(degree: int, center: complex, z: complex) -> np.nda
 
     lu, pu = _logmag_phase(u)
     lv, pv = _logmag_phase(v)
+    # (N/2) log(1 + |c|^2), finite for every finite center
+    log_norm = n * math.log(2.0 * math.hypot(0.5, abs(center) / 2))
     with np.errstate(invalid="ignore"):
         logmag = logw + np.where(j > 0, j * lu, 0.0) \
-            + np.where(n - j > 0, (n - j) * lv, 0.0) \
-            - (n / 2.0) * math.log1p(abs(center) ** 2)
+            + np.where(n - j > 0, (n - j) * lv, 0.0) - log_norm
     phase = j * pu + (n - j) * pv
     vals = np.exp(logmag + 1j * phase)
     vals[np.isneginf(logmag)] = 0.0

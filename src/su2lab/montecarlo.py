@@ -17,7 +17,7 @@ the counter-based stream keyed by ``(master_seed, t)``, blocks of trials are
 processed vectorized, and reductions are integer-exact or run once over the
 trials in index order, so an identical plan gives bit-identical estimates for
 any worker count or schedule.  Numerical rejects (contour singularities,
-quadrature caps, unconverged roots) are excluded from estimates but counted
+quadrature caps, cross-check mismatches) are excluded from estimates but counted
 and reported; above 1% the estimate is refused outright, since such failures
 correlate with near-boundary zeros and silent dropping would bias hole
 statistics.
@@ -79,7 +79,7 @@ __all__ = [
 Z95 = 1.959963984540054
 BLOCK_TRIALS = 4096
 MAX_FAILED_FRACTION = 0.01
-CROSS_CHECK_EVERY = 100  # hole trials re-counted through winding and roots
+CROSS_CHECK_EVERY = 100  # zero-count trials re-counted through winding and roots
 
 
 class ReliabilityError(RuntimeError):
@@ -264,28 +264,22 @@ def _sample_block(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
 
 def _root_counts(alpha: np.ndarray, plan: TrialPlan):
     """Aberth zero counts in B(0, r) with a trust mask (converged and
-    residuals within tolerance) and the rows' roots."""
+    residuals within tolerance)."""
     roots, conv = _aberth_batch(alpha * np.exp(_log_weights(plan.degree)))
     res = _normalized_residuals(alpha, plan.degree, roots).max(axis=1)
     trusted = conv & (res <= plan.tolerances.root_residual)
-    return (np.abs(roots) < plan.radius).sum(axis=1).astype(np.int64), trusted, roots
+    return (np.abs(roots) < plan.radius).sum(axis=1).astype(np.int64), trusted
 
 
-def _block_root_counts(plan: TrialPlan, start: int, stop: int):
-    """Per-trial zero counts in B(0, r) through the root oracle."""
-    counts, trusted, roots = _root_counts(_sample_block(plan, start, stop), plan)
-    near = (np.abs(np.abs(roots) - plan.radius)
-            <= plan.tolerances.boundary_margin).any(axis=1)
-    return counts, near, ~trusted
+def _block_counts(plan: TrialPlan, start: int, stop: int):
+    """Per-trial zero counts in B(0, r), returned as ``(counts, failed,
+    mismatch)``.
 
-
-def _block_hole(plan: TrialPlan, start: int, stop: int):
-    """Hole indicators via the Schur-Cohn counter.
-
-    Rows it cannot certify (including any it cannot prove clear of the
-    boundary margin) are counted by winding, under its margin and failure
-    rules.  Every 100th trial is recounted by winding and by the
-    root oracle; a trustworthy disagreement fails the trial and marks it a
+    The Schur-Cohn counter counts the rows it certifies.  Rows it cannot
+    certify (including any it cannot prove clear of the boundary margin)
+    are counted by winding, under its margin and failure rules.  Every
+    ``CROSS_CHECK_EVERY``-th trial is recounted by winding and by the root
+    oracle; a trustworthy disagreement fails the trial and marks it a
     mismatch."""
     n, r, margin = plan.degree, plan.radius, plan.tolerances.boundary_margin
     alpha = _sample_block(plan, start, stop)
@@ -301,11 +295,16 @@ def _block_hole(plan: TrialPlan, start: int, stop: int):
         mism[redo[~fallback & wok & (wcounts != counts[redo])]] = True
     check = np.nonzero(sampled & ok)[0]
     if len(check):
-        rcounts, trusted, _ = _root_counts(alpha[check], plan)
+        rcounts, trusted = _root_counts(alpha[check], plan)
         mism[check[trusted & (rcounts != counts[check])]] = True
     ok &= ~mism
-    hole = (counts == 0) & ok
-    return hole, ~ok, mism
+    return counts, ~ok, mism
+
+
+def _block_hole(plan: TrialPlan, start: int, stop: int):
+    """Hole indicators, failures and mismatches from ``_block_counts``."""
+    counts, failed, mism = _block_counts(plan, start, stop)
+    return (counts == 0) & ~failed, failed, mism
 
 
 def _log_norm(alpha: np.ndarray) -> np.ndarray:
@@ -459,34 +458,34 @@ def expected_zero_count(degree: int, radius: float) -> float:
 
 
 def zero_count_samples(plan: TrialPlan):
-    """Per-trial zero counts in B(0, r) via the root oracle.
+    """Per-trial zero counts in B(0, r): Schur-Cohn where it certifies,
+    winding elsewhere, sampled trials recounted by winding and roots.
 
-    Returns ``(counts, near_boundary, failed)`` aligned with trial index;
-    building block for the mean/deviation estimators and for consistency
-    checks that need a common trial set.
+    Returns ``(counts, failed)`` aligned with trial index; building block
+    for the mean/deviation estimators and for consistency checks that need
+    a common trial set.
     """
     if plan.degree == 0:
-        z = np.zeros(plan.trials, dtype=np.int64)
-        f = np.zeros(plan.trials, dtype=bool)
-        return z, f.copy(), f
-    return _run_blocked(plan, _block_root_counts)
+        return np.zeros(plan.trials, dtype=np.int64), np.zeros(plan.trials, dtype=bool)
+    counts, failed, _ = _run_blocked(plan, _block_counts)
+    return counts, failed
 
 
 def estimate_zero_count_mean(plan: TrialPlan) -> Estimate:
-    counts, _, failed = zero_count_samples(plan)
+    counts, failed = zero_count_samples(plan)
     return _mean_estimate(counts, failed, plan)
 
 
 def estimate_deviation_probability(plan: TrialPlan, spec: DeviationSpec) -> Estimate:
     """Frequency of |Xi - N r^2/(1+r^2)| >= delta * N."""
-    counts, _, failed = zero_count_samples(plan)
+    counts, failed = zero_count_samples(plan)
     mu = expected_zero_count(plan.degree, plan.radius)
     event = np.abs(counts - mu) >= spec.delta * plan.degree
     return _frequency_estimate(event, failed, plan)
 
 
 def estimate_hole_probability(plan: TrialPlan) -> Estimate:
-    """Frequency of zero-free B(0, r), argument-principle counted."""
+    """Frequency of zero-free B(0, r) on the counts of ``zero_count_samples``."""
     if plan.degree == 0:
         base = _wilson(plan.trials, plan.trials)
         return base

@@ -292,7 +292,7 @@ def check_hole_deviation_consistency(trials: int = 20000) -> CheckResult:
     frequency on the same trials."""
     n, r = 4, 0.5
     plan = mc.TrialPlan(n, r, trials, VERIFY_SEED + 11)
-    counts, _, failed = mc.zero_count_samples(plan)
+    counts, failed = mc.zero_count_samples(plan)
     counts = counts[~failed]
     mu = mc.expected_zero_count(n, r)
     hole = float((counts == 0).mean())
@@ -305,7 +305,7 @@ def check_reversal_symmetry_statistic(trials: int = 20000) -> CheckResult:
     1/r within 3 pooled stderr (coefficient reversal swaps the events)."""
     n, r = 2, 1.25
     e_hole = mc.estimate_hole_probability(mc.TrialPlan(n, r, trials, VERIFY_SEED + 12))
-    counts, _, failed = mc.zero_count_samples(
+    counts, failed = mc.zero_count_samples(
         mc.TrialPlan(n, 1.0 / r, trials, VERIFY_SEED + 13)
     )
     counts = counts[~failed]

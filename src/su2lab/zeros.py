@@ -57,6 +57,9 @@ DEFAULT_BOUNDARY_MARGIN = 1e-9
 DEFAULT_QUADRATURE_TARGET = 1e-9
 NODE_CAP = 1 << 20
 TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
+_WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
+_MAX_REFINEMENTS = 20  # bisection rounds of the per-row phase track
+_WINDING_CHUNK = 1 << 15  # first-grid samples per chunk of winding rows
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
@@ -168,10 +171,9 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float) -> np.ndarr
 
 def _eval_circle_grid(b: np.ndarray, n_nodes: int) -> np.ndarray:
     """psi_hat at the uniform angles 2*pi*m/M from Fourier coefficients."""
-    b = np.atleast_2d(b)
-    padded = np.zeros((b.shape[0], n_nodes), dtype=complex)
-    padded[:, : b.shape[1]] = b
-    return n_nodes * np.fft.ifft(padded, axis=1)
+    vals = np.fft.ifft(np.atleast_2d(b), n=n_nodes, axis=1)  # zero-padded to n_nodes
+    vals *= n_nodes
+    return vals
 
 
 def _eval_circle_angles(b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -392,18 +394,18 @@ def _phase_increments(vals: np.ndarray) -> np.ndarray:
     return np.angle(ratio)
 
 
-def _winding_phase_track(eval_fn, n_start: int, max_refinements: int = 20) -> float:
+def _winding_phase_track(eval_fn, n_start: int) -> float:
     """Winding number by adaptive phase tracking.
 
     ``eval_fn`` maps an array of contour parameters in [0, 1) to contour
     values.  Intervals whose phase step exceeds pi/2 (or that touch a
-    vanishing sample) are bisected, up to ``max_refinements`` rounds; the
+    vanishing sample) are bisected, up to ``_MAX_REFINEMENTS`` rounds; the
     accumulated phase must land within 0.01 of an integer multiple of
     2*pi to certify.
     """
     t = np.arange(n_start) / n_start
     vals = eval_fn(t)
-    for round_no in range(max_refinements + 1):
+    for round_no in range(_MAX_REFINEMENTS + 1):
         inc = _phase_increments(vals)
         tiny = np.abs(vals) < TINY_SAMPLE
         bad = (np.abs(inc) > 0.5 * np.pi) | tiny | np.roll(tiny, -1)
@@ -414,7 +416,7 @@ def _winding_phase_track(eval_fn, n_start: int, max_refinements: int = 20) -> fl
             bad = np.abs(inc) > 0.25 * np.pi  # sharpen until certification
             if not bad.any():
                 raise ContourError("winding did not certify to an integer")
-        if round_no == max_refinements:
+        if round_no == _MAX_REFINEMENTS:
             break
         idx = np.nonzero(bad)[0]
         t_next = np.concatenate((t[1:], t[:1] + 1.0))
@@ -436,15 +438,17 @@ def _grid_distance_estimate(vals: np.ndarray, dvals_dtheta: np.ndarray,
     return est.min(axis=-1)
 
 
-def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk,
-                                   boundary_margin: float = DEFAULT_BOUNDARY_MARGIN,
-                                   max_refinements: int = 20) -> ZeroCount:
+def count_zeros_argument_principle(
+        poly: SU2Polynomial, disk: Disk,
+        boundary_margin: float = DEFAULT_BOUNDARY_MARGIN) -> ZeroCount:
     """Winding number of psi around the disk boundary.
 
-    Samples start at 16*(N+1) points; any phase step above pi/2 triggers
-    local bisection.  A zero estimated within ``boundary_margin`` of the
-    contour raises :class:`ContourError` (the corresponding event has
-    probability zero for Gaussian samples).
+    A disk centered at 0 is a one-row call into the batch winding counter.
+    Other disks sample 16*(N+1) points of the shifted circle and bisect
+    locally wherever a phase step exceeds pi/2.  A zero estimated within
+    ``boundary_margin`` of the contour, or a winding that does not certify,
+    raises :class:`ContourError` (the corresponding event has probability
+    zero for Gaussian samples).
     """
     n = poly.degree
     if n == 0:
@@ -452,65 +456,60 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk,
             raise ValueError("polynomial is identically zero")
         return ZeroCount(0, "argument_principle")
     center, r = disk.center, disk.radius
-    m0 = 16 * (n + 1)
-
     if center == 0:
-        b = _circle_fourier_coeffs(poly.coefficients, n, r)
+        counts, ok = _batch_winding(poly.coefficients[None], n, r, boundary_margin)
+        if not ok[0]:
+            raise ContourError(
+                f"zero on or within the margin {boundary_margin} of the contour"
+            )
+        return ZeroCount(int(counts[0]), "argument_principle")
+    m0 = _WINDING_SAMPLES * (n + 1)
 
-        def eval_fn(t):
-            return _eval_circle_angles(b[None], 2.0 * np.pi * np.asarray(t)[None])[0]
+    def eval_fn(t):
+        z = center + r * np.exp(2j * np.pi * np.asarray(t))
+        return evaluate_normalized(poly, z)
 
-        grid = _eval_circle_grid(b, _next_pow2(m0))[0]
-        dgrid = _eval_circle_grid(b * 1j * np.arange(n + 1), _next_pow2(m0))[0]
-        dist = _grid_distance_estimate(grid[None], dgrid[None], r)[0]
-    else:
-
-        def eval_fn(t):
-            z = center + r * np.exp(2j * np.pi * np.asarray(t))
-            return evaluate_normalized(poly, z)
-
-        theta = 2.0 * np.pi * np.arange(m0) / m0
-        grid = eval_fn(theta / (2.0 * np.pi))
-        dgrid = np.gradient(grid, theta)
-        dist = _grid_distance_estimate(grid[None], dgrid[None], r)[0]
+    theta = 2.0 * np.pi * np.arange(m0) / m0
+    grid = eval_fn(theta / (2.0 * np.pi))
+    dgrid = np.gradient(grid, theta)
+    dist = _grid_distance_estimate(grid[None], dgrid[None], r)[0]
     if dist < boundary_margin:
         raise ContourError(
             f"zero estimated within {dist:.2e} of the contour (margin {boundary_margin})"
         )
-    winding = _winding_phase_track(eval_fn, m0, max_refinements)
+    winding = _winding_phase_track(eval_fn, m0)
     return ZeroCount(int(round(winding)), "argument_principle")
 
 
 def _batch_winding(alpha: np.ndarray, degree: int, r: float,
-                   boundary_margin: float = DEFAULT_BOUNDARY_MARGIN,
-                   grid_factor: int = 16):
+                   boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
     """Winding numbers of a coefficient batch around |z| = r.
 
     Returns ``(counts, ok)``.  Rows whose nearest zero is estimated inside
     ``boundary_margin`` of the contour fail (an event of probability zero
     for Gaussian samples); rows that cannot certify an integer winding
-    after grid doubling fall back to per-row local bisection.
+    after grid doubling fall back to per-row local bisection.  Rows go
+    through in chunks of at most ``_WINDING_CHUNK`` first-grid samples, so
+    the grids held at once stay small whatever the batch size.
     """
     alpha = np.atleast_2d(alpha)
-    n = degree
+    m0 = _next_pow2(_WINDING_SAMPLES * (degree + 1))
+    step = max(1, _WINDING_CHUNK // m0)
+    parts = [_winding_rows(alpha[s : s + step], degree, r, boundary_margin, m0)
+             for s in range(0, alpha.shape[0], step)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _winding_rows(alpha: np.ndarray, n: int, r: float, boundary_margin: float,
+                  m0: int):
+    """``_batch_winding`` on one chunk of rows, starting from ``m0`` samples."""
     rows = alpha.shape[0]
     b = _circle_fourier_coeffs(alpha, n, r)
     counts = np.zeros(rows, dtype=np.int64)
     ok = np.ones(rows, dtype=bool)
-    m0 = _next_pow2(grid_factor * (n + 1))
-
-    def _grid_rows(sel: np.ndarray, m: int, deriv: bool = False) -> np.ndarray:
-        out = np.empty((len(sel), m), dtype=complex)
-        coeff = b[sel] * (1j * np.arange(n + 1)) if deriv else b[sel]
-        step = max(1, (1 << 22) // m)
-        for s in range(0, len(sel), step):
-            out[s : s + step] = _eval_circle_grid(coeff[s : s + step], m)
-        return out
-
-    vals = _grid_rows(np.arange(rows), m0)
-    dvals = _grid_rows(np.arange(rows), m0, deriv=True)
-    dist = _grid_distance_estimate(vals, dvals, r)
-    ok[dist < boundary_margin] = False
+    vals = _eval_circle_grid(b, m0)
+    dvals = _eval_circle_grid(b * (1j * np.arange(n + 1)), m0)
+    ok[_grid_distance_estimate(vals, dvals, r) < boundary_margin] = False
     pending = np.nonzero(ok)[0]
     vals = vals[ok]
     m = m0
@@ -528,7 +527,7 @@ def _batch_winding(alpha: np.ndarray, degree: int, r: float,
         if len(pending) == 0:
             break
         m *= 2
-        vals = _grid_rows(pending, m)
+        vals = _eval_circle_grid(b[pending], m)
     for i in pending:
 
         def eval_fn(t, row=i):
@@ -719,6 +718,23 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     return mean_log, mean_abs, ok, gap
 
 
+def _circle_mean(poly: SU2Polynomial, r: float, target: float, node_cap: int,
+                 absolute: bool) -> float:
+    """One-row circle mean of log|psi|, or of |log|psi|| when ``absolute``."""
+    if not r > 0:
+        raise ValueError("radius must be positive")
+    if np.abs(poly.coefficients).max() == 0:
+        raise ValueError("polynomial is identically zero")
+    mean_log, mean_abs, ok, gap = _batch_circle_log_means(
+        poly.coefficients[None], poly.degree, r, target, node_cap
+    )
+    value = float((mean_abs if absolute else mean_log)[0])
+    if not ok[0]:
+        raise QuadratureError("circle average did not converge at the node cap",
+                              value, float(gap[0]))
+    return value
+
+
 def circle_log_integral(poly: SU2Polynomial, r: float,
                         target: float = DEFAULT_QUADRATURE_TARGET,
                         node_cap: int = NODE_CAP) -> float:
@@ -728,34 +744,14 @@ def circle_log_integral(poly: SU2Polynomial, r: float,
     (N/2) log(1+r^2); node counts double until two successive values agree
     within ``target`` or the cap is hit.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    if np.abs(poly.coefficients).max() == 0:
-        raise ValueError("polynomial is identically zero")
-    mean_log, _, ok, gap = _batch_circle_log_means(
-        poly.coefficients[None], poly.degree, r, target, node_cap
-    )
-    if not ok[0]:
-        raise QuadratureError("circle average did not converge at the node cap",
-                              float(mean_log[0]), float(gap[0]))
-    return float(mean_log[0])
+    return _circle_mean(poly, r, target, node_cap, absolute=False)
 
 
 def circle_abs_log_integral(poly: SU2Polynomial, r: float,
                             target: float = DEFAULT_QUADRATURE_TARGET,
                             node_cap: int = NODE_CAP) -> float:
     """Mean of |log|psi|| over the circle (the L1 deviation quantity)."""
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    if np.abs(poly.coefficients).max() == 0:
-        raise ValueError("polynomial is identically zero")
-    _, mean_abs, ok, gap = _batch_circle_log_means(
-        poly.coefficients[None], poly.degree, r, target, node_cap
-    )
-    if not ok[0]:
-        raise QuadratureError("circle average did not converge at the node cap",
-                              float(mean_abs[0]), float(gap[0]))
-    return float(mean_abs[0])
+    return _circle_mean(poly, r, target, node_cap, absolute=True)
 
 
 def jensen_residual(poly: SU2Polynomial, r: float) -> float:

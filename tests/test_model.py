@@ -247,6 +247,11 @@ class TestEq2Identity:
             pts = 2.0 * pts / np.max(np.abs(pts))
             assert model.eq2_identity_residual(p, zeta, pts) <= 1e-8
 
+    def test_huge_center(self):
+        # (N/2) log(1 + |c|^2) must not square |c| past the double range
+        p = SU2Polynomial(3, [1, 2, 3, 4])
+        assert model.eq2_identity_residual(p, 1e200, [0.5]) <= 1e-8
+
 
 class TestInnerProduct:
     def test_weighted_basis_orthonormal(self):

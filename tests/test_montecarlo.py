@@ -131,7 +131,7 @@ class TestHole:
     def test_hole_subset_of_deviation(self):
         # a hole forces |Xi - mean| = mean >= mean/2 on the same trials
         plan = mc.TrialPlan(4, 0.5, 20000, 8)
-        counts, _, failed = mc.zero_count_samples(plan)
+        counts, failed = mc.zero_count_samples(plan)
         kept = counts[~failed]
         mu = mc.expected_zero_count(4, 0.5)
         hole = float((kept == 0).mean())
@@ -140,19 +140,22 @@ class TestHole:
 
     @pytest.mark.parametrize("degree,r", [(8, 0.5), (24, 1.0), (40, 0.5)])
     def test_schur_cohn_path_matches_winding_path(self, degree, r, monkeypatch):
-        # the same block counted by winding alone: identical indicators
+        # the same block counted by winding alone: identical counts and
+        # indicators
         plan = mc.TrialPlan(degree, r, 4096, 11)
         fast = mc._block_hole(plan, 0, 4096)
+        fast_counts = mc._block_counts(plan, 0, 4096)
         monkeypatch.setattr(mc, "_batch_schur_cohn", lambda a, n, radius, margin: (
             np.zeros(len(a), dtype=np.int64), np.zeros(len(a), dtype=bool)))
         slow = mc._block_hole(plan, 0, 4096)
-        for got, want in zip(fast, slow):
+        slow_counts = mc._block_counts(plan, 0, 4096)
+        for got, want in zip(fast + fast_counts, slow + slow_counts):
             assert np.array_equal(got, want)
         assert not fast[2].any()
+        assert np.array_equal(fast[0], (fast_counts[0] == 0) & ~fast_counts[1])
 
-    def test_cross_check_flags_disagreement(self, monkeypatch):
-        # a counter that is always off by one is caught on every sampled
-        # trial, by winding and by roots, and only there
+    @staticmethod
+    def _off_by_one_schur_cohn(monkeypatch):
         real = mc._batch_schur_cohn
 
         def off_by_one(alpha, n, r, margin):
@@ -160,19 +163,37 @@ class TestHole:
             return counts + 1, certified
 
         monkeypatch.setattr(mc, "_batch_schur_cohn", off_by_one)
+
+    def test_cross_check_flags_disagreement(self, monkeypatch):
+        # a counter that is always off by one is caught on every sampled
+        # trial, by winding and by roots, and only there
         plan = mc.TrialPlan(6, 0.5, 1000, 12)
+        honest, _, _ = mc._block_counts(plan, 0, 1000)
+        self._off_by_one_schur_cohn(monkeypatch)
         hole, failed, mism = mc._block_hole(plan, 0, 1000)
         sampled = np.arange(1000) % mc.CROSS_CHECK_EVERY == 0
         assert np.array_equal(mism, sampled)
         assert np.array_equal(failed, sampled)
         assert not hole.any()  # every count is at least 1
+        counts, c_failed, c_mism = mc._block_counts(plan, 0, 1000)
+        assert np.array_equal(c_mism, sampled)
+        assert np.array_equal(c_failed, sampled)
+        assert np.array_equal(counts, honest + 1)
+
+    def test_zero_count_samples_are_cross_checked(self, monkeypatch):
+        # mean-zeros and deviation count through the same cascade, so the
+        # off-by-one counter fails exactly the sampled trials there too
+        plan = mc.TrialPlan(6, 0.5, 5000, 13)
+        self._off_by_one_schur_cohn(monkeypatch)
+        _, failed = mc.zero_count_samples(plan)
+        assert np.array_equal(failed, np.arange(5000) % mc.CROSS_CHECK_EVERY == 0)
 
     def test_reversal_symmetry(self):
         # hole at (N, r) <-> all N zeros inside closed B(0, 1/r) for the
         # reversed coefficients; statistically equal frequencies
         n, r = 2, 1.25
         hole = mc.estimate_hole_probability(mc.TrialPlan(n, r, 40000, 9))
-        counts, _, failed = mc.zero_count_samples(mc.TrialPlan(n, 1 / r, 40000, 10))
+        counts, failed = mc.zero_count_samples(mc.TrialPlan(n, 1 / r, 40000, 10))
         kept = counts[~failed]
         full = float((kept == n).mean())
         se = math.sqrt(full * (1 - full) / len(kept))

@@ -134,6 +134,20 @@ class TestArgumentPrinciple:
             assert by_phase.count == by_roots.count
             checked += 1
 
+    def test_center_zero_is_one_row_batch_winding(self):
+        rng = np.random.default_rng(29)
+        for i in range(200):
+            n = int(rng.integers(1, 51))
+            p = random_poly(rng, n)
+            r = (0.5, 1.0, 2.0)[i % 3]
+            counts, ok = zeros._batch_winding(p.coefficients[None], n, r)
+            if ok[0]:
+                got = zeros.count_zeros_argument_principle(p, zeros.Disk(0, r))
+                assert got.count == counts[0]
+            else:
+                with pytest.raises(zeros.ContourError):
+                    zeros.count_zeros_argument_principle(p, zeros.Disk(0, r))
+
 
 def _sample(seed, rows, degree):
     return gaussian_matrix(seed, np.arange(rows, dtype=np.uint64), degree + 1)
