@@ -1,9 +1,12 @@
 #!/bin/sh
 # Write the 13 byte-identity outputs of the Monte Carlo estimators, each at
-# --workers 1 and 2, into OUTDIR (one file per run, 26 in all).
+# --workers 1 and 2, and 7 one-polynomial outputs (Aberth roots for
+# N in {12, 50, 200} and seeds 1 and 2, and one zero count from the roots
+# at N = 200) into OUTDIR: one file per run, 33 in all.
 #
-# The outputs are a pure function of argv, so two checkouts that agree on
-# every estimate give directories that `diff -r` finds equal:
+# The outputs are a pure function of argv, and JSON writes every float
+# exactly, so two checkouts that agree on every estimate, root and
+# residual give directories that `diff -r` finds equal:
 #
 #     scripts/identity_outputs.sh /tmp/ids-new
 #     /path/to/other/checkout/scripts/identity_outputs.sh /tmp/ids-old
@@ -38,3 +41,9 @@ for w in 1 2; do
             > "$out/deviation_N${n}_w${w}.csv"
     done
 done
+for n in 12 50 200; do
+    for s in 1 2; do
+        su2lab roots -N "$n" --seed "$s" --format json > "$out/roots_N${n}_s${s}.json"
+    done
+done
+su2lab count -N 200 -r 1 --seed 1 > "$out/count_N200.csv"

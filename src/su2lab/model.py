@@ -205,18 +205,35 @@ def _expansion_matrix(degree: int, center: complex) -> np.ndarray:
     half_s = math.hypot(0.5, hr, hi)
     g = 0.5 / half_s
     h = complex(hr / half_s, hi / half_s)  # c / s
-    mat = np.ones((1, 1), dtype=complex)
+    # every step writes into contiguous leading views of these buffers, so
+    # no step allocates; E^m lives in the first (m+1)^2 entries of mat
+    mat = np.empty((n + 1) ** 2, dtype=complex)
+    bufs = [np.empty((n + 1) * n, dtype=complex) for _ in range(4)]
+    mat[0] = 1.0
     for m in range(1, n + 1):
-        up = np.sqrt(np.arange(m + 1) / m)  # sqrt(k/m)
+        # complex already, as numpy would cast them for each product
+        up = np.sqrt(np.arange(m + 1) / m).astype(complex)  # sqrt(k/m)
         down = up[::-1]  # sqrt((m-k)/m)
-        one = np.zeros((m + 1, m), dtype=complex)  # 1 * E^(m-1)
-        one[:-1] = down[:-1, None] * mat
-        zed = np.zeros((m + 1, m), dtype=complex)  # z * E^(m-1)
-        zed[1:] = up[1:, None] * mat
-        mat = np.zeros((m + 1, m + 1), dtype=complex)
-        mat[:, :-1] = (g * one + h.conjugate() * zed) * down[:-1]  # v E_j
-        mat[:, 1:] += (g * zed - h * one) * up[1:]  # u E_(j-1)
-    return mat
+        prev = mat[: m * m].reshape(m, m)
+        o, zz, a, b = (buf[: (m + 1) * m].reshape(m + 1, m) for buf in bufs)
+        np.multiply(down[:-1, None], prev, out=o[:-1])  # 1 * E^(m-1)
+        o[-1] = 0.0
+        np.multiply(up[1:, None], prev, out=zz[1:])  # z * E^(m-1)
+        zz[0] = 0.0
+        cur = mat[: (m + 1) ** 2].reshape(m + 1, m + 1)
+        # v E_j = (g one + conj(h) zed) down
+        np.multiply(g, o, out=a)
+        np.multiply(h.conjugate(), zz, out=b)
+        np.add(a, b, out=a)
+        np.multiply(a, down[:-1], out=cur[:, :-1])
+        cur[:, -1] = 0.0
+        # u E_(j-1) = (g zed - h one) up
+        np.multiply(g, zz, out=a)
+        np.multiply(h, o, out=b)
+        np.subtract(a, b, out=a)
+        np.multiply(a, up[1:], out=a)
+        cur[:, 1:] += a
+    return mat.reshape(n + 1, n + 1)
 
 
 def basis_change_matrix(degree: int, center: complex) -> BasisChangeMatrix:

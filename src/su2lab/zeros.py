@@ -1,8 +1,23 @@
 """Zero sets of SU(2) polynomials and the circle-average machinery.
 
 Root finding is simultaneous Aberth-Ehrlich iteration over all roots at
-once.  Zero counts in a disk come from three independent kernels, which
-the test suite cross-checks:
+once (D. A. Bini, Numer. Algorithms 13 (1996)).  A sweep works on the
+flat list of roots still moving, across all rows.  Apart from chunking,
+its numpy calls do not grow with the number of rows, and grow with N only
+through Horner's N + 1 steps:
+
+- the pairwise sums sum_j 1/(z_i - z_j) are one fold over a (j, root)
+  array; numpy adds along an axis that is not its inner loop one term
+  after another, so each sum keeps the order, and the bits, of a loop
+  over j;
+- each Newton step p/p' takes one Horner pass of two ufunc calls per
+  coefficient, on the direct coefficients at z when |z| <= 1 and on the
+  reversed ones at 1/z otherwise, so no value overflows;
+- both work in chunks of at most ``_SWEEP_CHUNK`` complex elements, which
+  bounds the memory of a sweep at any N.
+
+Zero counts in a disk come from three independent kernels, which the test
+suite cross-checks:
 
 - roots: count the Aberth roots inside the disk;
 - winding: track the phase of the polynomial around the boundary circle;
@@ -60,6 +75,7 @@ TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
 _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
 _MAX_REFINEMENTS = 20  # bisection rounds of the per-row phase track
 _WINDING_CHUNK = 1 << 15  # first-grid samples per chunk of winding rows
+_SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
@@ -229,19 +245,54 @@ def _bini_start_points(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner_p_dp(w: np.ndarray, z: np.ndarray):
-    """Plain Horner values and derivatives; overflow-safe only for points
-    with |z| bounded (coefficients scaled so max|w| ~ 1)."""
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for k in range(w.shape[1] - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + w[:, k, None]
-    return p, dp
+def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray,
+                   derivative: bool = True):
+    """Polynomial ``w[row[i]]`` at point ``z[i]`` by one Horner pass,
+    without overflow at any |z|.
+
+    A point with |z| <= 1 runs the direct coefficients at x = z.  A point
+    with |z| > 1 runs the reversed ones at x = u = 1/z, which evaluates
+    q(u) = z^{-m} p(z) and q'(u).  Returns ``(val, der, x, rev)``, where
+    ``rev`` marks the reversed points and ``der`` is None unless asked for.
+
+    Each Horner step is two ufunc calls on all points at once: the rows
+    (dp, p, c) of step t lie in one buffer right before those of step
+    t + 1, so ``(dp, p) * x + (p, c)`` reads and writes whole slices.  The
+    buffer holds as many steps as fit in ``_SWEEP_CHUNK`` elements; after
+    each span of steps, (dp, p) moves to its front and the next span's
+    coefficients are gathered in.
+    """
+    n1 = w.shape[1]
+    points = len(z)
+    rev = np.abs(z) > 1.0
+    x = np.divide(1.0, z, out=z.copy(), where=rev)
+    width = 3 if derivative else 2  # buffer rows per step: (dp,) p, c
+    span = max(1, min(n1, _SWEEP_CHUNK // (width * max(points, 1)) - 1))
+    buf = np.empty((span + 1, width, points), dtype=complex)
+    flat = buf.reshape((span + 1) * width, points)
+    # x spelled out to the factor's shape: numpy's complex product rounds
+    # differently on some broadcast layouts (a (1, 1) times a (1,) array),
+    # and a same-shape contiguous product never does
+    xs = np.repeat(x[None], width - 1, axis=0)
+    buf[0, :-1] = 0.0
+    for t0 in range(0, n1, span):
+        steps = np.arange(t0, min(t0 + span, n1))
+        # step t adds coefficient m - t directly, or t when reversed
+        cols = np.where(rev[:, None], steps, n1 - 1 - steps)
+        buf[: len(steps), -1] = w[row[:, None], cols].T
+        for j in range(0, width * len(steps), width):
+            nxt = flat[j + width : j + 2 * width - 1]
+            np.multiply(flat[j : j + width - 1], xs, out=nxt)
+            nxt += flat[j + 1 : j + width]
+        buf[0, :-1] = buf[len(steps), :-1]
+    val = buf[0, -2].copy()
+    der = buf[0, 0].copy() if derivative else None
+    return val, der, x, rev
 
 
-def _newton_ratio(w: np.ndarray, z: np.ndarray):
-    """Newton step p(z)/p'(z) evaluated without overflow at any |z|.
+def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray):
+    """Newton step p(z)/p'(z) of polynomial ``w[row[i]]`` at point
+    ``z[i]``, evaluated without overflow at any |z|.
 
     For |z| <= 1 this is direct Horner; for |z| > 1 the polynomial is
     folded through its reversal q(u) = z^{-m} p(z) at u = 1/z, where the
@@ -249,23 +300,46 @@ def _newton_ratio(w: np.ndarray, z: np.ndarray):
 
         p/p' = z q(u) / (m q(u) - u q'(u)).
 
-    Returns ``(step, val_zero, deriv_zero)`` masks alongside the step.
+    Returns ``(step, deriv_zero)``, the latter masking a vanishing
+    denominator.
     """
     m = w.shape[1] - 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        p, dp = _horner_p_dp(w, z)
-        direct = np.where((dp == 0) & (p == 0), 0.0,
-                          p / np.where(dp == 0, 1.0, dp))
-        u = np.where(z == 0, 1.0, 1.0 / z)  # placeholder where unused
-        q, qp = _horner_p_dp(w[:, ::-1], u)
-        denom = m * q - u * qp
-        reverse = np.where((denom == 0) & (q == 0), 0.0,
-                           z * q / np.where(denom == 0, 1.0, denom))
-        use_rev = np.abs(z) > 1.0
-        step = np.where(use_rev, reverse, direct)
-        val_zero = np.where(use_rev, q == 0, p == 0)
-        deriv_zero = np.where(use_rev, denom == 0, dp == 0)
-    return step, val_zero, deriv_zero
+    val, der, x, rev = _folded_horner(w, row, z)
+    num = np.where(rev, z * val, val)
+    denom = np.where(rev, m * val - x * der, der)
+    deriv_zero = denom == 0
+    step = np.where(deriv_zero & (val == 0), 0.0,
+                    num / np.where(deriv_zero, 1.0, denom))
+    return step, deriv_zero
+
+
+def _pairwise_sums(z: np.ndarray, row: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """sum_j 1/(zp[i] - z[row[i], j]) per point, a zero difference adding 0.
+
+    The terms sit in a (j, point) array and are summed over axis j, which
+    is never numpy's inner loop, so each sum adds its terms one after
+    another in j order (not pairwise), the order of a loop over columns.
+    The point axis gets at least two columns, since numpy drops an axis of
+    length 1.  Chunks of j keep the array within ``_SWEEP_CHUNK`` elements;
+    each chunk carries the running sum in as its leading row, which keeps
+    the order.
+    """
+    m = z.shape[1]
+    points = len(zp)
+    j_step = max(1, _SWEEP_CHUNK // max(points, 2) - 1)
+    buf = np.zeros((min(j_step, m) + 1, max(points, 2)), dtype=complex)
+    zt = z.T
+    for j0 in range(0, m, j_step):
+        part = buf[: min(j_step, m - j0) + 1]
+        diff = part[1:, :points]
+        np.take(zt[j0 : j0 + len(diff)], row, axis=1, out=diff, mode="clip")
+        np.subtract(zp, diff, out=diff)
+        zero = diff == 0
+        np.copyto(diff, 1.0, where=zero)
+        np.divide(1.0, diff, out=diff)
+        np.copyto(diff, 0.0, where=zero)
+        buf[0] = part.sum(axis=0)
+    return buf[0, :points].copy()
 
 
 def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
@@ -273,7 +347,9 @@ def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
     """All roots of each row of ``w`` (monomial coefficients, ascending).
 
     Returns ``(roots (B, m), converged (B,))``.  Rows must have a
-    non-negligible leading coefficient.
+    non-negligible leading coefficient.  A sweep updates every root of
+    every row at once from the previous sweep's roots, and only the roots
+    still moving: a root is frozen once its step falls below ``tol``.
     """
     w = np.atleast_2d(w).astype(complex)
     rows, n1 = w.shape
@@ -286,39 +362,31 @@ def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
         return roots, np.ones(rows, dtype=bool)
     z = _bini_start_points(w)
     active = np.ones((rows, m), dtype=bool)
-    # sweeps run on the live rows only (those with an active root); every
-    # operation is row-local, so compaction leaves the results bit-identical
-    live = np.arange(rows)
-    wl, zl, al = w, z, active
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for _ in range(max_sweeps):
-            newton, _, deriv_zero = _newton_ratio(wl, zl)
-            s = np.zeros_like(zl)
-            for jcol in range(m):
-                diff = zl - zl[:, jcol, None]
-                s += np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1.0, diff))
+            row, col = np.nonzero(active)
+            if not len(row):
+                break
+            zp = z[row, col]
+            newton, deriv_zero = _newton_ratio(w, row, zp)
+            # named, so numpy cannot reuse it as a temporary and swap the
+            # product's operands: complex products round differently then
+            s = _pairwise_sums(z, row, zp)
             denom = 1.0 - newton * s
             step = np.where(denom == 0, newton, newton / np.where(denom == 0, 1.0, denom))
             step = np.where(deriv_zero & (newton == 0), 0.0, step)
             collided = deriv_zero & (newton != 0)
-            step = np.where(collided, -0.1 * (1.0 + np.abs(zl)), step)
-            done = np.abs(step) <= tol * (1.0 + np.abs(zl))
-            zl = np.where(al & ~done, zl - step, zl)
-            al = al & ~done
-            keep = al.any(axis=1)
-            if not keep.all():
-                z[live[~keep]] = zl[~keep]
-                active[live[~keep]] = False
-                live, wl, zl, al = live[keep], wl[keep], zl[keep], al[keep]
-                if not len(live):
-                    break
-        z[live] = zl
-        active[live] = al
+            step = np.where(collided, -0.1 * (1.0 + np.abs(zp)), step)
+            done = np.abs(step) <= tol * (1.0 + np.abs(zp))
+            z[row, col] = np.where(done, zp, zp - step)
+            active[row, col] = ~done
         converged = ~active.any(axis=1)
+        every_row = np.repeat(np.arange(rows), m)
+        z = z.ravel()
         for _ in range(polish):
-            newton, _, deriv_zero = _newton_ratio(w, z)
+            newton, deriv_zero = _newton_ratio(w, every_row, z)
             z = np.where(deriv_zero, z, z - newton)
-    return z, converged
+    return z.reshape(rows, m), converged
 
 
 def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> np.ndarray:
@@ -328,12 +396,11 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
     roots = np.atleast_2d(roots)
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        p, _ = _horner_p_dp(w, roots)
-        u = np.where(roots == 0, 1.0, 1.0 / roots)
-        q, _ = _horner_p_dp(w[:, ::-1], u)
-        log_direct = np.log(np.maximum(np.abs(p), 1e-300))
-        log_rev = n * np.log(np.maximum(az, 1e-300)) + np.log(np.maximum(np.abs(q), 1e-300))
-        logmag = np.where(az > 1.0, log_rev, log_direct)
+        row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
+        val, _, _, rev = _folded_horner(w, row, roots.ravel(), derivative=False)
+        log_val = np.log(np.maximum(np.abs(val), 1e-300)).reshape(roots.shape)
+        log_rev = n * np.log(np.maximum(az, 1e-300)) + log_val
+        logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
         return np.exp(logmag - (n / 2.0) * np.log1p(az * az))
 
 
@@ -394,17 +461,16 @@ def _phase_increments(vals: np.ndarray) -> np.ndarray:
     return np.angle(ratio)
 
 
-def _winding_phase_track(eval_fn, n_start: int) -> float:
+def _winding_phase_track(eval_fn, t: np.ndarray, vals: np.ndarray) -> float:
     """Winding number by adaptive phase tracking.
 
     ``eval_fn`` maps an array of contour parameters in [0, 1) to contour
-    values.  Intervals whose phase step exceeds pi/2 (or that touch a
-    vanishing sample) are bisected, up to ``_MAX_REFINEMENTS`` rounds; the
-    accumulated phase must land within 0.01 of an integer multiple of
-    2*pi to certify.
+    values; ``vals`` holds its values at the sorted starting parameters
+    ``t``.  Intervals whose phase step exceeds pi/2 (or that touch a
+    vanishing sample) are bisected, up to ``_MAX_REFINEMENTS`` rounds, and
+    each round evaluates only the new midpoints; the accumulated phase
+    must land within 0.01 of an integer multiple of 2*pi to certify.
     """
-    t = np.arange(n_start) / n_start
-    vals = eval_fn(t)
     for round_no in range(_MAX_REFINEMENTS + 1):
         inc = _phase_increments(vals)
         tiny = np.abs(vals) < TINY_SAMPLE
@@ -421,8 +487,8 @@ def _winding_phase_track(eval_fn, n_start: int) -> float:
         idx = np.nonzero(bad)[0]
         t_next = np.concatenate((t[1:], t[:1] + 1.0))
         mids = (0.5 * (t[idx] + t_next[idx])) % 1.0
-        t = np.unique(np.concatenate((t, mids)))
-        vals = eval_fn(t)
+        t, first = np.unique(np.concatenate((t, mids)), return_index=True)
+        vals = np.concatenate((vals, eval_fn(mids)))[first]
     raise ContourError("phase step irreducible below pi/2: zero on or near contour")
 
 
@@ -469,15 +535,15 @@ def count_zeros_argument_principle(
         z = center + r * np.exp(2j * np.pi * np.asarray(t))
         return evaluate_normalized(poly, z)
 
-    theta = 2.0 * np.pi * np.arange(m0) / m0
-    grid = eval_fn(theta / (2.0 * np.pi))
-    dgrid = np.gradient(grid, theta)
+    t = np.arange(m0) / m0
+    grid = eval_fn(t)
+    dgrid = np.gradient(grid, 2.0 * np.pi * t)
     dist = _grid_distance_estimate(grid[None], dgrid[None], r)[0]
     if dist < boundary_margin:
         raise ContourError(
             f"zero estimated within {dist:.2e} of the contour (margin {boundary_margin})"
         )
-    winding = _winding_phase_track(eval_fn, m0)
+    winding = _winding_phase_track(eval_fn, t, grid)
     return ZeroCount(int(round(winding)), "argument_principle")
 
 
@@ -528,13 +594,14 @@ def _winding_rows(alpha: np.ndarray, n: int, r: float, boundary_margin: float,
             break
         m *= 2
         vals = _eval_circle_grid(b[pending], m)
+    t0 = np.arange(m0) / m0
     for i in pending:
 
         def eval_fn(t, row=i):
             return _eval_circle_angles(b[row][None], 2.0 * np.pi * np.asarray(t)[None])[0]
 
         try:
-            counts[i] = int(round(_winding_phase_track(eval_fn, m0)))
+            counts[i] = int(round(_winding_phase_track(eval_fn, t0, eval_fn(t0))))
         except ContourError:
             ok[i] = False
     return counts, ok

@@ -222,6 +222,28 @@ class TestBasisChange:
                 want = weights[j] * coeffs / weights / (1 + abs(zeta) ** 2) ** (n / 2)
                 assert np.max(np.abs(b[:, j] - want)) <= 1e-13
 
+    @pytest.mark.parametrize("zeta", [0.7 + 0.2j, -0.3 + 0.8j, 1.875 + 0.25j])
+    def test_buffers_match_allocating_recursion(self, zeta):
+        # the same recursion with fresh arrays at every degree step
+        def allocating(n):
+            half_s = math.hypot(0.5, zeta.real / 2, zeta.imag / 2)
+            g, h = 0.5 / half_s, complex(zeta.real / 2 / half_s, zeta.imag / 2 / half_s)
+            mat = np.ones((1, 1), dtype=complex)
+            for m in range(1, n + 1):
+                up = np.sqrt(np.arange(m + 1) / m)
+                down = up[::-1]
+                one = np.zeros((m + 1, m), dtype=complex)
+                one[:-1] = down[:-1, None] * mat
+                zed = np.zeros((m + 1, m), dtype=complex)
+                zed[1:] = up[1:, None] * mat
+                mat = np.zeros((m + 1, m + 1), dtype=complex)
+                mat[:, :-1] = (g * one + h.conjugate() * zed) * down[:-1]
+                mat[:, 1:] += (g * zed - h * one) * up[1:]
+            return mat
+
+        for n in (1, 2, 7, 60):
+            assert np.array_equal(model._expansion_matrix(n, zeta), allocating(n))
+
 
 class TestEq2Identity:
     def test_center_zero(self):

@@ -59,7 +59,143 @@ class TestFindAllRoots:
             zeros.find_all_roots(SU2Polynomial(2, [0, 0, 0]))
 
 
+def _loop_horner(w, z):
+    p = np.zeros_like(z)
+    dp = np.zeros_like(z)
+    for k in range(w.shape[1] - 1, -1, -1):
+        dp = dp * z + p
+        p = p * z + w[:, k, None]
+    return p, dp
+
+
+def _loop_newton_ratio(w, z):
+    """The Newton step by two full Horner passes: direct at z, reversed at 1/z."""
+    m = w.shape[1] - 1
+    p, dp = _loop_horner(w, z)
+    direct = np.where((dp == 0) & (p == 0), 0.0, p / np.where(dp == 0, 1.0, dp))
+    u = np.where(z == 0, 1.0, 1.0 / z)
+    q, qp = _loop_horner(w[:, ::-1], u)
+    denom = m * q - u * qp
+    reverse = np.where((denom == 0) & (q == 0), 0.0,
+                       z * q / np.where(denom == 0, 1.0, denom))
+    use_rev = np.abs(z) > 1.0
+    return (np.where(use_rev, reverse, direct),
+            np.where(use_rev, denom == 0, dp == 0))
+
+
+def _loop_aberth(w, tol=1e-13, max_sweeps=500, polish=2):
+    """Reference sweep: a Python loop over columns for the pairwise sums and
+    two Horner passes per Newton step, on every root of every row."""
+    w = w.astype(complex)
+    w = w / np.max(np.abs(w), axis=1, keepdims=True)
+    rows, n1 = w.shape
+    z = zeros._bini_start_points(w)
+    active = np.ones((rows, n1 - 1), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        for _ in range(max_sweeps):
+            newton, deriv_zero = _loop_newton_ratio(w, z)
+            s = np.zeros_like(z)
+            for jcol in range(n1 - 1):
+                diff = z - z[:, jcol, None]
+                s += np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1.0, diff))
+            denom = 1.0 - newton * s
+            step = np.where(denom == 0, newton, newton / np.where(denom == 0, 1.0, denom))
+            step = np.where(deriv_zero & (newton == 0), 0.0, step)
+            step = np.where(deriv_zero & (newton != 0), -0.1 * (1.0 + np.abs(z)), step)
+            done = np.abs(step) <= tol * (1.0 + np.abs(z))
+            z = np.where(active & ~done, z - step, z)
+            active = active & ~done
+            if not active.any():
+                break
+        converged = ~active.any(axis=1)
+        for _ in range(polish):
+            newton, deriv_zero = _loop_newton_ratio(w, z)
+            z = np.where(deriv_zero, z, z - newton)
+    return z, converged
+
+
+def _loop_residuals(alpha, degree, roots):
+    w = alpha * np.exp(model._log_weights(degree))
+    az = np.abs(roots)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        p, _ = _loop_horner(w, roots)
+        q, _ = _loop_horner(w[:, ::-1], np.where(roots == 0, 1.0, 1.0 / roots))
+        log_direct = np.log(np.maximum(np.abs(p), 1e-300))
+        log_rev = degree * np.log(np.maximum(az, 1e-300)) + np.log(np.maximum(np.abs(q), 1e-300))
+        logmag = np.where(az > 1.0, log_rev, log_direct)
+        return np.exp(logmag - (degree / 2.0) * np.log1p(az * az))
+
+
+def _assert_matches_loop(w):
+    roots, conv = zeros._aberth_batch(w)
+    want_roots, want_conv = _loop_aberth(w)
+    assert np.array_equal(roots, want_roots, equal_nan=True)
+    assert np.array_equal(conv, want_conv)
+    return roots
+
+
 class TestAberthBatch:
+    @pytest.mark.parametrize("degree,rows", [
+        (2, 1), (2, 7), (2, 300), (3, 1), (3, 64), (10, 2048), (12, 1), (12, 41),
+        (50, 1), (50, 3), (50, 8), (200, 1), (200, 2),
+    ])
+    def test_bit_identical_to_column_loop(self, degree, rows):
+        # 2048 rows make arrays large enough for numpy to reuse temporaries
+        alpha = gaussian_matrix(31, np.arange(rows, dtype=np.uint64), degree + 1)
+        roots = _assert_matches_loop(alpha * np.exp(model._log_weights(degree)))
+        assert np.array_equal(zeros._normalized_residuals(alpha, degree, roots),
+                              _loop_residuals(alpha, degree, roots))
+        for k in range(min(degree, 4)):  # one root alone: the smallest layout
+            one = roots[:1, k : k + 1]
+            assert np.array_equal(zeros._normalized_residuals(alpha[:1], degree, one),
+                                  _loop_residuals(alpha[:1], degree, one))
+
+    @pytest.mark.parametrize("points", [1, 2, 7])
+    @pytest.mark.parametrize("chunk", [1 << 17, 64])
+    def test_pairwise_sums_keep_column_order(self, points, chunk, monkeypatch):
+        monkeypatch.setattr(zeros, "_SWEEP_CHUNK", chunk)
+        rng = np.random.default_rng(points)
+        z = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+        z[1, 7] = z[1, 3]  # a repeated root adds 0
+        row = np.arange(points) % 2
+        zp = z[row, 3 + np.arange(points)]
+        want = np.zeros(points, dtype=complex)
+        for j in range(200):
+            diff = zp - z[row, j]
+            want += np.where(diff == 0, 0.0, 1.0 / np.where(diff == 0, 1.0, diff))
+        assert np.array_equal(zeros._pairwise_sums(z, row, zp), want)
+
+    def test_repeated_roots_and_unit_circle_starts(self):
+        # rows 0-1: start points coincide at 0, a root of p and p' (the
+        # zero-difference and zero-derivative branches); rows 2-3: every
+        # start point has |z| = 1 up to rounding, on both sides of the
+        # direct/reversed switch
+        w = np.array([
+            [0, 0, 1, 0],
+            [0, 0, 1, 1],
+            [1, 0, 0, 1],
+            [1j, -1, 1j, 1],
+        ], dtype=complex)
+        w[0, 3] = 1e-3  # keep a non-negligible leading coefficient
+        roots = _assert_matches_loop(w)
+        assert np.sum(roots[1] == 0) == 2
+
+    def test_chunks_cross_boundaries(self, monkeypatch):
+        # a tiny chunk splits the pairwise fold over j and the Horner pass
+        # over points, including the values-only pass of the residuals
+        monkeypatch.setattr(zeros, "_SWEEP_CHUNK", 200)
+        for degree, rows in [(12, 5), (50, 2)]:
+            alpha = gaussian_matrix(37, np.arange(rows, dtype=np.uint64), degree + 1)
+            roots = _assert_matches_loop(alpha * np.exp(model._log_weights(degree)))
+            assert np.array_equal(zeros._normalized_residuals(alpha, degree, roots),
+                                  _loop_residuals(alpha, degree, roots))
+
+    def test_empty_batches(self):
+        roots, conv = zeros._aberth_batch(np.zeros((0, 5), dtype=complex))
+        assert roots.shape == (0, 4) and conv.shape == (0,)
+        res = zeros._normalized_residuals(np.ones((1, 5)), 4, np.zeros((1, 0), dtype=complex))
+        assert res.shape == (1, 0)
+
     @pytest.mark.parametrize("degree,rows", [(10, 48), (50, 12)])
     def test_rows_are_independent(self, degree, rows):
         # converged rows leave the sweeps early; each row's roots and flag
@@ -147,6 +283,37 @@ class TestArgumentPrinciple:
             else:
                 with pytest.raises(zeros.ContourError):
                     zeros.count_zeros_argument_principle(p, zeros.Disk(0, r))
+
+    def test_off_center_agrees_with_roots(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(1, 201))
+            p = random_poly(rng, n)
+            disk = zeros.Disk(complex(*rng.uniform(-1, 1, 2)), float(rng.uniform(0.2, 1.5)))
+            by_roots = zeros.count_zeros_from_roots(zeros.find_all_roots(p), disk)
+            if by_roots.near_boundary:
+                continue
+            assert zeros.count_zeros_argument_principle(p, disk).count == by_roots.count
+            checked += 1
+
+    def test_phase_track_evaluates_each_point_once(self):
+        # a zero 1e-4 outside the unit circle, between two start points,
+        # forces a dozen bisection rounds; each must evaluate only its new
+        # midpoints
+        seen = []
+
+        def eval_fn(t):
+            seen.append(np.asarray(t).copy())
+            z = np.exp(2j * np.pi * np.asarray(t))
+            return (z - 1.0001 * np.exp(0.06j * np.pi)) * (z + 0.5)
+
+        t0 = np.arange(8) / 8
+        winding = zeros._winding_phase_track(eval_fn, t0, eval_fn(t0))
+        assert round(winding) == 1
+        assert len(seen) > 10
+        evaluated = np.concatenate(seen)
+        assert len(np.unique(evaluated)) == len(evaluated)
 
 
 def _sample(seed, rows, degree):
