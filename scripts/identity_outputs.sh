@@ -1,8 +1,9 @@
 #!/bin/sh
 # Write the 13 byte-identity outputs of the Monte Carlo estimators, each at
-# --workers 1 and 2, and 7 one-polynomial outputs (Aberth roots for
+# --workers 1 and 2, 7 one-polynomial outputs (Aberth roots for
 # N in {12, 50, 200} and seeds 1 and 2, and one zero count from the roots
-# at N = 200) into OUTDIR: one file per run, 33 in all.
+# at N = 200), and the orthonormality checks at N = 10 and the verify
+# suite as JSON into OUTDIR: one file per run, 35 in all.
 #
 # The outputs are a pure function of argv, and JSON writes every float
 # exactly, so two checkouts that agree on every estimate, root and
@@ -47,3 +48,5 @@ for n in 12 50 200; do
     done
 done
 su2lab count -N 200 -r 1 --seed 1 > "$out/count_N200.csv"
+su2lab orthonormality -N 10 --format json > "$out/orthonormality_N10.json"
+su2lab verify --format json > "$out/verify.json"

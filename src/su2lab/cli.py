@@ -167,8 +167,8 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -473,35 +473,17 @@ def _handle_verify(args) -> ExperimentRecord:
 
 def _handle_orthonormality(args) -> ExperimentRecord:
     n = args.degree
-    rows = []
-    basis = [model.SU2Polynomial(n, np.eye(n + 1)[j]) for j in range(n + 1)]
-    worst = 0.0
-    for j in range(n + 1):
-        for k in range(j, n + 1):
-            val = model.fs_inner_product(basis[j], basis[k], n)
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    rows.append({"check": "weighted-basis-gram", "N": n, "measured": worst,
-                 "threshold": 1e-10, "status": "PASS" if worst <= 1e-10 else "FAIL"})
-    worst = 0.0
     cap = min(n, 40)
-    for j in range(cap + 1):
-        mono = model.SU2Polynomial(j, np.eye(j + 1)[j])
-        val = model.fs_inner_product(mono, mono, cap).real
-        target = 1.0 / math.comb(cap, j)
-        worst = max(worst, abs(val - target) / target)
-    rows.append({"check": "monomial-beta-norms", "N": cap, "measured": worst,
-                 "threshold": 1e-10, "status": "PASS" if worst <= 1e-10 else "FAIL"})
-    zeta = 0.3j
-    b = model.basis_change_matrix(min(n, 8), zeta).matrix.conj().T
-    nn = min(n, 8)
-    cols = [model.SU2Polynomial(nn, b[:, j]) for j in range(nn + 1)]
-    worst = 0.0
-    for j in range(nn + 1):
-        for k in range(j, nn + 1):
-            val = model.fs_inner_product(cols[j], cols[k], nn)
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    rows.append({"check": "recentered-basis-gram", "N": nn, "measured": worst,
-                 "threshold": 1e-9, "status": "PASS" if worst <= 1e-9 else "FAIL"})
+    checks = (
+        ("weighted-basis-gram", n, verify_mod.check_fs_orthonormality(n)),
+        ("monomial-beta-norms", cap,
+         verify_mod.check_fs_beta_identity(cap, range(cap + 1))),
+        ("recentered-basis-gram", min(n, 8),
+         verify_mod.check_fs_zeta_orthonormality(min(n, 8))),
+    )
+    rows = [{"check": name, "N": degree, "measured": res.measured,
+             "threshold": res.threshold, "status": "PASS" if res.passed else "FAIL"}
+            for name, degree, res in checks]
     return ExperimentRecord(
         command="orthonormality", plan={"N": n},
         result={"rows": rows,

@@ -53,6 +53,14 @@ def _log_weights(degree: int) -> np.ndarray:
     return logw
 
 
+def _log_normalization(degree: int, r: float) -> float:
+    """(N/2) log(1 + r^2), the log of the spherical normalization at |z| = r;
+    above r = 1e150, where r*r overflows, as (N/2)(2 log r + log1p(r^-2))."""
+    if r <= 1e150:
+        return (degree / 2.0) * math.log1p(r * r)
+    return (degree / 2.0) * (2.0 * math.log(r) + math.log1p((1.0 / r) ** 2))
+
+
 @dataclass(frozen=True)
 class SU2Polynomial:
     """Degree ``N`` plus coefficient vector against the weighted monomials.

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _log_weights, log_binomial
+from .model import _log_normalization, _log_weights, log_binomial
 from .rng import RngSeed, gaussian_matrix
 from .zeros import (
     _aberth_batch,
@@ -316,7 +316,7 @@ def _block_log_max(plan: TrialPlan, start: int, stop: int):
     n = plan.degree
     alpha = _sample_block(plan, start, stop)
     log_hat, _ = _batch_boundary_log_max(alpha, n, plan.radius)
-    log_max = log_hat + (n / 2.0) * math.log1p(plan.radius**2)
+    log_max = log_hat + _log_normalization(n, plan.radius)
     return log_max, _log_norm(alpha), np.zeros(len(log_max), dtype=bool)
 
 
@@ -454,6 +454,8 @@ def expected_zero_count(degree: int, radius: float) -> float:
     """Mean number of zeros in B(0, r): N r^2 / (1 + r^2)."""
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if radius > 1e150:  # r^2 would overflow
+        return degree / (1.0 + (1.0 / radius) ** 2)
     return degree * radius * radius / (1.0 + radius * radius)
 
 
@@ -498,7 +500,7 @@ def _max_modulus_band(plan: TrialPlan, delta: float) -> tuple[float, float]:
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     n, r = plan.degree, plan.radius
-    band = (n / 2.0) * math.log1p(r * r)
+    band = _log_normalization(n, r)
     lo = -math.inf if delta == 1 else band + (n / 2.0) * math.log1p(-delta)
     hi = band + (n / 2.0) * math.log1p(delta)
     return lo, hi
@@ -508,7 +510,7 @@ def _circle_tail_threshold(plan: TrialPlan, delta: float) -> float:
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     n, r = plan.degree, plan.radius
-    return (n / 2.0) * (math.log1p(r * r) + math.log1p(-delta))
+    return _log_normalization(n, r) + (n / 2.0) * math.log1p(-delta)
 
 
 def max_modulus_outlier_frequency(plan: TrialPlan, delta: float) -> Estimate:
@@ -545,7 +547,7 @@ def log_l1_outlier_frequency(plan: TrialPlan) -> Estimate:
     """Frequency of circle-mean |log|psi|| exceeding 5 N log(2(1+r^2))."""
     n, r = plan.degree, plan.radius
     _, mean_abs, _, failed = _run_blocked(plan, _block_circle_means)
-    threshold = 5.0 * n * (math.log(2.0) + math.log1p(r * r))
+    threshold = 5.0 * n * math.log(2.0) + 10.0 * _log_normalization(n, r)
     return _frequency_estimate(mean_abs > threshold, failed, plan)
 
 

@@ -95,21 +95,27 @@ def check_eq2_identity() -> CheckResult:
     return CheckResult("eq2-identity", worst, 1e-8, worst <= 1e-8)
 
 
-def check_fs_orthonormality() -> CheckResult:
-    n = 10
-    basis = [model.SU2Polynomial(n, np.eye(n + 1)[j]) for j in range(n + 1)]
+def _gram_deviation(basis: list, n: int) -> float:
+    """Largest entry of |Gram - I| for degree-n polynomials."""
     worst = 0.0
     for j in range(n + 1):
         for k in range(j, n + 1):
             val = model.fs_inner_product(basis[j], basis[k], n)
             worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
+    return worst
+
+
+def check_fs_orthonormality(n: int = 10) -> CheckResult:
+    """Gram matrix of the weighted monomial basis at degree n."""
+    basis = [model.SU2Polynomial(n, np.eye(n + 1)[j]) for j in range(n + 1)]
+    worst = _gram_deviation(basis, n)
     return CheckResult("fs-orthonormality", worst, 1e-10, worst <= 1e-10)
 
 
-def check_fs_beta_identity() -> CheckResult:
-    n = 40
+def check_fs_beta_identity(n: int = 40, js=(0, 1, 7, 20, 33, 40)) -> CheckResult:
+    """Norms of the plain monomials z^j, j in ``js``, at ambient degree n."""
     worst = 0.0
-    for j in (0, 1, 7, 20, 33, 40):
+    for j in js:
         mono = model.SU2Polynomial(j, np.eye(j + 1)[j])
         val = model.fs_inner_product(mono, mono, n).real
         target = 1.0 / math.comb(n, j)
@@ -117,15 +123,11 @@ def check_fs_beta_identity() -> CheckResult:
     return CheckResult("fs-beta-identity", worst, 1e-10, worst <= 1e-10)
 
 
-def check_fs_zeta_orthonormality() -> CheckResult:
-    n, zeta = 8, 0.3j
+def check_fs_zeta_orthonormality(n: int = 8) -> CheckResult:
+    """Gram matrix of the basis recentered at 0.3i, at degree n."""
+    zeta = 0.3j
     b = model.basis_change_matrix(n, zeta).matrix.conj().T
-    cols = [model.SU2Polynomial(n, b[:, j]) for j in range(n + 1)]
-    worst = 0.0
-    for j in range(n + 1):
-        for k in range(j, n + 1):
-            val = model.fs_inner_product(cols[j], cols[k], n)
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
+    worst = _gram_deviation([model.SU2Polynomial(n, b[:, j]) for j in range(n + 1)], n)
     return CheckResult("fs-zeta-orthonormality", worst, 1e-9, worst <= 1e-9)
 
 

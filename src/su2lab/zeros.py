@@ -20,7 +20,9 @@ Zero counts in a disk come from three independent kernels, which the test
 suite cross-checks:
 
 - roots: count the Aberth roots inside the disk;
-- winding: track the phase of the polynomial around the boundary circle;
+- winding: track the phase of the polynomial around a centered circle,
+  from the Fourier row of its normalized values there; a disk off the
+  origin is a spherical cap, which one rotation of the sphere centers;
 - Schur-Cohn: run the Schur-Cohn recursion on the coefficients of
   psi(r z), N vectorized steps with no FFT and no roots.  A row counts
   only when every step's decisive gap clears ``SCHUR_COHN_MIN_GAP``,
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SU2Polynomial, _log_weights, evaluate_normalized
+from .model import SU2Polynomial, _log_normalization, _log_weights, evaluate_normalized
 
 __all__ = [
     "Disk",
@@ -75,6 +77,7 @@ TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
 _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
 _MAX_REFINEMENTS = 20  # bisection rounds of the per-row phase track
 _WINDING_CHUNK = 1 << 15  # first-grid samples per chunk of winding rows
+_PRECISION_FLOOR = 1e4 * np.finfo(float).eps  # share of sum |b_k| a winding sample must clear
 _SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
@@ -133,8 +136,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(self.center) and math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("disk needs a finite center and a positive finite radius")
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float) -> np.ndarr
     """
     n = degree
     j = np.arange(n + 1)
-    scale = np.exp(_log_weights(n) + j * math.log(r) - (n / 2.0) * math.log1p(r * r))
+    scale = np.exp(_log_weights(n) + j * math.log(r) - _log_normalization(n, r))
     return alpha * scale
 
 
@@ -461,16 +464,17 @@ def _phase_increments(vals: np.ndarray) -> np.ndarray:
     return np.angle(ratio)
 
 
-def _winding_phase_track(eval_fn, t: np.ndarray, vals: np.ndarray) -> float:
-    """Winding number by adaptive phase tracking.
+def _winding_phase_track(b_row: np.ndarray, m0: int) -> int:
+    """Winding number of one Fourier row by adaptive phase tracking.
 
-    ``eval_fn`` maps an array of contour parameters in [0, 1) to contour
-    values; ``vals`` holds its values at the sorted starting parameters
-    ``t``.  Intervals whose phase step exceeds pi/2 (or that touch a
-    vanishing sample) are bisected, up to ``_MAX_REFINEMENTS`` rounds, and
-    each round evaluates only the new midpoints; the accumulated phase
-    must land within 0.01 of an integer multiple of 2*pi to certify.
+    Starts from ``m0`` uniform angles.  Intervals whose phase step exceeds
+    pi/2 (or that touch a vanishing sample) are bisected, up to
+    ``_MAX_REFINEMENTS`` rounds and ``NODE_CAP`` points, and each round
+    evaluates only the new midpoints; the accumulated phase must land
+    within 0.01 of an integer multiple of 2*pi to certify.
     """
+    t = np.arange(m0) / m0
+    vals = _eval_circle_angles(b_row[None], 2.0 * np.pi * t[None])[0]
     for round_no in range(_MAX_REFINEMENTS + 1):
         inc = _phase_increments(vals)
         tiny = np.abs(vals) < TINY_SAMPLE
@@ -478,43 +482,47 @@ def _winding_phase_track(eval_fn, t: np.ndarray, vals: np.ndarray) -> float:
         if not bad.any():
             total = inc.sum() / (2.0 * np.pi)
             if abs(total - round(total)) <= 0.01:
-                return float(total)
+                return int(round(total))
             bad = np.abs(inc) > 0.25 * np.pi  # sharpen until certification
             if not bad.any():
                 raise ContourError("winding did not certify to an integer")
         if round_no == _MAX_REFINEMENTS:
             break
         idx = np.nonzero(bad)[0]
+        if len(t) + len(idx) > NODE_CAP:
+            raise ContourError(f"phase track needs more than {NODE_CAP} points")
         t_next = np.concatenate((t[1:], t[:1] + 1.0))
         mids = (0.5 * (t[idx] + t_next[idx])) % 1.0
         t, first = np.unique(np.concatenate((t, mids)), return_index=True)
-        vals = np.concatenate((vals, eval_fn(mids)))[first]
+        new = _eval_circle_angles(b_row[None], 2.0 * np.pi * mids[None])[0]
+        vals = np.concatenate((vals, new))[first]
     raise ContourError("phase step irreducible below pi/2: zero on or near contour")
 
 
-def _grid_distance_estimate(vals: np.ndarray, dvals_dtheta: np.ndarray,
-                            radius: float) -> np.ndarray:
-    """Per-row lower-ball estimate of the distance from the contour to the
-    nearest zero, via the Newton step |psi|/|psi'| at the sampled angles."""
-    mag = np.abs(vals)
-    dmag = np.abs(dvals_dtheta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = radius * mag / np.where(dmag == 0, np.inf, dmag)
-    est = np.where(dmag == 0, np.inf, est)
-    return est.min(axis=-1)
+def _recentered_disk(center: complex, r: float) -> tuple[complex, float]:
+    """``(a, rho)`` such that the rotation w = (z - a)/(1 + conj(a) z) of the
+    sphere maps B(center, r) onto |w| < rho.  ``a = t center/|center|``,
+    with t > 0 the root of |c| t^2 + D t - |c| (D = 1 + r^2 - |c|^2) in the
+    form without cancellation, is the disk's spherical center."""
+    mod = abs(center)
+    d = 1.0 + r * r - mod * mod
+    h = math.hypot(d, 2.0 * mod)
+    t = 2.0 * mod / (d + h) if d >= 0 else (h - d) / (2.0 * mod)
+    rho = r * (1.0 + t * t) / ((1.0 + t * (mod - r)) * (1.0 + t * (mod + r)))
+    return t * (center / mod), rho
 
 
 def count_zeros_argument_principle(
         poly: SU2Polynomial, disk: Disk,
         boundary_margin: float = DEFAULT_BOUNDARY_MARGIN) -> ZeroCount:
-    """Winding number of psi around the disk boundary.
+    """Winding number of psi around the disk boundary, as one row of
+    ``_winding_rows``.
 
-    A disk centered at 0 is a one-row call into the batch winding counter.
-    Other disks sample 16*(N+1) points of the shifted circle and bisect
-    locally wherever a phase step exceeds pi/2.  A zero estimated within
-    ``boundary_margin`` of the contour, or a winding that does not certify,
-    raises :class:`ContourError` (the corresponding event has probability
-    zero for Gaussian samples).
+    Off the origin the row is that of psi moved by the rotation of
+    ``_recentered_disk``, on |w| = rho, and the margin grows by the
+    rotation's largest stretch there.  A zero estimated within
+    ``boundary_margin`` of the contour, or a row that fails the winding
+    rules, raises :class:`ContourError`.
     """
     n = poly.degree
     if n == 0:
@@ -522,86 +530,75 @@ def count_zeros_argument_principle(
             raise ValueError("polynomial is identically zero")
         return ZeroCount(0, "argument_principle")
     center, r = disk.center, disk.radius
+    margin = boundary_margin
     if center == 0:
-        counts, ok = _batch_winding(poly.coefficients[None], n, r, boundary_margin)
-        if not ok[0]:
-            raise ContourError(
-                f"zero on or within the margin {boundary_margin} of the contour"
-            )
-        return ZeroCount(int(counts[0]), "argument_principle")
-    m0 = _WINDING_SAMPLES * (n + 1)
-
-    def eval_fn(t):
-        z = center + r * np.exp(2j * np.pi * np.asarray(t))
-        return evaluate_normalized(poly, z)
-
-    t = np.arange(m0) / m0
-    grid = eval_fn(t)
-    dgrid = np.gradient(grid, 2.0 * np.pi * t)
-    dist = _grid_distance_estimate(grid[None], dgrid[None], r)[0]
-    if dist < boundary_margin:
-        raise ContourError(
-            f"zero estimated within {dist:.2e} of the contour (margin {boundary_margin})"
-        )
-    winding = _winding_phase_track(eval_fn, t, grid)
-    return ZeroCount(int(round(winding)), "argument_principle")
+        b = _circle_fourier_coeffs(poly.coefficients[None], n, r)
+    else:
+        # the moved polynomial's normalized value at w is psi_hat(z) (u/|u|)^N,
+        # a trigonometric polynomial of degree N on the circle: its row is
+        # one FFT of next_pow2(N+1) samples
+        a, r = _recentered_disk(center, r)
+        m = _next_pow2(n + 1)
+        w = r * np.exp(2j * np.pi * np.arange(m) / m)
+        u = 1.0 - np.conj(a) * w
+        vals = evaluate_normalized(poly, (w + a) / u) * np.exp(1j * n * np.angle(u))
+        b = (np.fft.fft(vals) / m)[None, : n + 1]
+        margin *= (1.0 + abs(a) * r) ** 2 / (1.0 + abs(a) ** 2)
+    counts, ok = _winding_rows(b, r, margin, _next_pow2(_WINDING_SAMPLES * (n + 1)))
+    if not ok[0]:
+        raise ContourError(f"zero on or within the margin {boundary_margin} of the contour")
+    return ZeroCount(int(counts[0]), "argument_principle")
 
 
 def _batch_winding(alpha: np.ndarray, degree: int, r: float,
                    boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
     """Winding numbers of a coefficient batch around |z| = r.
 
-    Returns ``(counts, ok)``.  Rows whose nearest zero is estimated inside
-    ``boundary_margin`` of the contour fail (an event of probability zero
-    for Gaussian samples); rows that cannot certify an integer winding
-    after grid doubling fall back to per-row local bisection.  Rows go
+    Returns ``(counts, ok)`` under the rules of ``_winding_rows``.  Rows go
     through in chunks of at most ``_WINDING_CHUNK`` first-grid samples, so
     the grids held at once stay small whatever the batch size.
     """
     alpha = np.atleast_2d(alpha)
     m0 = _next_pow2(_WINDING_SAMPLES * (degree + 1))
     step = max(1, _WINDING_CHUNK // m0)
-    parts = [_winding_rows(alpha[s : s + step], degree, r, boundary_margin, m0)
+    parts = [_winding_rows(_circle_fourier_coeffs(alpha[s : s + step], degree, r),
+                           r, boundary_margin, m0)
              for s in range(0, alpha.shape[0], step)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _winding_rows(alpha: np.ndarray, n: int, r: float, boundary_margin: float,
-                  m0: int):
-    """``_batch_winding`` on one chunk of rows, starting from ``m0`` samples."""
-    rows = alpha.shape[0]
-    b = _circle_fourier_coeffs(alpha, n, r)
+def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
+    """``(counts, ok)`` for the Fourier rows ``b`` of boundary values on
+    |z| = r, from ``m0`` samples.  A row fails when a Newton step
+    |psi|/|psi'| puts a zero within ``boundary_margin`` of the contour, or
+    a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|.  Rows that
+    cannot certify after grid doubling go to the per-row phase track."""
+    rows, n1 = b.shape
     counts = np.zeros(rows, dtype=np.int64)
-    ok = np.ones(rows, dtype=bool)
     vals = _eval_circle_grid(b, m0)
-    dvals = _eval_circle_grid(b * (1j * np.arange(n + 1)), m0)
-    ok[_grid_distance_estimate(vals, dvals, r) < boundary_margin] = False
+    mag = np.abs(vals)
+    dmag = np.abs(_eval_circle_grid(b * (1j * np.arange(n1)), m0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.where(dmag == 0, np.inf, r * mag / np.where(dmag == 0, 1.0, dmag))
+    ok = ~(dist.min(axis=1) < boundary_margin)
+    ok &= mag.min(axis=1) > _PRECISION_FLOOR * np.abs(b).sum(axis=1)
     pending = np.nonzero(ok)[0]
     vals = vals[ok]
-    m = m0
-    for _ in range(6):
-        if len(pending) == 0:
-            break
+    for k in range(6):  # grids of m0 up to 32 m0 samples
+        if k:
+            vals = _eval_circle_grid(b[pending], m0 << k)
         inc = _phase_increments(vals)
         tiny = (np.abs(vals) < TINY_SAMPLE).any(axis=1)
         rough = (np.abs(inc) > 0.5 * np.pi).any(axis=1) | tiny
         total = inc.sum(axis=1) / (2.0 * np.pi)
         certified = ~rough & (np.abs(total - np.round(total)) <= 0.01)
         counts[pending[certified]] = np.round(total[certified]).astype(np.int64)
-        keep = ~certified
-        pending = pending[keep]
+        pending = pending[~certified]
         if len(pending) == 0:
             break
-        m *= 2
-        vals = _eval_circle_grid(b[pending], m)
-    t0 = np.arange(m0) / m0
     for i in pending:
-
-        def eval_fn(t, row=i):
-            return _eval_circle_angles(b[row][None], 2.0 * np.pi * np.asarray(t)[None])[0]
-
         try:
-            counts[i] = int(round(_winding_phase_track(eval_fn, t0, eval_fn(t0))))
+            counts[i] = _winding_phase_track(b[i], m0)
         except ContourError:
             ok[i] = False
     return counts, ok
@@ -727,7 +724,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
     n = degree
-    corr = (n / 2.0) * math.log1p(r * r)
+    corr = _log_normalization(n, r)
     b = _circle_fourier_coeffs(alpha, n, r)
     m0 = start_nodes or max(128, _next_pow2(8 * (n + 1)))
     mean_log = np.full(rows, np.nan)
@@ -922,7 +919,7 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
         raise ValueError("radius must be positive")
     n = poly.degree
     log_hat, theta = _batch_boundary_log_max(poly.coefficients[None], n, r)
-    log_value = float(log_hat[0]) + (n / 2.0) * math.log1p(r * r)
+    log_value = float(log_hat[0]) + _log_normalization(n, r)
     value = math.exp(log_value) if log_value < 709.0 else math.inf
     return BoundaryMaximum(log_value, value, r * complex(math.cos(theta[0]), math.sin(theta[0])))
 
@@ -980,7 +977,7 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float,
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
     n = poly.degree
-    corr = (n / 2.0) * math.log1p(r * r)
+    corr = _log_normalization(n, r)
     b = _circle_fourier_coeffs(poly.coefficients, n, r)
     m = max(128, _next_pow2(8 * (n + 1)))
     prev = None

@@ -96,6 +96,23 @@ class TestExitCodes:
         assert out == b""
         assert "only 1 usable points" in diag.getvalue()
 
+    @pytest.mark.parametrize("argv", [
+        ["hole", "-N", "4", "-r", "inf", "--trials", "10"],
+        ["count", "-N", "4", "-r", "inf"],
+        ["deviation", "-N", "4", "--delta", "inf", "--trials", "10"],
+    ])
+    def test_non_finite_float_is_usage_error(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == b""
+        assert "must be positive and finite, got inf" in capsys.readouterr().err
+
+    def test_huge_radius_counts_every_zero(self):
+        code, out = run_cli(["mean-zeros", "-N", "4", "-r", "1e200",
+                             "--trials", "10", "--workers", "1", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["result"]["point"] == 4.0
+
     def test_success_is_zero(self):
         code, out = run_cli(["omega-bound", "-N", "2", "-r", "1"])
         assert code == 0

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import match_max_distance
 from su2lab import model, zeros
 from su2lab.model import SU2Polynomial
-from su2lab.rng import gaussian_matrix
+from su2lab.rng import RngSeed, gaussian_matrix
 
 
 def random_poly(rng, degree):
@@ -285,35 +286,136 @@ class TestArgumentPrinciple:
                     zeros.count_zeros_argument_principle(p, zeros.Disk(0, r))
 
     def test_off_center_agrees_with_roots(self):
+        # random disks, half of them centered near a zero so they hold
+        # some, and every fourth one around the origin; |c| up to 30,
+        # r down to 1e-3, and a few degrees up to 400
         rng = np.random.default_rng(41)
+        degrees = [int(n) for n in rng.integers(1, 201, 80)] + [300, 400]
         checked = 0
-        while checked < 60:
-            n = int(rng.integers(1, 201))
+        for i, n in enumerate(degrees):
             p = random_poly(rng, n)
-            disk = zeros.Disk(complex(*rng.uniform(-1, 1, 2)), float(rng.uniform(0.2, 1.5)))
-            by_roots = zeros.count_zeros_from_roots(zeros.find_all_roots(p), disk)
+            zs = zeros.find_all_roots(p)
+            r = float(np.exp(rng.uniform(math.log(1e-3), math.log(3.0))))
+            if i % 4 == 0:
+                center = complex(*rng.uniform(-1, 1, 2)) * 0.9 * r
+            elif i % 2:
+                center = zs.locations[rng.integers(len(zs.locations))] \
+                    + 0.5 * r * np.exp(2j * np.pi * rng.uniform())
+            else:
+                center = np.exp(rng.uniform(math.log(1e-3), math.log(30.0))
+                                + 2j * np.pi * rng.uniform())
+            disk = zeros.Disk(complex(center), r)
+            by_roots = zeros.count_zeros_from_roots(zs, disk)
             if by_roots.near_boundary:
                 continue
             assert zeros.count_zeros_argument_principle(p, disk).count == by_roots.count
             checked += 1
+        assert checked >= 75
 
-    def test_phase_track_evaluates_each_point_once(self):
-        # a zero 1e-4 outside the unit circle, between two start points,
-        # forces a dozen bisection rounds; each must evaluate only its new
-        # midpoints
+    def test_off_center_margin(self):
+        rng = np.random.default_rng(43)
+        center, r = 0.3 + 0.2j, 0.7
+        edge = center + r * np.exp(0.7j)
+        outward = np.exp(0.7j)
+        p = SU2Polynomial(8, _alpha_with_zero_at(rng, 8, edge + 1e-10 * outward))
+        with pytest.raises(zeros.ContourError):
+            zeros.count_zeros_argument_principle(p, zeros.Disk(center, r))
+        p = SU2Polynomial(8, _alpha_with_zero_at(rng, 8, edge + 1e-6 * outward))
+        by_roots = zeros.count_zeros_from_roots(zeros.find_all_roots(p),
+                                                zeros.Disk(center, r))
+        got = zeros.count_zeros_argument_principle(p, zeros.Disk(center, r))
+        assert got.count == by_roots.count
+
+    def test_precision_floor_refuses_monomial_gaussian(self):
+        # i.i.d. monomial coefficients: the normalized modulus spans too many
+        # orders along this contour for the recentered row, which without
+        # the floor counts 70 zeros for seed 0 against 71 roots
+        n = 150
+        disk = zeros.Disk(-0.2 + 0.9j, 1.3)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            p = SU2Polynomial(n, g * np.exp(-model._log_weights(n)))
+            with pytest.raises(zeros.ContourError):
+                zeros.count_zeros_argument_principle(p, disk)
+
+    @pytest.mark.parametrize("modulus", [1e-8, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e6])
+    def test_recentered_disk(self, modulus):
+        # against a 60-digit evaluation of the same closed forms
+        center = modulus * np.exp(2.2j)
+        for r in (1e-4, 1e-2, 0.3, 1.0, 4.0, 100.0):
+            a, rho = zeros._recentered_disk(center, r)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                m, rr = Decimal(abs(center)), Decimal(r)
+                d = 1 + rr * rr - m * m
+                t = ((d * d + 4 * m * m).sqrt() - d) / (2 * m)
+                want = rr * (1 + t * t) / ((1 + t * (m - rr)) * (1 + t * (m + rr)))
+            assert abs(float((Decimal(abs(a)) - t) / t)) <= 1e-15
+            assert abs(float((Decimal(rho) - want) / want)) <= 1e-15
+            assert abs(a / abs(a) - center / abs(center)) <= 1e-15
+
+    @pytest.mark.parametrize("center", [1e-8j, 0.3 - 0.4j, -1.0, 2.0 + 2.0j])
+    def test_recentered_disk_maps_diameter_ends(self, center):
+        for r in (0.1, 0.5, 1.0, 3.0, 10.0):
+            a, rho = zeros._recentered_disk(center, r)
+            for sign in (-1, 1):
+                z = center + sign * r * center / abs(center)
+                w = (z - a) / (1 + np.conj(a) * z)
+                assert abs(abs(w) - rho) <= 1e-14 * rho
+
+    def test_off_center_count_is_one_winding_call(self, monkeypatch):
+        calls = []
+        rows = zeros._winding_rows
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return rows(*args)
+
+        monkeypatch.setattr(zeros, "_winding_rows", spy)
+        p = model.sample_polynomial(200, RngSeed(3, 0))
+        for disk in (zeros.Disk(0.3 + 0.2j, 0.7), zeros.Disk(0, 0.7)):
+            calls.clear()
+            zeros.count_zeros_argument_principle(p, disk)
+            assert calls == [(1, 201)]
+
+    def test_phase_track_evaluates_each_point_once(self, monkeypatch):
+        # the row of (z - 1.0001 e^{0.06 i pi})(z + 0.5) on the unit circle:
+        # its zero 1e-4 outside, between two start points, forces a dozen
+        # bisection rounds; each must evaluate only its new midpoints
         seen = []
+        horner = zeros._eval_circle_angles
 
-        def eval_fn(t):
-            seen.append(np.asarray(t).copy())
-            z = np.exp(2j * np.pi * np.asarray(t))
-            return (z - 1.0001 * np.exp(0.06j * np.pi)) * (z + 0.5)
+        def spy(b, theta):
+            seen.append(np.array(theta).ravel())
+            return horner(b, theta)
 
-        t0 = np.arange(8) / 8
-        winding = zeros._winding_phase_track(eval_fn, t0, eval_fn(t0))
-        assert round(winding) == 1
+        monkeypatch.setattr(zeros, "_eval_circle_angles", spy)
+        z0 = 1.0001 * np.exp(0.06j * np.pi)
+        assert zeros._winding_phase_track(np.array([-0.5 * z0, 0.5 - z0, 1.0]), 8) == 1
         assert len(seen) > 10
         evaluated = np.concatenate(seen)
         assert len(np.unique(evaluated)) == len(evaluated)
+
+    def test_phase_track_stops_at_node_cap(self):
+        # every sample of a null row is tiny, so every interval splits
+        # each round until the point budget runs out
+        with pytest.raises(zeros.ContourError, match="more than"):
+            zeros._winding_phase_track(np.zeros(5, dtype=complex), 8)
+        _, ok = zeros._winding_rows(np.zeros((1, 5), dtype=complex), 1.0, 1e-9, 64)
+        assert not ok[0]
+
+    def test_huge_radius_counts_every_zero(self):
+        p = model.sample_polynomial(12, RngSeed(5, 0))
+        assert zeros.count_zeros_argument_principle(p, zeros.Disk(0, 1e200)).count == 12
+
+    @pytest.mark.parametrize("center,radius", [
+        (0.0, math.inf), (0.0, math.nan), (complex(math.inf, 0), 1.0),
+        (complex(0, math.nan), 1.0),
+    ])
+    def test_disk_refuses_non_finite(self, center, radius):
+        with pytest.raises(ValueError):
+            zeros.Disk(center, radius)
 
 
 def _sample(seed, rows, degree):
