@@ -2,12 +2,15 @@
 # Write the 13 byte-identity outputs of the Monte Carlo estimators, each at
 # --workers 1 and 2, 7 one-polynomial outputs (Aberth roots for
 # N in {12, 50, 200} and seeds 1 and 2, and one zero count from the roots
-# at N = 200), and the orthonormality checks at N = 10 and the verify
-# suite as JSON into OUTDIR: one file per run, 35 in all.
+# at N = 200), the orthonormality checks at N = 10 and the verify suite as
+# JSON, and the five concentration estimates (three *_frequency, two
+# *_probability) at N in {10, 40}, r = 1, 8192 trials, seed 6, each at
+# --workers 1 and 2, into OUTDIR: one file per run, 39 in all.
 #
 # The outputs are a pure function of argv, and JSON writes every float
-# exactly, so two checkouts that agree on every estimate, root and
-# residual give directories that `diff -r` finds equal:
+# exactly (the concentration files as float.hex), so two checkouts that
+# agree on every estimate, root and residual give directories that
+# `diff -r` finds equal:
 #
 #     scripts/identity_outputs.sh /tmp/ids-new
 #     /path/to/other/checkout/scripts/identity_outputs.sh /tmp/ids-old
@@ -40,6 +43,32 @@ for w in 1 2; do
             > "$out/mean-zeros_N${n}_w${w}.csv"
         su2lab deviation -N "$n" -r 1 --delta 0.2 --trials 4000 --seed 5 --workers "$w" \
             > "$out/deviation_N${n}_w${w}.csv"
+    done
+    for n in 10 40; do
+        PYTHONPATH="$root/src" python3 - "$n" "$w" \
+            > "$out/concentration_N${n}_w${w}.json" <<'PY'
+import json
+import sys
+
+from su2lab import montecarlo as mc
+
+n, w = map(int, sys.argv[1:])
+plan = mc.TrialPlan(n, 1.0, 8192, 6, workers=w)
+estimates = {
+    "max_modulus_outlier_frequency": mc.max_modulus_outlier_frequency(plan, 0.05),
+    "max_modulus_outlier_probability": mc.max_modulus_outlier_probability(plan, 0.05),
+    "circle_average_lower_tail_frequency":
+        mc.circle_average_lower_tail_frequency(plan, 0.1),
+    "circle_average_lower_tail_probability":
+        mc.circle_average_lower_tail_probability(plan, 0.1),
+    "log_l1_outlier_frequency": mc.log_l1_outlier_frequency(plan),
+}
+json.dump({name: {"point": e.point.hex(), "stderr": e.stderr.hex(),
+                  "ci95": [x.hex() for x in e.ci95],
+                  "trials_used": e.trials_used, "trials_failed": e.trials_failed}
+           for name, e in estimates.items()}, sys.stdout, indent=1)
+print()
+PY
     done
 done
 for n in 12 50 200; do

@@ -61,6 +61,17 @@ def _log_normalization(degree: int, r: float) -> float:
     return (degree / 2.0) * (2.0 * math.log(r) + math.log1p((1.0 / r) ** 2))
 
 
+def _log1p_square(a: np.ndarray) -> np.ndarray:
+    """log(1 + a^2) elementwise for a >= 0 by ``_log_normalization``'s rule:
+    log1p(a*a) up to 1e150, and 2 log a + log1p(a^-2) above it."""
+    big = a > 1e150
+    small = np.where(big, 0.0, a)
+    out = np.log1p(small * small)
+    if big.any():
+        out[big] = 2.0 * np.log(a[big]) + np.log1p((1.0 / a[big]) ** 2)
+    return out
+
+
 @dataclass(frozen=True)
 class SU2Polynomial:
     """Degree ``N`` plus coefficient vector against the weighted monomials.
@@ -155,7 +166,7 @@ def evaluate_normalized(poly: SU2Polynomial, z):
         zp = zs[pos]
         azp = az[pos]
         logmag = logw[None, :] + np.outer(np.log(azp), j) \
-            - (n / 2.0) * np.log1p(azp * azp)[:, None]
+            - (n / 2.0) * _log1p_square(azp)[:, None]
         phase = np.outer(np.angle(zp), j)
         terms = poly.coefficients[None, :] * np.exp(logmag + 1j * phase)
         out[pos] = terms.sum(axis=1)

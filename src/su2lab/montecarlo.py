@@ -29,6 +29,16 @@ is dropped when a worker dies, and is joined at interpreter exit by
 ``concurrent.futures``.  Workers see module state as of their start, so a
 later change to a module attribute reaches only ``workers = 1`` runs; a
 forked child starts its own pool rather than using its parent's.
+
+The boundary-maximum and circle-mean blocks (``_block_log_max``,
+``_block_circle_means``) feed several estimators, so ``_run_blocked``
+keeps the last result of either, keyed by ``(block function, plan)``; the
+whole plan is the key, ``workers`` and ``tolerances`` included.  One entry
+is held, any other run drops it before computing, and its arrays are
+read-only.  No other block is memoised.  A memo hit runs no kernel, so,
+as with pool workers, a kernel patched after the held run is not reached:
+a test that monkeypatches a kernel under these blocks must use a fresh
+plan.
 """
 
 from __future__ import annotations
@@ -236,6 +246,12 @@ def _map_blocks(size: int, tasks: list) -> list:
             raise
 
 
+# ((fn, plan), result) of the last memoised run.  It needs no lock: an entry
+# is immutable and a pure function of its key, so a thread that loses a
+# race at worst computes again.
+_memo: tuple | None = None
+
+
 def _run_blocked(plan: TrialPlan, fn):
     """Run ``fn(plan, start, stop)`` over fixed-size trial blocks.
 
@@ -243,8 +259,14 @@ def _run_blocked(plan: TrialPlan, fn):
     worker count, and results are concatenated in block order, so the
     output is a pure function of the plan.  Several blocks at
     ``workers > 1`` go to the shared pool, sized
-    ``min(workers, blocks)``.
+    ``min(workers, blocks)``.  Runs of the blocks in ``_MEMOISED`` are
+    memoised (see the module docstring).
     """
+    global _memo
+    held = _memo
+    if held is not None and held[0] == (fn, plan):
+        return held[1]
+    _memo = None
     blocks = [
         (s, min(s + BLOCK_TRIALS, plan.trials))
         for s in range(0, plan.trials, BLOCK_TRIALS)
@@ -254,7 +276,12 @@ def _run_blocked(plan: TrialPlan, fn):
     else:
         parts = _map_blocks(min(plan.workers, len(blocks)),
                             [(fn, plan, s, e) for s, e in blocks])
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    result = tuple(np.concatenate(col) for col in zip(*parts))
+    if fn in _MEMOISED:
+        for col in result:
+            col.flags.writeable = False
+        _memo = ((fn, plan), result)
+    return result
 
 
 def _sample_block(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
@@ -326,6 +353,9 @@ def _block_circle_means(plan: TrialPlan, start: int, stop: int):
         alpha, plan.degree, plan.radius, target=plan.tolerances.quadrature_target
     )
     return mean_log, mean_abs, _log_norm(alpha), ~ok
+
+
+_MEMOISED = (_block_log_max, _block_circle_means)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SU2Polynomial, _log_normalization, _log_weights, evaluate_normalized
+from .model import (
+    SU2Polynomial,
+    _log1p_square,
+    _log_normalization,
+    _log_weights,
+    evaluate_normalized,
+)
 
 __all__ = [
     "Disk",
@@ -204,9 +210,11 @@ def _eval_circle_angles(b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(b)
     x = np.exp(1j * np.atleast_2d(np.asarray(theta, dtype=float)))
     shape = np.broadcast_shapes((b.shape[0], 1), x.shape)
+    bt = np.ascontiguousarray(b.T)[:, :, None]
     acc = np.zeros(shape, dtype=complex)
     for k in range(b.shape[1] - 1, -1, -1):
-        acc = acc * x + b[:, k, None]
+        acc *= x
+        acc += bt[k]
     return acc
 
 
@@ -404,7 +412,7 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
         log_val = np.log(np.maximum(np.abs(val), 1e-300)).reshape(roots.shape)
         log_rev = n * np.log(np.maximum(az, 1e-300)) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
-        return np.exp(logmag - (n / 2.0) * np.log1p(az * az))
+        return np.exp(logmag - (n / 2.0) * _log1p_square(az))
 
 
 def find_all_roots(poly: SU2Polynomial, residual_tol: float | None = None) -> ZeroSet:

@@ -142,6 +142,17 @@ class TestEvaluateNormalized:
         v = model.evaluate_normalized(p, 0.8 + 0.1j)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
+    def test_beyond_square_overflow(self):
+        # (1 + |z|^2) overflows above about 1.3e154; far out only the
+        # leading term alpha_N e^{i N arg z} survives
+        p = SU2Polynomial(3, [1, 2, 3, 4])
+        for z in (1e160, -1e200j, 1e300 * (0.6 + 0.8j)):
+            want = 4 * (z / abs(z)) ** 3
+            assert model.evaluate_normalized(p, z) == pytest.approx(want, rel=1e-12)
+        # the two sides of the 1e150 switch agree
+        below, above = model.evaluate_normalized(p, np.array([1e150, 1.0000001e150]))
+        assert above == pytest.approx(below, rel=1e-12)
+
     def test_array_input(self):
         p = SU2Polynomial(2, [1, 0, 1])
         vals = model.evaluate_normalized(p, np.array([0.0, 1j]))

@@ -5,6 +5,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -433,6 +434,125 @@ class TestDecayFit:
         fit = mc.fit_decay_exponent(pts)
         assert 1.0 <= fit.c_hat <= 1.71
         assert fit.r_squared >= 0.999
+
+
+def _spy(monkeypatch, name):
+    """Replace montecarlo's binding of kernel ``name`` with one that logs
+    the rows of each call."""
+    calls, kernel = [], getattr(mc, name)
+
+    def spy(alpha, *args, **kwargs):
+        calls.append(len(alpha))
+        return kernel(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(mc, name, spy)
+    return calls
+
+
+class TestConcentrationMemo:
+    """``_run_blocked`` keeps the last boundary-maximum or circle-mean run."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(mc, "_memo", None)
+
+    @staticmethod
+    def plan(**changes):
+        return mc.TrialPlan(**{**dict(degree=6, radius=1.0, trials=600, master_seed=41),
+                               **changes})
+
+    def test_one_kernel_pass_per_plan(self, monkeypatch):
+        means = _spy(monkeypatch, "_batch_circle_log_means")
+        maxima = _spy(monkeypatch, "_batch_boundary_log_max")
+        mc.circle_average_lower_tail_frequency(self.plan(), 0.1)
+        mc.log_l1_outlier_frequency(self.plan())  # an equal plan, not the same object
+        mc.circle_average_lower_tail_probability(self.plan(), 0.1)
+        mc.max_modulus_outlier_frequency(self.plan(), 0.05)
+        mc.max_modulus_outlier_probability(self.plan(), 0.05)
+        assert means == [600]
+        assert maxima == [600]
+
+    @pytest.mark.parametrize("changes", [
+        dict(workers=2),
+        dict(tolerances=mc.Tolerances(quadrature_target=1e-7)),
+        dict(master_seed=42),
+    ])
+    def test_other_plan_misses(self, changes, monkeypatch):
+        means = _spy(monkeypatch, "_batch_circle_log_means")
+        mc.circle_average_lower_tail_frequency(self.plan(), 0.1)
+        mc.circle_average_lower_tail_frequency(self.plan(**changes), 0.1)
+        assert means == [600, 600]
+
+    def test_other_run_drops_the_entry(self, monkeypatch):
+        means = _spy(monkeypatch, "_batch_circle_log_means")
+        mc.circle_average_lower_tail_frequency(self.plan(), 0.1)
+        mc.max_modulus_outlier_frequency(self.plan(), 0.05)
+        mc.log_l1_outlier_frequency(self.plan())
+        assert means == [600, 600]
+
+    def test_other_blocks_always_run(self):
+        starts = []
+
+        def block(plan, start, stop):
+            starts.append(start)
+            return (np.arange(start, stop),)
+
+        mc._run_blocked(self.plan(), block)
+        out = mc._run_blocked(self.plan(), block)
+        assert starts == [0, 0]
+        assert out[0].flags.writeable
+        assert mc._memo is None
+
+    @pytest.mark.parametrize("block", [mc._block_circle_means, mc._block_log_max])
+    def test_cached_arrays_refuse_writes(self, block):
+        for col in mc._run_blocked(self.plan(), block):
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    @pytest.mark.parametrize("block", [mc._block_circle_means, mc._block_log_max])
+    def test_hit_equals_fresh_run(self, block):
+        plan = self.plan(trials=mc.BLOCK_TRIALS + 300)
+        first = mc._run_blocked(plan, block)
+        hit = mc._run_blocked(plan, block)
+        fresh = mc._run_blocked(plan, lambda p, s, e: block(p, s, e))  # not memoised
+        assert hit is first
+        assert len(hit) == len(fresh)
+        for a, b in zip(hit, fresh):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_threads_get_their_own_plan(self, monkeypatch):
+        # threads alternate two plans through the one entry; a lost race
+        # may recompute but must never hand out the other plan's result.
+        # A cheap memoised block makes hits and misses interleave often.
+        def seed_block(plan, start, stop):
+            return (np.full(stop - start, plan.master_seed),)
+
+        monkeypatch.setattr(mc, "_MEMOISED", (seed_block,))
+        wrong = []
+
+        def work(k):
+            for i in range(8000):
+                # a fresh plan object: the key compares by TrialPlan.__eq__
+                plan = self.plan(trials=3, master_seed=43 + (i // 2 + k) % 2)
+                try:
+                    if mc._run_blocked(plan, seed_block)[0][0] != plan.master_seed:
+                        wrong.append((k, i))
+                except Exception as exc:  # a racing thread's error is a finding too
+                    wrong.append((k, i, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestDeterminism:

@@ -197,6 +197,16 @@ class TestAberthBatch:
         res = zeros._normalized_residuals(np.ones((1, 5)), 4, np.zeros((1, 0), dtype=complex))
         assert res.shape == (1, 0)
 
+    def test_residuals_beyond_square_overflow(self):
+        # |z|^2 overflows above about 1.3e154; |psi_hat| there is still the
+        # normalized value, about |alpha_N| = 4, not 0
+        p = SU2Polynomial(3, [1, 2, 3, 4])
+        pts = np.array([[2 + 1j, 1e149, 1e160, -1e200j, 1e300]])
+        res = zeros._normalized_residuals(p.coefficients[None], 3, pts)
+        want = np.abs(model.evaluate_normalized(p, pts[0]))
+        np.testing.assert_allclose(res[0], want, rtol=1e-12)
+        np.testing.assert_allclose(res[0, 2:], 4.0, rtol=1e-12)
+
     @pytest.mark.parametrize("degree,rows", [(10, 48), (50, 12)])
     def test_rows_are_independent(self, degree, rows):
         # converged rows leave the sweeps early; each row's roots and flag
