@@ -5,11 +5,17 @@
 # at N = 200), the orthonormality checks at N = 10 and the verify suite as
 # JSON, and the five concentration estimates (three *_frequency, two
 # *_probability) at N in {10, 40}, r = 1, 8192 trials, seed 6, each at
-# --workers 1 and 2, into OUTDIR: one file per run, 39 in all.
+# --workers 1 and 2, into OUTDIR: one file per run.  Two more kinds of
+# file pin the winding counter, which no CLI output covers: the sha256 of
+# the per-trial counts and failure flags of `zero_count_samples` at N = 50,
+# r = 1, 16384 trials, seed 7, at --workers 1 and 2, and the off-center
+# counts (or "refused") of `count_zeros_argument_principle` on
+# Disk(0.3+0.2j, 0.7) for the N = 200 polynomials of seeds 0-199: 42
+# files in all.
 #
 # The outputs are a pure function of argv, and JSON writes every float
 # exactly (the concentration files as float.hex), so two checkouts that
-# agree on every estimate, root and residual give directories that
+# agree on every estimate, root, residual and count give directories that
 # `diff -r` finds equal:
 #
 #     scripts/identity_outputs.sh /tmp/ids-new
@@ -70,7 +76,31 @@ json.dump({name: {"point": e.point.hex(), "stderr": e.stderr.hex(),
 print()
 PY
     done
+    PYTHONPATH="$root/src" python3 - "$w" > "$out/winding_N50_w${w}.txt" <<'PY'
+import hashlib
+import sys
+
+from su2lab import montecarlo as mc
+
+plan = mc.TrialPlan(50, 1.0, 16384, 7, workers=int(sys.argv[1]))
+counts, failed = mc.zero_count_samples(plan)
+print("counts", counts.dtype, counts.sum(), hashlib.sha256(counts.tobytes()).hexdigest())
+print("failed", failed.dtype, failed.sum(), hashlib.sha256(failed.tobytes()).hexdigest())
+PY
 done
+PYTHONPATH="$root/src" python3 - > "$out/off_center_N200.txt" <<'PY'
+from su2lab import model, zeros
+from su2lab.rng import RngSeed
+
+disk = zeros.Disk(0.3 + 0.2j, 0.7)
+for seed in range(200):
+    poly = model.sample_polynomial(200, RngSeed(seed, 0))
+    try:
+        count = zeros.count_zeros_argument_principle(poly, disk).count
+    except zeros.ContourError:
+        count = "refused"
+    print(seed, count)
+PY
 for n in 12 50 200; do
     for s in 1 2; do
         su2lab roots -N "$n" --seed "$s" --format json > "$out/roots_N${n}_s${s}.json"

@@ -328,12 +328,6 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     return counts, ~ok, mism
 
 
-def _block_hole(plan: TrialPlan, start: int, stop: int):
-    """Hole indicators, failures and mismatches from ``_block_counts``."""
-    counts, failed, mism = _block_counts(plan, start, stop)
-    return (counts == 0) & ~failed, failed, mism
-
-
 def _log_norm(alpha: np.ndarray) -> np.ndarray:
     """Per-row log R with R^2 = sum_j |alpha_j|^2."""
     return 0.5 * np.log((alpha.real**2 + alpha.imag**2).sum(axis=1))
@@ -518,11 +512,8 @@ def estimate_deviation_probability(plan: TrialPlan, spec: DeviationSpec) -> Esti
 
 def estimate_hole_probability(plan: TrialPlan) -> Estimate:
     """Frequency of zero-free B(0, r) on the counts of ``zero_count_samples``."""
-    if plan.degree == 0:
-        base = _wilson(plan.trials, plan.trials)
-        return base
-    hole, failed, _ = _run_blocked(plan, _block_hole)
-    return _frequency_estimate(hole, failed, plan)
+    counts, failed = zero_count_samples(plan)
+    return _frequency_estimate(counts == 0, failed, plan)
 
 
 def _max_modulus_band(plan: TrialPlan, delta: float) -> tuple[float, float]:

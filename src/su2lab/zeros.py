@@ -22,7 +22,9 @@ suite cross-checks:
 - roots: count the Aberth roots inside the disk;
 - winding: track the phase of the polynomial around a centered circle,
   from the Fourier row of its normalized values there; a disk off the
-  origin is a spherical cap, which one rotation of the sphere centers;
+  origin is a spherical cap, which one rotation of the sphere centers.
+  After one FFT grid per row, the rough intervals of all rows are
+  bisected together, as one flat list;
 - Schur-Cohn: run the Schur-Cohn recursion on the coefficients of
   psi(r z), N vectorized steps with no FFT and no roots.  A row counts
   only when every step's decisive gap clears ``SCHUR_COHN_MIN_GAP``,
@@ -81,10 +83,15 @@ DEFAULT_QUADRATURE_TARGET = 1e-9
 NODE_CAP = 1 << 20
 TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
 _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
-_MAX_REFINEMENTS = 20  # bisection rounds of the per-row phase track
+_MAX_REFINEMENTS = 20  # bisection rounds of the rough winding intervals
 _WINDING_CHUNK = 1 << 15  # first-grid samples per chunk of winding rows
 _PRECISION_FLOOR = 1e4 * np.finfo(float).eps  # share of sum |b_k| a winding sample must clear
 _SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk
+_ABERTH_TOL = 1e-13  # a root freezes once its step is below this, relative to 1 + |z|
+_ABERTH_MAX_SWEEPS = 500
+_ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
+_SCAN_PER_DEGREE = 8  # boundary-maximum scan angles per unit of N + 1
+_ANGLE_TOL = 1e-10  # golden-section bracket width of the boundary maximum
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
@@ -215,6 +222,18 @@ def _eval_circle_angles(b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     for k in range(b.shape[1] - 1, -1, -1):
         acc *= x
         acc += bt[k]
+    return acc
+
+
+def _eval_row_angles(bt: np.ndarray, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """psi_hat of row ``row[i]`` at angle ``theta[i]``, from the
+    coefficient-major ``bt`` (``b.T``).  One Horner pass gathers one
+    coefficient column per step, so memory stays O(points)."""
+    x = np.exp(1j * theta)
+    acc = np.zeros(len(row), dtype=complex)
+    for c in bt[::-1]:
+        acc *= x
+        acc += c[row]
     return acc
 
 
@@ -353,14 +372,14 @@ def _pairwise_sums(z: np.ndarray, row: np.ndarray, zp: np.ndarray) -> np.ndarray
     return buf[0, :points].copy()
 
 
-def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
-                  polish: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All roots of each row of ``w`` (monomial coefficients, ascending).
 
     Returns ``(roots (B, m), converged (B,))``.  Rows must have a
     non-negligible leading coefficient.  A sweep updates every root of
     every row at once from the previous sweep's roots, and only the roots
-    still moving: a root is frozen once its step falls below ``tol``.
+    still moving: a root is frozen once its step falls below
+    ``_ABERTH_TOL``.
     """
     w = np.atleast_2d(w).astype(complex)
     rows, n1 = w.shape
@@ -374,7 +393,7 @@ def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
     z = _bini_start_points(w)
     active = np.ones((rows, m), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(_ABERTH_MAX_SWEEPS):
             row, col = np.nonzero(active)
             if not len(row):
                 break
@@ -388,13 +407,13 @@ def _aberth_batch(w: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500,
             step = np.where(deriv_zero & (newton == 0), 0.0, step)
             collided = deriv_zero & (newton != 0)
             step = np.where(collided, -0.1 * (1.0 + np.abs(zp)), step)
-            done = np.abs(step) <= tol * (1.0 + np.abs(zp))
+            done = np.abs(step) <= _ABERTH_TOL * (1.0 + np.abs(zp))
             z[row, col] = np.where(done, zp, zp - step)
             active[row, col] = ~done
         converged = ~active.any(axis=1)
         every_row = np.repeat(np.arange(rows), m)
         z = z.ravel()
-        for _ in range(polish):
+        for _ in range(_ABERTH_POLISH):
             newton, deriv_zero = _newton_ratio(w, every_row, z)
             z = np.where(deriv_zero, z, z - newton)
     return z.reshape(rows, m), converged
@@ -466,45 +485,13 @@ def count_zeros_from_roots(zeros: ZeroSet, disk: Disk,
 # argument-principle counting
 
 
-def _phase_increments(vals: np.ndarray) -> np.ndarray:
-    """Unwrapped phase steps around a closed loop of nonzero samples."""
-    ratio = np.roll(vals, -1, axis=-1) * np.conj(vals)
-    return np.angle(ratio)
-
-
-def _winding_phase_track(b_row: np.ndarray, m0: int) -> int:
-    """Winding number of one Fourier row by adaptive phase tracking.
-
-    Starts from ``m0`` uniform angles.  Intervals whose phase step exceeds
-    pi/2 (or that touch a vanishing sample) are bisected, up to
-    ``_MAX_REFINEMENTS`` rounds and ``NODE_CAP`` points, and each round
-    evaluates only the new midpoints; the accumulated phase must land
-    within 0.01 of an integer multiple of 2*pi to certify.
-    """
-    t = np.arange(m0) / m0
-    vals = _eval_circle_angles(b_row[None], 2.0 * np.pi * t[None])[0]
-    for round_no in range(_MAX_REFINEMENTS + 1):
-        inc = _phase_increments(vals)
-        tiny = np.abs(vals) < TINY_SAMPLE
-        bad = (np.abs(inc) > 0.5 * np.pi) | tiny | np.roll(tiny, -1)
-        if not bad.any():
-            total = inc.sum() / (2.0 * np.pi)
-            if abs(total - round(total)) <= 0.01:
-                return int(round(total))
-            bad = np.abs(inc) > 0.25 * np.pi  # sharpen until certification
-            if not bad.any():
-                raise ContourError("winding did not certify to an integer")
-        if round_no == _MAX_REFINEMENTS:
-            break
-        idx = np.nonzero(bad)[0]
-        if len(t) + len(idx) > NODE_CAP:
-            raise ContourError(f"phase track needs more than {NODE_CAP} points")
-        t_next = np.concatenate((t[1:], t[:1] + 1.0))
-        mids = (0.5 * (t[idx] + t_next[idx])) % 1.0
-        t, first = np.unique(np.concatenate((t, mids)), return_index=True)
-        new = _eval_circle_angles(b_row[None], 2.0 * np.pi * mids[None])[0]
-        vals = np.concatenate((vals, new))[first]
-    raise ContourError("phase step irreducible below pi/2: zero on or near contour")
+def _phase_steps(v_lo: np.ndarray, v_hi: np.ndarray):
+    """Phase steps from ``v_lo`` to ``v_hi`` and the rough ones among them:
+    steps above pi/2, or with an end below ``TINY_SAMPLE``."""
+    step = np.angle(v_hi * np.conj(v_lo))
+    rough = np.abs(step) > 0.5 * np.pi
+    rough |= np.minimum(np.abs(v_lo), np.abs(v_hi)) < TINY_SAMPLE
+    return step, rough
 
 
 def _recentered_disk(center: complex, r: float) -> tuple[complex, float]:
@@ -579,10 +566,16 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
     """``(counts, ok)`` for the Fourier rows ``b`` of boundary values on
     |z| = r, from ``m0`` samples.  A row fails when a Newton step
     |psi|/|psi'| puts a zero within ``boundary_margin`` of the contour, or
-    a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|.  Rows that
-    cannot certify after grid doubling go to the per-row phase track."""
+    a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|.
+
+    The good phase steps of the first grid make each row's running total.
+    The rough intervals of all rows form one flat list, and each round
+    bisects every one of them: it evaluates only their midpoints, adds the
+    good halves' steps to their rows' totals and keeps the rough halves.
+    A row fails when its points would pass ``NODE_CAP``, when it keeps a
+    rough interval after ``_MAX_REFINEMENTS`` rounds, or when its total is
+    not within 0.01 of a multiple of 2 pi."""
     rows, n1 = b.shape
-    counts = np.zeros(rows, dtype=np.int64)
     vals = _eval_circle_grid(b, m0)
     mag = np.abs(vals)
     dmag = np.abs(_eval_circle_grid(b * (1j * np.arange(n1)), m0))
@@ -590,26 +583,34 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
         dist = np.where(dmag == 0, np.inf, r * mag / np.where(dmag == 0, 1.0, dmag))
     ok = ~(dist.min(axis=1) < boundary_margin)
     ok &= mag.min(axis=1) > _PRECISION_FLOOR * np.abs(b).sum(axis=1)
-    pending = np.nonzero(ok)[0]
-    vals = vals[ok]
-    for k in range(6):  # grids of m0 up to 32 m0 samples
-        if k:
-            vals = _eval_circle_grid(b[pending], m0 << k)
-        inc = _phase_increments(vals)
-        tiny = (np.abs(vals) < TINY_SAMPLE).any(axis=1)
-        rough = (np.abs(inc) > 0.5 * np.pi).any(axis=1) | tiny
-        total = inc.sum(axis=1) / (2.0 * np.pi)
-        certified = ~rough & (np.abs(total - np.round(total)) <= 0.01)
-        counts[pending[certified]] = np.round(total[certified]).astype(np.int64)
-        pending = pending[~certified]
-        if len(pending) == 0:
+    step, rough = _phase_steps(vals, np.roll(vals, -1, axis=1))
+    rough &= ok[:, None]
+    total = np.where(rough, 0.0, step).sum(axis=1)
+    # rough intervals as (row, start in turns, value at start, value at end)
+    row, k = np.nonzero(rough)
+    span = (row, k / m0, vals[row, k], vals[row, (k + 1) % m0])
+    bt = np.ascontiguousarray(b.T)
+    points = np.full(rows, m0)
+    width = 1.0 / m0
+    for _ in range(_MAX_REFINEMENTS):
+        points += np.bincount(span[0], minlength=rows)
+        ok &= points <= NODE_CAP
+        live = ok[span[0]]
+        row, t_lo, v_lo, v_hi = (a[live] for a in span)
+        if not len(row):
             break
-    for i in pending:
-        try:
-            counts[i] = _winding_phase_track(b[i], m0)
-        except ContourError:
-            ok[i] = False
-    return counts, ok
+        width *= 0.5
+        t_mid = t_lo + width
+        v_mid = _eval_row_angles(bt, row, 2.0 * np.pi * t_mid)
+        row, t_lo, v_lo, v_hi = (np.concatenate(pair) for pair in
+                                 ((row, row), (t_lo, t_mid), (v_lo, v_mid), (v_mid, v_hi)))
+        step, rough = _phase_steps(v_lo, v_hi)
+        total += np.bincount(row[~rough], weights=step[~rough], minlength=rows)
+        span = tuple(a[rough] for a in (row, t_lo, v_lo, v_hi))
+    ok[span[0]] = False
+    total /= 2.0 * np.pi
+    ok &= np.abs(total - np.round(total)) <= 0.01
+    return np.where(ok, np.round(total), 0).astype(np.int64), ok
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +718,7 @@ def _offset_grid_values(b: np.ndarray, n_nodes: int, half_shift: bool) -> np.nda
 
 def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
                             target: float = DEFAULT_QUADRATURE_TARGET,
-                            node_cap: int = NODE_CAP,
-                            start_nodes: int | None = None):
+                            node_cap: int = NODE_CAP):
     """Means over the circle of log|psi| and of |log|psi||, per row.
 
     Returns ``(mean_log, mean_abs_log, ok, gap)`` arrays.  Node counts
@@ -734,7 +734,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     n = degree
     corr = _log_normalization(n, r)
     b = _circle_fourier_coeffs(alpha, n, r)
-    m0 = start_nodes or max(128, _next_pow2(8 * (n + 1)))
+    m0 = max(128, _next_pow2(8 * (n + 1)))
     mean_log = np.full(rows, np.nan)
     mean_abs = np.full(rows, np.nan)
     gap = np.full(rows, np.nan)
@@ -879,18 +879,16 @@ def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray,
     return mid, obj_fn(mid)
 
 
-def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float,
-                            scan_per_degree: int = 8,
-                            angle_tol: float = 1e-10):
+def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     """log of max_{|z|=r} psi_hat plus the maximizing angles, batched.
 
-    Scans ``scan_per_degree*(N+1)`` uniform angles, then golden-section
+    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles, then golden-section
     refines around the best three local maxima of each row.
     """
     alpha = np.atleast_2d(alpha)
     n = degree
     b = _circle_fourier_coeffs(alpha, n, r)
-    m = scan_per_degree * (n + 1)
+    m = _SCAN_PER_DEGREE * (n + 1)
     vals = np.abs(_eval_circle_grid(b, m))
     np.maximum(vals, 1e-300, out=vals)
     logs = np.log(vals)
@@ -904,7 +902,7 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float,
         v = _eval_circle_angles(b, theta)
         return np.log(np.maximum(np.abs(v), 1e-300))
 
-    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h, angle_tol)
+    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h, _ANGLE_TOL)
     scan_best = logs.max(axis=1)
     scan_arg = 2.0 * np.pi * logs.argmax(axis=1) / m
     refined_best = best_val.max(axis=1)

@@ -144,16 +144,13 @@ class TestHole:
         # the same block counted by winding alone: identical counts and
         # indicators
         plan = mc.TrialPlan(degree, r, 4096, 11)
-        fast = mc._block_hole(plan, 0, 4096)
-        fast_counts = mc._block_counts(plan, 0, 4096)
+        fast = mc._block_counts(plan, 0, 4096)
         monkeypatch.setattr(mc, "_batch_schur_cohn", lambda a, n, radius, margin: (
             np.zeros(len(a), dtype=np.int64), np.zeros(len(a), dtype=bool)))
-        slow = mc._block_hole(plan, 0, 4096)
-        slow_counts = mc._block_counts(plan, 0, 4096)
-        for got, want in zip(fast + fast_counts, slow + slow_counts):
+        slow = mc._block_counts(plan, 0, 4096)
+        for got, want in zip(fast, slow):
             assert np.array_equal(got, want)
         assert not fast[2].any()
-        assert np.array_equal(fast[0], (fast_counts[0] == 0) & ~fast_counts[1])
 
     @staticmethod
     def _off_by_one_schur_cohn(monkeypatch):
@@ -171,15 +168,14 @@ class TestHole:
         plan = mc.TrialPlan(6, 0.5, 1000, 12)
         honest, _, _ = mc._block_counts(plan, 0, 1000)
         self._off_by_one_schur_cohn(monkeypatch)
-        hole, failed, mism = mc._block_hole(plan, 0, 1000)
         sampled = np.arange(1000) % mc.CROSS_CHECK_EVERY == 0
+        counts, failed, mism = mc._block_counts(plan, 0, 1000)
         assert np.array_equal(mism, sampled)
         assert np.array_equal(failed, sampled)
-        assert not hole.any()  # every count is at least 1
-        counts, c_failed, c_mism = mc._block_counts(plan, 0, 1000)
-        assert np.array_equal(c_mism, sampled)
-        assert np.array_equal(c_failed, sampled)
         assert np.array_equal(counts, honest + 1)
+        hole = mc.estimate_hole_probability(plan)
+        assert hole.point == 0.0  # every count is at least 1
+        assert hole.trials_failed == sampled.sum()
 
     def test_zero_count_samples_are_cross_checked(self, monkeypatch):
         # mean-zeros and deviation count through the same cascade, so the

@@ -389,31 +389,81 @@ class TestArgumentPrinciple:
             zeros.count_zeros_argument_principle(p, disk)
             assert calls == [(1, 201)]
 
-    def test_phase_track_evaluates_each_point_once(self, monkeypatch):
-        # the row of (z - 1.0001 e^{0.06 i pi})(z + 0.5) on the unit circle:
-        # its zero 1e-4 outside, between two start points, forces a dozen
-        # bisection rounds; each must evaluate only its new midpoints
+    # the row of (z - 1.0001 e^{0.06 i pi})(z + 0.5) on the unit circle: its
+    # zero 1e-4 outside, between two of 8 start angles, forces a dozen
+    # bisection rounds
+    Z0 = 1.0001 * np.exp(0.06j * np.pi)
+    NEAR_ROW = np.array([[-0.5 * Z0, 0.5 - Z0, 1.0]])
+
+    def _spy_bisection(self, monkeypatch):
         seen = []
-        horner = zeros._eval_circle_angles
+        horner = zeros._eval_row_angles
 
-        def spy(b, theta):
-            seen.append(np.array(theta).ravel())
-            return horner(b, theta)
+        def spy(bt, row, theta):
+            seen.append(np.array(theta))
+            return horner(bt, row, theta)
 
-        monkeypatch.setattr(zeros, "_eval_circle_angles", spy)
-        z0 = 1.0001 * np.exp(0.06j * np.pi)
-        assert zeros._winding_phase_track(np.array([-0.5 * z0, 0.5 - z0, 1.0]), 8) == 1
+        monkeypatch.setattr(zeros, "_eval_row_angles", spy)
+        return seen
+
+    def test_bisection_evaluates_each_point_once(self, monkeypatch):
+        # each round evaluates only its new midpoints, never a start angle
+        seen = self._spy_bisection(monkeypatch)
+        counts, ok = zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
+        assert ok[0] and counts[0] == 1
         assert len(seen) > 10
-        evaluated = np.concatenate(seen)
-        assert len(np.unique(evaluated)) == len(evaluated)
+        turns = np.concatenate(seen) / (2.0 * np.pi)
+        assert len(np.unique(turns)) == len(turns)
+        assert not np.any(turns * 8 == np.round(turns * 8))
 
-    def test_phase_track_stops_at_node_cap(self):
-        # every sample of a null row is tiny, so every interval splits
-        # each round until the point budget runs out
-        with pytest.raises(zeros.ContourError, match="more than"):
-            zeros._winding_phase_track(np.zeros(5, dtype=complex), 8)
+    def test_bisection_stops_at_node_cap(self, monkeypatch):
+        # the row needs 8 start points plus its midpoints; one point fewer
+        # fails it, and a null row fails at any cap
+        seen = self._spy_bisection(monkeypatch)
+        zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
+        needed = 8 + sum(len(t) for t in seen)
+        for cap, certified in ((needed, True), (needed - 1, False)):
+            monkeypatch.setattr(zeros, "NODE_CAP", cap)
+            counts, ok = zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
+            assert ok[0] == certified
+            assert counts[0] == (1 if certified else 0)
         _, ok = zeros._winding_rows(np.zeros((1, 5), dtype=complex), 1.0, 1e-9, 64)
         assert not ok[0]
+
+    def test_bisection_fails_a_row_left_rough(self, monkeypatch):
+        # two zeros 1e-4 inside the unit circle: with fewer rounds than the
+        # row needs, its rough intervals hold whole turns of phase, and a
+        # total without them would certify a wrong count
+        z1, z2 = 0.9999 * np.exp(0.06j * np.pi), 0.9999 * np.exp(1.1j * np.pi)
+        row = np.array([[z1 * z2, -(z1 + z2), 1.0]])
+        seen = self._spy_bisection(monkeypatch)
+        counts, ok = zeros._winding_rows(row, 1.0, 1e-9, 8)
+        assert ok[0] and counts[0] == 2
+        for rounds in range(1, len(seen)):
+            monkeypatch.setattr(zeros, "_MAX_REFINEMENTS", rounds)
+            counts, ok = zeros._winding_rows(row, 1.0, 1e-9, 8)
+            assert not ok[0] and counts[0] == 0
+
+    def test_mixed_batch_bisects_each_row_as_alone(self):
+        # rows with a zero 1e-4 to 1e-7 outside the unit circle, midway
+        # between two first-grid angles, among random rows
+        rng = np.random.default_rng(47)
+        n = 12
+        m0 = zeros._next_pow2(zeros._WINDING_SAMPLES * (n + 1))
+        rows = []
+        for eps in (1e-4, 1e-5, 1e-6, 1e-7):
+            angle = 2.0 * np.pi * (rng.integers(m0) + 0.5) / m0
+            rows.append(_alpha_with_zero_at(rng, n, (1.0 + eps) * np.exp(1j * angle)))
+            rows.extend(random_poly(rng, n).coefficients for _ in range(3))
+        alpha = np.array(rows)
+        counts, ok = zeros._batch_winding(alpha, n, 1.0)
+        assert ok.all()
+        for i, a in enumerate(alpha):
+            one, one_ok = zeros._batch_winding(a[None], n, 1.0)
+            assert one_ok[0] and one[0] == counts[i]
+            p = SU2Polynomial(n, a)
+            by_roots = zeros.count_zeros_from_roots(zeros.find_all_roots(p), zeros.Disk(0, 1.0))
+            assert by_roots.count == counts[i]
 
     def test_huge_radius_counts_every_zero(self):
         p = model.sample_polynomial(12, RngSeed(5, 0))
