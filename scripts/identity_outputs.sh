@@ -10,8 +10,11 @@
 # the per-trial counts and failure flags of `zero_count_samples` at N = 50,
 # r = 1, 16384 trials, seed 7, at --workers 1 and 2, and the off-center
 # counts (or "refused") of `count_zeros_argument_principle` on
-# Disk(0.3+0.2j, 0.7) for the N = 200 polynomials of seeds 0-199: 42
-# files in all.
+# Disk(0.3+0.2j, 0.7) for the N = 200 polynomials of seeds 0-199.  One
+# more pins the one-row circle means: `circle_log_integral` and
+# `circle_abs_log_integral` at r = 1 of the same polynomials, each as
+# float.hex, or "refused" with the best estimate and the gap: 43 files in
+# all.
 #
 # The outputs are a pure function of argv, and JSON writes every float
 # exactly (the concentration files as float.hex), so two checkouts that
@@ -100,6 +103,20 @@ for seed in range(200):
     except zeros.ContourError:
         count = "refused"
     print(seed, count)
+PY
+PYTHONPATH="$root/src" python3 - > "$out/circle_means_N200.txt" <<'PY'
+from su2lab import model, zeros
+from su2lab.rng import RngSeed
+
+for seed in range(200):
+    poly = model.sample_polynomial(200, RngSeed(seed, 0))
+    line = [str(seed)]
+    for integral in (zeros.circle_log_integral, zeros.circle_abs_log_integral):
+        try:
+            line.append(integral(poly, 1.0).hex())
+        except zeros.QuadratureError as exc:
+            line += ["refused", exc.best_estimate.hex(), exc.gap.hex()]
+    print(*line)
 PY
 for n in 12 50 200; do
     for s in 1 2; do

@@ -102,6 +102,18 @@ def parse_record(data: bytes) -> ExperimentRecord:
     )
 
 
+class UsageError(ValueError):
+    """Invalid flag combination detected after parsing."""
+
+
+def _open_arg(path: str, mode: str):
+    """Open a file named in argv; one that cannot be opened is a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
 class ResultsFileError(ValueError):
     """Malformed results file; carries the offending line number."""
 
@@ -116,7 +128,7 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
     Rows with nonpositive points or more than 1% failed trials are
     dropped (reported on stderr); fewer than 3 usable rows is an error.
     """
-    with open(path, "rb") as fh:
+    with _open_arg(path, "rb") as fh:
         raw = fh.read()
     text = raw.decode("utf-8")
     stripped = text.lstrip()
@@ -491,10 +503,6 @@ def _handle_orthonormality(args) -> ExperimentRecord:
     )
 
 
-class UsageError(ValueError):
-    """Invalid flag combination detected after parsing."""
-
-
 _HANDLERS = {
     "sample": _handle_sample,
     "roots": _handle_roots,
@@ -535,17 +543,17 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         record = _HANDLERS[args.command](args)
+        data = serialize_record(record, args.format)
+        if args.out:
+            with _open_arg(args.out, "wb") as fh:
+                fh.write(data)
     except UsageError as exc:
         print(f"usage error: {exc}", file=DIAG)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=DIAG)
         return 1
-    data = serialize_record(record, args.format)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
+    if not args.out:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     wall = time.monotonic() - started

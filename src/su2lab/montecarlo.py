@@ -31,18 +31,18 @@ later change to a module attribute reaches only ``workers = 1`` runs; a
 forked child starts its own pool rather than using its parent's.
 
 The boundary-maximum and circle-mean blocks (``_block_log_max``,
-``_block_circle_means``) feed several estimators, so ``_run_blocked``
-keeps the last result of either, keyed by ``(block function, plan)``; the
-whole plan is the key, ``workers`` and ``tolerances`` included.  One entry
-is held, any other run drops it before computing, and its arrays are
-read-only.  No other block is memoised.  A memo hit runs no kernel, so,
-as with pool workers, a kernel patched after the held run is not reached:
-a test that monkeypatches a kernel under these blocks must use a fresh
-plan.
+``_block_circle_means``) feed several estimators, which all read them
+through ``_plan_samples``: an ``lru_cache`` of one entry in total, keyed
+by ``(plan, block function)``, whose arrays are read-only.  The whole plan
+is the key, ``workers`` and ``tolerances`` included.  A hit runs no
+kernel, so, as with pool workers, a kernel patched after the held run is
+not reached: a test that monkeypatches a kernel under these blocks must
+clear the cache or use a fresh plan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -246,12 +246,6 @@ def _map_blocks(size: int, tasks: list) -> list:
             raise
 
 
-# ((fn, plan), result) of the last memoised run.  It needs no lock: an entry
-# is immutable and a pure function of its key, so a thread that loses a
-# race at worst computes again.
-_memo: tuple | None = None
-
-
 def _run_blocked(plan: TrialPlan, fn):
     """Run ``fn(plan, start, stop)`` over fixed-size trial blocks.
 
@@ -259,14 +253,8 @@ def _run_blocked(plan: TrialPlan, fn):
     worker count, and results are concatenated in block order, so the
     output is a pure function of the plan.  Several blocks at
     ``workers > 1`` go to the shared pool, sized
-    ``min(workers, blocks)``.  Runs of the blocks in ``_MEMOISED`` are
-    memoised (see the module docstring).
+    ``min(workers, blocks)``.
     """
-    global _memo
-    held = _memo
-    if held is not None and held[0] == (fn, plan):
-        return held[1]
-    _memo = None
     blocks = [
         (s, min(s + BLOCK_TRIALS, plan.trials))
         for s in range(0, plan.trials, BLOCK_TRIALS)
@@ -276,12 +264,7 @@ def _run_blocked(plan: TrialPlan, fn):
     else:
         parts = _map_blocks(min(plan.workers, len(blocks)),
                             [(fn, plan, s, e) for s, e in blocks])
-    result = tuple(np.concatenate(col) for col in zip(*parts))
-    if fn in _MEMOISED:
-        for col in result:
-            col.flags.writeable = False
-        _memo = ((fn, plan), result)
-    return result
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _sample_block(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
@@ -349,7 +332,14 @@ def _block_circle_means(plan: TrialPlan, start: int, stop: int):
     return mean_log, mean_abs, _log_norm(alpha), ~ok
 
 
-_MEMOISED = (_block_log_max, _block_circle_means)
+@functools.lru_cache(maxsize=1)
+def _plan_samples(plan: TrialPlan, block) -> tuple:
+    """``_run_blocked(plan, block)`` with read-only arrays, held for the
+    last key only (see the module docstring)."""
+    result = _run_blocked(plan, block)
+    for col in result:
+        col.flags.writeable = False
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +531,7 @@ def max_modulus_outlier_frequency(plan: TrialPlan, delta: float) -> Estimate:
 
     compared in log space (delta = 1 disables the lower side)."""
     lo, hi = _max_modulus_band(plan, delta)
-    log_max, _, failed = _run_blocked(plan, _block_log_max)
+    log_max, _, failed = _plan_samples(plan, _block_log_max)
     outlier = (log_max < lo) | (log_max > hi)
     return _frequency_estimate(outlier, failed, plan)
 
@@ -555,7 +545,7 @@ def max_modulus_outlier_probability(plan: TrialPlan, delta: float) -> Estimate:
     ``R^2 > exp(2(hi - m))``, so the trial contributes
     ``P_{N+1}(exp(2(lo - m))) + Q_{N+1}(exp(2(hi - m)))``."""
     lo, hi = _max_modulus_band(plan, delta)
-    log_max, log_r, failed = _run_blocked(plan, _block_log_max)
+    log_max, log_r, failed = _plan_samples(plan, _block_log_max)
     m = log_max - log_r
     k = plan.degree + 1
     _, probs = _gamma_tails(k, 2.0 * (hi - m))
@@ -567,7 +557,7 @@ def max_modulus_outlier_probability(plan: TrialPlan, delta: float) -> Estimate:
 def log_l1_outlier_frequency(plan: TrialPlan) -> Estimate:
     """Frequency of circle-mean |log|psi|| exceeding 5 N log(2(1+r^2))."""
     n, r = plan.degree, plan.radius
-    _, mean_abs, _, failed = _run_blocked(plan, _block_circle_means)
+    _, mean_abs, _, failed = _plan_samples(plan, _block_circle_means)
     threshold = 5.0 * n * math.log(2.0) + 10.0 * _log_normalization(n, r)
     return _frequency_estimate(mean_abs > threshold, failed, plan)
 
@@ -575,7 +565,7 @@ def log_l1_outlier_frequency(plan: TrialPlan) -> Estimate:
 def circle_average_lower_tail_frequency(plan: TrialPlan, delta: float) -> Estimate:
     """Frequency of circle-mean log|psi| below (N/2) log((1+r^2)(1-delta))."""
     threshold = _circle_tail_threshold(plan, delta)
-    mean_log, _, _, failed = _run_blocked(plan, _block_circle_means)
+    mean_log, _, _, failed = _plan_samples(plan, _block_circle_means)
     return _frequency_estimate(mean_log < threshold, failed, plan)
 
 
@@ -587,7 +577,7 @@ def circle_average_lower_tail_probability(plan: TrialPlan, delta: float) -> Esti
     direction, so it falls below the threshold ``t`` exactly when
     ``R^2 < exp(2(t - m))``: the trial contributes ``P_{N+1}`` there."""
     threshold = _circle_tail_threshold(plan, delta)
-    mean_log, _, log_r, failed = _run_blocked(plan, _block_circle_means)
+    mean_log, _, log_r, failed = _plan_samples(plan, _block_circle_means)
     probs, _ = _gamma_tails(plan.degree + 1, 2.0 * (threshold - (mean_log - log_r)))
     return _probability_estimate(probs, failed, plan)
 

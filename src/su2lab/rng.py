@@ -58,11 +58,6 @@ def stream_key(master_seed: int, trial_index: int) -> int:
     return mix64((master_seed + _GAMMA * (trial_index + 1)) & _MASK64)
 
 
-def stream_word(key: int, position: int) -> int:
-    """64-bit word at ``position`` of the stream with the given key."""
-    return mix64((key + _GAMMA * (position + 1)) & _MASK64)
-
-
 def complex_gaussian(seed: RngSeed, j: int) -> complex:
     """Standard complex Gaussian for coefficient ``j`` of trial ``seed``.
 

@@ -31,16 +31,17 @@ def _random_poly(rng: np.random.Generator, degree: int) -> model.SU2Polynomial:
     return model.SU2Polynomial(degree, a / math.sqrt(2.0))
 
 
-def check_sample_determinism(trials: int = 64) -> CheckResult:
+def check_sample_determinism() -> CheckResult:
     n = 24
     a = model.sample_polynomial(n, RngSeed(VERIFY_SEED, 7)).coefficients
     b = model.sample_polynomial(n, RngSeed(VERIFY_SEED, 7)).coefficients
-    batch = gaussian_matrix(VERIFY_SEED, np.arange(trials, dtype=np.uint64), n + 1)
+    batch = gaussian_matrix(VERIFY_SEED, np.arange(64, dtype=np.uint64), n + 1)
     diff = max(float(np.max(np.abs(a - b))), float(np.max(np.abs(batch[7] - a))))
     return CheckResult("sample-determinism", diff, 0.0, diff == 0.0)
 
 
-def check_gaussian_moment(trials: int = 10000) -> CheckResult:
+def check_gaussian_moment() -> CheckResult:
+    trials = 10000
     draws = gaussian_matrix(VERIFY_SEED + 1, np.arange(trials, dtype=np.uint64), 4)
     sq = np.abs(draws[:, 2]) ** 2
     se = float(sq.std(ddof=1) / math.sqrt(trials))
@@ -48,9 +49,9 @@ def check_gaussian_moment(trials: int = 10000) -> CheckResult:
     return CheckResult("gaussian-moment", dev, 3.0 * se, dev <= 3.0 * se)
 
 
-def check_point_value_distribution(trials: int = 10000) -> CheckResult:
+def check_point_value_distribution() -> CheckResult:
     """Normalized point evaluation is standard complex Gaussian at any center."""
-    n, zeta = 20, 0.3 + 0.4j
+    n, zeta, trials = 20, 0.3 + 0.4j, 10000
     alpha = gaussian_matrix(VERIFY_SEED + 2, np.arange(trials, dtype=np.uint64), n + 1)
     j = np.arange(n + 1)
     w = np.exp(model._log_weights(n) + j * math.log(abs(zeta))
@@ -148,13 +149,13 @@ def check_root_residuals() -> CheckResult:
     return CheckResult("root-residuals-n100", worst, 1e-8, worst <= 1e-8)
 
 
-def check_oracle_equivalence(instances: int = 200) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """Roots, winding and, where it certifies, Schur-Cohn give one count."""
     rng = np.random.default_rng(VERIFY_SEED + 6)
     radii = (0.5, 1.0, 2.0)
     mismatches = 0
     done = 0
-    while done < instances:
+    while done < 200:
         n = int(rng.integers(1, 51))
         p = _random_poly(rng, n)
         r = radii[done % 3]
@@ -174,10 +175,10 @@ def check_oracle_equivalence(instances: int = 200) -> CheckResult:
     return CheckResult("oracle-equivalence", float(mismatches), 0.0, mismatches == 0)
 
 
-def check_reversal_duality(instances: int = 25) -> CheckResult:
+def check_reversal_duality() -> CheckResult:
     rng = np.random.default_rng(VERIFY_SEED + 7)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(25):
         n = int(rng.integers(1, 31))
         p = _random_poly(rng, n)
         fwd = zeros.find_all_roots(p).locations
@@ -189,11 +190,11 @@ def check_reversal_duality(instances: int = 25) -> CheckResult:
     return CheckResult("reversal-duality", worst, 1e-8, worst <= 1e-8)
 
 
-def check_jensen(instances: int = 30) -> CheckResult:
+def check_jensen() -> CheckResult:
     rng = np.random.default_rng(VERIFY_SEED + 8)
     worst = 0.0
     done = 0
-    while done < instances:
+    while done < 30:
         n = int(rng.integers(1, 51))
         p = _random_poly(rng, n)
         zs = zeros.find_all_roots(p)
@@ -206,14 +207,14 @@ def check_jensen(instances: int = 30) -> CheckResult:
     return CheckResult("jensen-identity", worst, 1e-6, worst <= 1e-6)
 
 
-def check_two_radius_jensen(instances: int = 15) -> CheckResult:
+def check_two_radius_jensen() -> CheckResult:
     """Annulus form of Jensen: the difference of circle averages at kappa*r
     and r equals the zero-count term plus the annulus-moduli term."""
     rng = np.random.default_rng(VERIFY_SEED + 9)
     r, kappa = 1.0, 1.2
     worst = 0.0
     done = 0
-    while done < instances:
+    while done < 15:
         n = int(rng.integers(1, 31))
         p = _random_poly(rng, n)
         mods = np.abs(zeros.find_all_roots(p).locations)
@@ -229,12 +230,12 @@ def check_two_radius_jensen(instances: int = 15) -> CheckResult:
     return CheckResult("two-radius-jensen", worst, 1e-6, worst <= 1e-6)
 
 
-def check_subharmonic_majorization(instances: int = 12) -> CheckResult:
+def check_subharmonic_majorization() -> CheckResult:
     """log|psi(zeta)| <= Poisson average of boundary log|psi|."""
     rng = np.random.default_rng(VERIFY_SEED + 10)
     r = 1.0
     worst = -math.inf
-    for _ in range(instances):
+    for _ in range(12):
         n = int(rng.integers(1, 31))
         p = _random_poly(rng, n)
         zeta = (rng.standard_normal() + 1j * rng.standard_normal())
@@ -278,22 +279,22 @@ def check_omega_exact() -> CheckResult:
     return CheckResult("omega-exact-n1", dev, 1e-12, dev <= 1e-12)
 
 
-def check_omega_dominance(trials: int = 20000) -> CheckResult:
+def check_omega_dominance() -> CheckResult:
     """The explicit coefficient event is contained in the hole event."""
     worst = -math.inf
     for n, r in ((1, 1.0), (4, 0.5), (6, 0.5)):
-        plan = mc.TrialPlan(n, r, trials, VERIFY_SEED + n)
+        plan = mc.TrialPlan(n, r, 20000, VERIFY_SEED + n)
         est = mc.estimate_hole_probability(plan)
         shortfall = math.exp(mc.omega_lower_bound(n, r)) - (est.point + 3 * est.stderr)
         worst = max(worst, shortfall)
     return CheckResult("omega-dominance", worst, 0.0, worst <= 0.0)
 
 
-def check_hole_deviation_consistency(trials: int = 20000) -> CheckResult:
+def check_hole_deviation_consistency() -> CheckResult:
     """Hole frequency never exceeds the half-mean zero-count deviation
     frequency on the same trials."""
     n, r = 4, 0.5
-    plan = mc.TrialPlan(n, r, trials, VERIFY_SEED + 11)
+    plan = mc.TrialPlan(n, r, 20000, VERIFY_SEED + 11)
     counts, failed = mc.zero_count_samples(plan)
     counts = counts[~failed]
     mu = mc.expected_zero_count(n, r)
@@ -302,10 +303,10 @@ def check_hole_deviation_consistency(trials: int = 20000) -> CheckResult:
     return CheckResult("hole-deviation-consistency", hole - dev, 0.0, hole <= dev)
 
 
-def check_reversal_symmetry_statistic(trials: int = 20000) -> CheckResult:
+def check_reversal_symmetry_statistic() -> CheckResult:
     """Hole frequency at (N, r) matches the all-zeros-inside frequency at
     1/r within 3 pooled stderr (coefficient reversal swaps the events)."""
-    n, r = 2, 1.25
+    n, r, trials = 2, 1.25, 20000
     e_hole = mc.estimate_hole_probability(mc.TrialPlan(n, r, trials, VERIFY_SEED + 12))
     counts, failed = mc.zero_count_samples(
         mc.TrialPlan(n, 1.0 / r, trials, VERIFY_SEED + 13)
@@ -318,15 +319,15 @@ def check_reversal_symmetry_statistic(trials: int = 20000) -> CheckResult:
     return CheckResult("reversal-symmetry-statistic", gap, 3.0 * pooled, gap <= 3.0 * pooled)
 
 
-def check_zero_count_mean(trials: int = 2000) -> CheckResult:
-    est = mc.estimate_zero_count_mean(mc.TrialPlan(10, 1.0, trials, VERIFY_SEED + 14))
+def check_zero_count_mean() -> CheckResult:
+    est = mc.estimate_zero_count_mean(mc.TrialPlan(10, 1.0, 2000, VERIFY_SEED + 14))
     dev = abs(est.point - 5.0)
     return CheckResult("zero-count-mean", dev, 3.0 * est.stderr, dev <= 3.0 * est.stderr)
 
 
-def check_seed_determinism(trials: int = 6000) -> CheckResult:
-    plan1 = mc.TrialPlan(3, 1.0, trials, VERIFY_SEED + 15, workers=1)
-    plan2 = mc.TrialPlan(3, 1.0, trials, VERIFY_SEED + 15, workers=2)
+def check_seed_determinism() -> CheckResult:
+    plan1 = mc.TrialPlan(3, 1.0, 6000, VERIFY_SEED + 15, workers=1)
+    plan2 = mc.TrialPlan(3, 1.0, 6000, VERIFY_SEED + 15, workers=2)
     a = mc.estimate_hole_probability(plan1)
     b = mc.estimate_hole_probability(plan1)
     c = mc.estimate_hole_probability(plan2)

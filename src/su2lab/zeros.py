@@ -209,16 +209,11 @@ def _eval_circle_grid(b: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 def _eval_circle_angles(b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """psi_hat at arbitrary angles by Horner in e^{i theta}.
-
-    ``b`` is ``(B, N+1)``, ``theta`` ``(B, K)`` or ``(1, K)``; returns
-    the broadcast ``(B, K)`` values.
-    """
-    b = np.atleast_2d(b)
-    x = np.exp(1j * np.atleast_2d(np.asarray(theta, dtype=float)))
-    shape = np.broadcast_shapes((b.shape[0], 1), x.shape)
+    """psi_hat of row i of ``b`` (``(B, N+1)``) at the angles ``theta[i]``
+    (``(B, K)``), by Horner in e^{i theta}."""
+    x = np.exp(1j * theta)
     bt = np.ascontiguousarray(b.T)[:, :, None]
-    acc = np.zeros(shape, dtype=complex)
+    acc = np.zeros(x.shape, dtype=complex)
     for k in range(b.shape[1] - 1, -1, -1):
         acc *= x
         acc += bt[k]
@@ -434,7 +429,7 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
         return np.exp(logmag - (n / 2.0) * _log1p_square(az))
 
 
-def find_all_roots(poly: SU2Polynomial, residual_tol: float | None = None) -> ZeroSet:
+def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     """Locate every root by Aberth-Ehrlich iteration.
 
     Leading (high-order) coefficients smaller than 1e-14 of the largest
@@ -466,18 +461,14 @@ def find_all_roots(poly: SU2Polynomial, residual_tol: float | None = None) -> Ze
         locations.extend(roots[0].tolist())
     locs = np.array(locations, dtype=complex)
     residuals = np.abs(evaluate_normalized(poly, locs)) if len(locs) else np.empty(0)
-    zs = ZeroSet(locs, residuals, deficit, n)
-    if residual_tol is not None and len(residuals) and residuals.max() > residual_tol:
-        raise RootFindingError(np.nonzero(residuals > residual_tol)[0])
-    return zs
+    return ZeroSet(locs, residuals, deficit, n)
 
 
-def count_zeros_from_roots(zeros: ZeroSet, disk: Disk,
-                           boundary_margin: float = DEFAULT_BOUNDARY_MARGIN) -> ZeroCount:
-    """Strict-interior count; roots within the margin of the boundary are
-    flagged but still counted by the strict inequality."""
+def count_zeros_from_roots(zeros: ZeroSet, disk: Disk) -> ZeroCount:
+    """Strict-interior count; roots within ``DEFAULT_BOUNDARY_MARGIN`` of
+    the boundary are flagged but still counted by the strict inequality."""
     dist = np.abs(zeros.locations - disk.center)
-    near = int(np.sum(np.abs(dist - disk.radius) <= boundary_margin))
+    near = int(np.sum(np.abs(dist - disk.radius) <= DEFAULT_BOUNDARY_MARGIN))
     return ZeroCount(int(np.sum(dist < disk.radius)), "from_roots", near)
 
 
@@ -507,17 +498,15 @@ def _recentered_disk(center: complex, r: float) -> tuple[complex, float]:
     return t * (center / mod), rho
 
 
-def count_zeros_argument_principle(
-        poly: SU2Polynomial, disk: Disk,
-        boundary_margin: float = DEFAULT_BOUNDARY_MARGIN) -> ZeroCount:
+def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount:
     """Winding number of psi around the disk boundary, as one row of
     ``_winding_rows``.
 
     Off the origin the row is that of psi moved by the rotation of
     ``_recentered_disk``, on |w| = rho, and the margin grows by the
     rotation's largest stretch there.  A zero estimated within
-    ``boundary_margin`` of the contour, or a row that fails the winding
-    rules, raises :class:`ContourError`.
+    ``DEFAULT_BOUNDARY_MARGIN`` of the contour, or a row that fails the
+    winding rules, raises :class:`ContourError`.
     """
     n = poly.degree
     if n == 0:
@@ -525,7 +514,7 @@ def count_zeros_argument_principle(
             raise ValueError("polynomial is identically zero")
         return ZeroCount(0, "argument_principle")
     center, r = disk.center, disk.radius
-    margin = boundary_margin
+    margin = DEFAULT_BOUNDARY_MARGIN
     if center == 0:
         b = _circle_fourier_coeffs(poly.coefficients[None], n, r)
     else:
@@ -541,7 +530,7 @@ def count_zeros_argument_principle(
         margin *= (1.0 + abs(a) * r) ** 2 / (1.0 + abs(a) ** 2)
     counts, ok = _winding_rows(b, r, margin, _next_pow2(_WINDING_SAMPLES * (n + 1)))
     if not ok[0]:
-        raise ContourError(f"zero on or within the margin {boundary_margin} of the contour")
+        raise ContourError(f"zero within the margin {DEFAULT_BOUNDARY_MARGIN} of the contour")
     return ZeroCount(int(counts[0]), "argument_principle")
 
 
@@ -691,43 +680,18 @@ def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
 # circle averages of log |psi|
 
 
-def _patched_logs(b_row: np.ndarray, vals: np.ndarray,
-                  thetas: np.ndarray) -> np.ndarray:
-    """log|vals| with samples below TINY_SAMPLE replaced by the average of
-    two quarter-step-offset evaluations (the log singularity is
-    integrable; the offsets step around an on-node zero)."""
-    mag = np.abs(vals)
-    out = np.log(np.maximum(mag, 1e-300))
-    idx = np.nonzero(mag < TINY_SAMPLE)[0]
-    if len(idx):
-        h = thetas[1] - thetas[0] if len(thetas) > 1 else 2.0 * np.pi
-        offs = np.concatenate((thetas[idx] - 0.25 * h, thetas[idx] + 0.25 * h))
-        v = np.maximum(np.abs(_eval_circle_angles(b_row[None], offs[None])[0]), 1e-300)
-        k = len(idx)
-        out[idx] = 0.5 * (np.log(v[:k]) + np.log(v[k:]))
-    return out
-
-
-def _offset_grid_values(b: np.ndarray, n_nodes: int, half_shift: bool) -> np.ndarray:
-    """psi_hat at M uniform angles, optionally shifted by half a step."""
-    if not half_shift:
-        return _eval_circle_grid(b, n_nodes)
-    phase = np.exp(1j * np.pi * np.arange(b.shape[1]) / n_nodes)
-    return _eval_circle_grid(b * phase, n_nodes)
-
-
 def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
-                            target: float = DEFAULT_QUADRATURE_TARGET,
-                            node_cap: int = NODE_CAP):
+                            target: float = DEFAULT_QUADRATURE_TARGET):
     """Means over the circle of log|psi| and of |log|psi||, per row.
 
     Returns ``(mean_log, mean_abs_log, ok, gap)`` arrays.  Node counts
     double until two successive estimates agree within ``target`` (for
-    both quantities) or the cap is reached; rows at the cap report
-    ``ok=False`` with their best estimate and their last doubling delta as
-    ``gap`` (NaN only when the cap allowed no doubling).  Each doubling
-    reuses earlier samples: only the half-step midpoints are evaluated
-    afresh.
+    both quantities) or the next doubling would pass ``NODE_CAP``; rows at
+    the cap report ``ok=False`` with their best estimate and their last
+    doubling delta as ``gap`` (NaN only when the cap allowed no doubling).
+    Each doubling reuses earlier samples: only the half-step midpoints are
+    evaluated afresh.  Samples are floored at 1e-300, so a zero on a node
+    stays in every later grid and its row, still finite, fails at the cap.
     """
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
@@ -741,19 +705,17 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     ok = np.ones(rows, dtype=bool)
 
     def _accumulate(sel_b: np.ndarray, m: int, half: bool):
-        """Sums of (log + corr) and |log + corr| over one offset grid."""
+        """Sums of (log + corr) and |log + corr| over M angles, half a step on if ``half``."""
         cnt = len(sel_b)
         s1 = np.empty(cnt)
         s2 = np.empty(cnt)
-        start = (np.pi / m) if half else 0.0
-        thetas = start + 2.0 * np.pi * np.arange(m) / m
+        if half:
+            sel_b = sel_b * np.exp(1j * np.pi * np.arange(n + 1) / m)
         row_step = max(1, (1 << 22) // m)
         for s in range(0, cnt, row_step):
-            vals = _offset_grid_values(sel_b[s : s + row_step], m, half)
-            mags = np.abs(vals)
-            logs = np.log(np.maximum(mags, 1e-300))
-            for i in np.nonzero((mags < TINY_SAMPLE).any(axis=1))[0]:
-                logs[i] = _patched_logs(sel_b[s + i], vals[i], thetas)
+            logs = np.abs(_eval_circle_grid(sel_b[s : s + row_step], m))
+            np.maximum(logs, 1e-300, out=logs)
+            np.log(logs, out=logs)
             logs += corr
             s1[s : s + row_step] = logs.sum(axis=1)
             s2[s : s + row_step] = np.abs(logs).sum(axis=1)
@@ -765,7 +727,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     prev1, prev2 = sum1 / m, sum2 / m
     prev_delta = np.full(rows, np.nan)
     while len(active):
-        if 2 * m > node_cap:
+        if 2 * m > NODE_CAP:
             mean_log[active] = prev1
             mean_abs[active] = prev2
             gap[active] = prev_delta
@@ -790,15 +752,14 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     return mean_log, mean_abs, ok, gap
 
 
-def _circle_mean(poly: SU2Polynomial, r: float, target: float, node_cap: int,
-                 absolute: bool) -> float:
+def _circle_mean(poly: SU2Polynomial, r: float, target: float, absolute: bool) -> float:
     """One-row circle mean of log|psi|, or of |log|psi|| when ``absolute``."""
     if not r > 0:
         raise ValueError("radius must be positive")
     if np.abs(poly.coefficients).max() == 0:
         raise ValueError("polynomial is identically zero")
     mean_log, mean_abs, ok, gap = _batch_circle_log_means(
-        poly.coefficients[None], poly.degree, r, target, node_cap
+        poly.coefficients[None], poly.degree, r, target
     )
     value = float((mean_abs if absolute else mean_log)[0])
     if not ok[0]:
@@ -808,22 +769,20 @@ def _circle_mean(poly: SU2Polynomial, r: float, target: float, node_cap: int,
 
 
 def circle_log_integral(poly: SU2Polynomial, r: float,
-                        target: float = DEFAULT_QUADRATURE_TARGET,
-                        node_cap: int = NODE_CAP) -> float:
+                        target: float = DEFAULT_QUADRATURE_TARGET) -> float:
     """Mean of log|psi(r e^{i theta})| over the circle.
 
     Trapezoid on the normalized samples plus the analytic correction
     (N/2) log(1+r^2); node counts double until two successive values agree
-    within ``target`` or the cap is hit.
+    within ``target``; :class:`QuadratureError` is raised at ``NODE_CAP``.
     """
-    return _circle_mean(poly, r, target, node_cap, absolute=False)
+    return _circle_mean(poly, r, target, absolute=False)
 
 
 def circle_abs_log_integral(poly: SU2Polynomial, r: float,
-                            target: float = DEFAULT_QUADRATURE_TARGET,
-                            node_cap: int = NODE_CAP) -> float:
+                            target: float = DEFAULT_QUADRATURE_TARGET) -> float:
     """Mean of |log|psi|| over the circle (the L1 deviation quantity)."""
-    return _circle_mean(poly, r, target, node_cap, absolute=True)
+    return _circle_mean(poly, r, target, absolute=True)
 
 
 def jensen_residual(poly: SU2Polynomial, r: float) -> float:
@@ -847,8 +806,7 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
 # boundary maximum
 
 
-def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray,
-                      tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized golden-section maximization on bracketed unimodal data."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = invphi * invphi
@@ -858,10 +816,10 @@ def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray,
     f1 = obj_fn(x1)
     f2 = obj_fn(x2)
     width = float(np.max(span))
-    if width <= tol:
+    if width <= _ANGLE_TOL:
         n_iter = 1
     else:
-        n_iter = int(math.ceil(math.log(tol / width) / math.log(invphi)))
+        n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
     for _ in range(n_iter):
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
@@ -902,7 +860,7 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
         v = _eval_circle_angles(b, theta)
         return np.log(np.maximum(np.abs(v), 1e-300))
 
-    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h, _ANGLE_TOL)
+    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h)
     scan_best = logs.max(axis=1)
     scan_arg = 2.0 * np.pi * logs.argmax(axis=1) / m
     refined_best = best_val.max(axis=1)
@@ -946,8 +904,7 @@ def poisson_kernel(zeta: complex, z: complex, r: float) -> float:
 
 
 def poisson_partition_deviation(m: int, kappa: float, r: float,
-                                perturbation: float = 0.0,
-                                n_theta: int = 1 << 14) -> float:
+                                perturbation: float = 0.0) -> float:
     """Worst-case deviation of the averaged kernel from 1.
 
     Places the m sources at the midpoints of equal arcs of the circle of
@@ -965,6 +922,7 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
     rho = kappa * r + perturbation
     if rho >= r:
         raise ValueError("perturbed sources must stay strictly inside the circle")
+    n_theta = 1 << 14
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     z = r * np.exp(1j * theta)
     acc = np.zeros(n_theta)
@@ -976,10 +934,9 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
     return float(np.max(np.abs(acc / m - 1.0)))
 
 
-def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float,
-                        target: float = DEFAULT_QUADRATURE_TARGET,
-                        node_cap: int = NODE_CAP) -> float:
-    """Mean of P_r(zeta, .) log|psi| over the circle, by node doubling."""
+def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
+    """Mean of P_r(zeta, .) log|psi| over the circle, by node doubling to
+    ``DEFAULT_QUADRATURE_TARGET`` within ``NODE_CAP`` nodes."""
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
     n = poly.degree
@@ -987,14 +944,13 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float,
     b = _circle_fourier_coeffs(poly.coefficients, n, r)
     m = max(128, _next_pow2(8 * (n + 1)))
     prev = None
-    while m <= node_cap:
+    while m <= NODE_CAP:
         theta = 2.0 * np.pi * np.arange(m) / m
-        vals = _eval_circle_grid(b, m)[0]
-        logs = _patched_logs(b, vals, theta) + corr
+        logs = np.log(np.maximum(np.abs(_eval_circle_grid(b, m)[0]), 1e-300)) + corr
         z = r * np.exp(1j * theta)
         kern = (r * r - abs(zeta) ** 2) / np.abs(z - zeta) ** 2
         cur = float(np.mean(kern * logs))
-        if prev is not None and abs(cur - prev) < target:
+        if prev is not None and abs(cur - prev) < DEFAULT_QUADRATURE_TARGET:
             return cur
         prev = cur
         m *= 2

@@ -30,6 +30,26 @@ class TestExitCodes:
         code, _ = run_cli(["fit-decay", str(f)])
         assert code == 1
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch):
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        path = tmp_path / "missing" / "x.csv"
+        code, out = run_cli(["omega-bound", "-N", "3", "--out", str(path)])
+        assert code == 2
+        assert out == b""
+        err = diag.getvalue()
+        assert err.startswith("usage error: cannot open") and err.count("\n") == 1
+        assert not path.parent.exists()
+
+    def test_missing_results_file_is_usage_error(self, tmp_path, monkeypatch):
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli(["fit-decay", str(tmp_path / "missing.csv")])
+        assert code == 2
+        assert out == b""
+        err = diag.getvalue()
+        assert err.startswith("usage error: cannot open") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["hole", "-N", "2", "--trials", "10"],
         ["sample", "-N", "2"],

@@ -446,11 +446,13 @@ def _spy(monkeypatch, name):
 
 
 class TestConcentrationMemo:
-    """``_run_blocked`` keeps the last boundary-maximum or circle-mean run."""
+    """``_plan_samples`` keeps the last boundary-maximum or circle-mean run."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(mc, "_memo", None)
+    def empty_memo(self):
+        mc._plan_samples.cache_clear()
+        yield
+        mc._plan_samples.cache_clear()
 
     @staticmethod
     def plan(**changes):
@@ -497,34 +499,33 @@ class TestConcentrationMemo:
         out = mc._run_blocked(self.plan(), block)
         assert starts == [0, 0]
         assert out[0].flags.writeable
-        assert mc._memo is None
+        assert mc._plan_samples.cache_info().currsize == 0
 
     @pytest.mark.parametrize("block", [mc._block_circle_means, mc._block_log_max])
     def test_cached_arrays_refuse_writes(self, block):
-        for col in mc._run_blocked(self.plan(), block):
+        for col in mc._plan_samples(self.plan(), block):
             with pytest.raises(ValueError):
                 col[0] = 0
 
     @pytest.mark.parametrize("block", [mc._block_circle_means, mc._block_log_max])
     def test_hit_equals_fresh_run(self, block):
         plan = self.plan(trials=mc.BLOCK_TRIALS + 300)
-        first = mc._run_blocked(plan, block)
-        hit = mc._run_blocked(plan, block)
-        fresh = mc._run_blocked(plan, lambda p, s, e: block(p, s, e))  # not memoised
+        first = mc._plan_samples(plan, block)
+        hit = mc._plan_samples(plan, block)
+        fresh = mc._run_blocked(plan, block)
         assert hit is first
         assert len(hit) == len(fresh)
         for a, b in zip(hit, fresh):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    def test_threads_get_their_own_plan(self, monkeypatch):
+    def test_threads_get_their_own_plan(self):
         # threads alternate two plans through the one entry; a lost race
         # may recompute but must never hand out the other plan's result.
-        # A cheap memoised block makes hits and misses interleave often.
+        # A cheap block makes hits and misses interleave often.
         def seed_block(plan, start, stop):
             return (np.full(stop - start, plan.master_seed),)
 
-        monkeypatch.setattr(mc, "_MEMOISED", (seed_block,))
         wrong = []
 
         def work(k):
@@ -532,7 +533,7 @@ class TestConcentrationMemo:
                 # a fresh plan object: the key compares by TrialPlan.__eq__
                 plan = self.plan(trials=3, master_seed=43 + (i // 2 + k) % 2)
                 try:
-                    if mc._run_blocked(plan, seed_block)[0][0] != plan.master_seed:
+                    if mc._plan_samples(plan, seed_block)[0][0] != plan.master_seed:
                         wrong.append((k, i))
                 except Exception as exc:  # a racing thread's error is a finding too
                     wrong.append((k, i, exc))

@@ -642,17 +642,37 @@ class TestCircleLogIntegral:
             zeros.circle_log_integral(p, 1.0)
         assert math.isfinite(err.value.best_estimate)
 
-    def test_node_cap_reports_last_gap(self):
+    def test_node_cap_reports_last_gap(self, monkeypatch):
+        monkeypatch.setattr(zeros, "NODE_CAP", 1024)
         p = SU2Polynomial(1, [1 + 1e-12, 1])
         with pytest.raises(zeros.QuadratureError) as err:
-            zeros.circle_log_integral(p, 1.0, node_cap=1024)
+            zeros.circle_log_integral(p, 1.0)
         assert math.isfinite(err.value.gap)
         assert err.value.gap >= zeros.DEFAULT_QUADRATURE_TARGET
         _, _, ok, gap = zeros._batch_circle_log_means(
-            np.array([[1 + 1e-12, 1], [1.0, 0.0]]), 1, 1.0, node_cap=1024
+            np.array([[1 + 1e-12, 1], [1.0, 0.0]]), 1, 1.0
         )
         assert ok.tolist() == [False, True]
         assert np.isfinite(gap).all()
+
+    def test_zero_on_a_node_fails_only_its_row(self):
+        # psi = 1 + z has its zero at theta = pi, a node of every grid: the
+        # floored sample stays in each doubling, so the row never settles
+        on_node = SU2Polynomial(1, [1, 1])
+        for integral in (zeros.circle_log_integral, zeros.circle_abs_log_integral):
+            with pytest.raises(zeros.QuadratureError) as err:
+                integral(on_node, 1.0)
+            assert math.isfinite(err.value.best_estimate)
+            assert math.isfinite(err.value.gap)
+        rng = np.random.default_rng(12)
+        rows = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / math.sqrt(2)
+        rows = np.insert(rows, 2, on_node.coefficients, axis=0)
+        batch = zeros._batch_circle_log_means(rows, 1, 1.0)
+        assert batch[2].tolist() == [True, True, False, True, True]
+        for i in (0, 1, 3, 4):
+            alone = zeros._batch_circle_log_means(rows[i : i + 1], 1, 1.0)
+            for got, want in zip(batch, alone):
+                assert got[i : i + 1].tobytes() == want.tobytes()
 
     def test_abs_log_integral_constant(self):
         # |log| of a unit constant is 0, below any outlier threshold
