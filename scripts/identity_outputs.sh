@@ -1,5 +1,5 @@
 #!/bin/sh
-# Write the 13 byte-identity outputs of the Monte Carlo estimators, each at
+# Write the 15 byte-identity outputs of the Monte Carlo estimators, each at
 # --workers 1 and 2, 7 one-polynomial outputs (Aberth roots for
 # N in {12, 50, 200} and seeds 1 and 2, and one zero count from the roots
 # at N = 200), the orthonormality checks at N = 10 and the verify suite as
@@ -13,8 +13,10 @@
 # Disk(0.3+0.2j, 0.7) for the N = 200 polynomials of seeds 0-199.  One
 # more pins the one-row circle means: `circle_log_integral` and
 # `circle_abs_log_integral` at r = 1 of the same polynomials, each as
-# float.hex, or "refused" with the best estimate and the gap: 43 files in
-# all.
+# float.hex, or "refused" with the best estimate and the gap: 47 files in
+# all.  Two of the estimator outputs pin degree 0, which runs the same
+# counting cascade as every other degree: `hole --grid 0,1` and
+# `mean-zeros -N 0` at r = 1, 9000 trials, seed 8, as JSON.
 #
 # The outputs are a pure function of argv, and JSON writes every float
 # exactly (the concentration files as float.hex), so two checkouts that
@@ -53,6 +55,10 @@ for w in 1 2; do
         su2lab deviation -N "$n" -r 1 --delta 0.2 --trials 4000 --seed 5 --workers "$w" \
             > "$out/deviation_N${n}_w${w}.csv"
     done
+    su2lab hole --grid 0,1 -r 1 --trials 9000 --seed 8 --format json \
+        --workers "$w" > "$out/hole_N0_w${w}.json"
+    su2lab mean-zeros -N 0 -r 1 --trials 9000 --seed 8 --format json \
+        --workers "$w" > "$out/mean-zeros_N0_w${w}.json"
     for n in 10 40; do
         PYTHONPATH="$root/src" python3 - "$n" "$w" \
             > "$out/concentration_N${n}_w${w}.json" <<'PY'

@@ -103,7 +103,7 @@ def parse_record(data: bytes) -> ExperimentRecord:
 
 
 class UsageError(ValueError):
-    """Invalid flag combination detected after parsing."""
+    """Invalid input found after parsing: a flag combination or an argv file."""
 
 
 def _open_arg(path: str, mode: str):
@@ -114,7 +114,7 @@ def _open_arg(path: str, mode: str):
         raise UsageError(f"cannot open {path}: {exc.strerror or exc}") from None
 
 
-class ResultsFileError(ValueError):
+class ResultsFileError(UsageError):
     """Malformed results file; carries the offending line number."""
 
     def __init__(self, message: str, line: int):
@@ -130,7 +130,11 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
     """
     with _open_arg(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ResultsFileError(f"not UTF-8: {exc.reason}",
+                               raw.count(b"\n", 0, exc.start) + 1) from exc
     stripped = text.lstrip()
     rows = []
     if stripped.startswith("{") or stripped.startswith("["):
@@ -144,7 +148,8 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
                     rows.append((lineno, int(row["N"]), float(row["point"]),
                                  int(row.get("trials", 0)),
                                  int(row.get("trials_failed", 0))))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                    ValueError) as exc:
                 raise ResultsFileError(str(exc), lineno) from exc
     else:
         reader = csv.DictReader(io.StringIO(text))
@@ -163,7 +168,7 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
         if point <= 0.0:
             print(f"dropped line {lineno}: nonpositive point {point}", file=DIAG)
             continue
-        if trials and failed > 0.01 * trials:
+        if trials and failed > mc.MAX_FAILED_FRACTION * trials:
             print(f"dropped line {lineno}: {failed}/{trials} failed trials",
                   file=DIAG)
             continue
@@ -313,9 +318,9 @@ def _plan_echo(plan: mc.TrialPlan) -> dict:
         "trials": plan.trials,
         "seed": plan.master_seed,
         "tolerances": {
-            "root_residual": plan.tolerances.root_residual,
-            "boundary_margin": plan.tolerances.boundary_margin,
-            "quadrature_target": plan.tolerances.quadrature_target,
+            "root_residual": mc.TOLERANCES.root_residual,
+            "boundary_margin": mc.TOLERANCES.boundary_margin,
+            "quadrature_target": mc.TOLERANCES.quadrature_target,
         },
     }
 
@@ -521,7 +526,6 @@ _NUMERICAL_ERRORS = (
     zeros.ContourError,
     zeros.QuadratureError,
     mc.ReliabilityError,
-    ResultsFileError,
     OverflowError,
     ValueError,
     OSError,
@@ -538,10 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     try:
         if hasattr(args, "workers") and args.workers is None:
-            try:
-                args.workers = mc.default_workers()
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            args.workers = mc.default_workers()
         record = _HANDLERS[args.command](args)
         data = serialize_record(record, args.format)
         if args.out:

@@ -34,10 +34,10 @@ The boundary-maximum and circle-mean blocks (``_block_log_max``,
 ``_block_circle_means``) feed several estimators, which all read them
 through ``_plan_samples``: an ``lru_cache`` of one entry in total, keyed
 by ``(plan, block function)``, whose arrays are read-only.  The whole plan
-is the key, ``workers`` and ``tolerances`` included.  A hit runs no
-kernel, so, as with pool workers, a kernel patched after the held run is
-not reached: a test that monkeypatches a kernel under these blocks must
-clear the cache or use a fresh plan.
+is the key, ``workers`` included.  A hit runs no kernel, so, as with pool
+workers, a kernel or a ``TOLERANCES`` patched after the held run is not
+reached: a test that monkeypatches either must clear the cache with
+``_plan_samples.cache_clear()`` or use a fresh plan.
 """
 
 from __future__ import annotations
@@ -49,13 +49,14 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import _log_normalization, _log_weights, log_binomial
 from .rng import RngSeed, gaussian_matrix
 from .zeros import (
+    DEFAULT_BOUNDARY_MARGIN,
     _aberth_batch,
     _batch_boundary_log_max,
     _batch_circle_log_means,
@@ -97,17 +98,8 @@ class ReliabilityError(RuntimeError):
 
 
 def default_workers() -> int:
-    """``SU2LAB_WORKERS`` when set (a positive integer), else the number of
-    CPUs this process may run on (the CPU count where that is unknown)."""
-    env = os.environ.get("SU2LAB_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"SU2LAB_WORKERS must be a positive integer, got {env!r}")
-        return workers
+    """The number of CPUs this process may run on (the CPU count where that
+    is unknown)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -115,7 +107,7 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical-reject thresholds for trial pipelines.
+    """Numerical-reject thresholds; trial pipelines read ``TOLERANCES``.
 
     The Monte Carlo quadrature target is looser than the 1e-9 default of
     the single-polynomial circle average: estimator events compare circle
@@ -124,8 +116,11 @@ class Tolerances:
     """
 
     root_residual: float = 1e-8
-    boundary_margin: float = 1e-9
+    boundary_margin: float = DEFAULT_BOUNDARY_MARGIN
     quadrature_target: float = 1e-6
+
+
+TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,6 @@ class TrialPlan:
     trials: int
     master_seed: int
     workers: int = 1
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -276,8 +270,8 @@ def _root_counts(alpha: np.ndarray, plan: TrialPlan):
     """Aberth zero counts in B(0, r) with a trust mask (converged and
     residuals within tolerance)."""
     roots, conv = _aberth_batch(alpha * np.exp(_log_weights(plan.degree)))
-    res = _normalized_residuals(alpha, plan.degree, roots).max(axis=1)
-    trusted = conv & (res <= plan.tolerances.root_residual)
+    res = _normalized_residuals(alpha, plan.degree, roots).max(axis=1, initial=0.0)
+    trusted = conv & (res <= TOLERANCES.root_residual)
     return (np.abs(roots) < plan.radius).sum(axis=1).astype(np.int64), trusted
 
 
@@ -291,7 +285,7 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     ``CROSS_CHECK_EVERY``-th trial is recounted by winding and by the root
     oracle; a trustworthy disagreement fails the trial and marks it a
     mismatch."""
-    n, r, margin = plan.degree, plan.radius, plan.tolerances.boundary_margin
+    n, r, margin = plan.degree, plan.radius, TOLERANCES.boundary_margin
     alpha = _sample_block(plan, start, stop)
     counts, ok = _batch_schur_cohn(alpha, n, r, margin)
     sampled = np.arange(start, stop) % CROSS_CHECK_EVERY == 0
@@ -327,7 +321,7 @@ def _block_log_max(plan: TrialPlan, start: int, stop: int):
 def _block_circle_means(plan: TrialPlan, start: int, stop: int):
     alpha = _sample_block(plan, start, stop)
     mean_log, mean_abs, ok, _ = _batch_circle_log_means(
-        alpha, plan.degree, plan.radius, target=plan.tolerances.quadrature_target
+        alpha, plan.degree, plan.radius, target=TOLERANCES.quadrature_target
     )
     return mean_log, mean_abs, _log_norm(alpha), ~ok
 
@@ -481,8 +475,6 @@ def zero_count_samples(plan: TrialPlan):
     for the mean/deviation estimators and for consistency checks that need
     a common trial set.
     """
-    if plan.degree == 0:
-        return np.zeros(plan.trials, dtype=np.int64), np.zeros(plan.trials, dtype=bool)
     counts, failed, _ = _run_blocked(plan, _block_counts)
     return counts, failed
 

@@ -699,10 +699,6 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     corr = _log_normalization(n, r)
     b = _circle_fourier_coeffs(alpha, n, r)
     m0 = max(128, _next_pow2(8 * (n + 1)))
-    mean_log = np.full(rows, np.nan)
-    mean_abs = np.full(rows, np.nan)
-    gap = np.full(rows, np.nan)
-    ok = np.ones(rows, dtype=bool)
 
     def _accumulate(sel_b: np.ndarray, m: int, half: bool):
         """Sums of (log + corr) and |log + corr| over M angles, half a step on if ``half``."""
@@ -724,31 +720,20 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     active = np.arange(rows)
     sum1, sum2 = _accumulate(b, m0, half=False)
     m = m0
-    prev1, prev2 = sum1 / m, sum2 / m
-    prev_delta = np.full(rows, np.nan)
-    while len(active):
-        if 2 * m > NODE_CAP:
-            mean_log[active] = prev1
-            mean_abs[active] = prev2
-            gap[active] = prev_delta
-            ok[active] = False
-            break
+    mean_log, mean_abs = sum1 / m, sum2 / m
+    gap = np.full(rows, np.nan)
+    while len(active) and 2 * m <= NODE_CAP:
         a1, a2 = _accumulate(b[active], m, half=True)
-        sum1 += a1
-        sum2 += a2
+        sum1[active] += a1
+        sum2[active] += a2
         m *= 2
-        cur1, cur2 = sum1 / m, sum2 / m
-        delta = np.maximum(np.abs(cur1 - prev1), np.abs(cur2 - prev2))
-        settled = delta < target
-        done = active[settled]
-        mean_log[done] = cur1[settled]
-        mean_abs[done] = cur2[settled]
-        gap[done] = delta[settled]
-        keep = ~settled
-        active = active[keep]
-        sum1, sum2 = sum1[keep], sum2[keep]
-        prev1, prev2 = cur1[keep], cur2[keep]
-        prev_delta = delta[keep]
+        cur1, cur2 = sum1[active] / m, sum2[active] / m
+        gap[active] = np.maximum(np.abs(cur1 - mean_log[active]),
+                                 np.abs(cur2 - mean_abs[active]))
+        mean_log[active], mean_abs[active] = cur1, cur2
+        active = active[~(gap[active] < target)]
+    ok = np.ones(rows, dtype=bool)
+    ok[active] = False
     return mean_log, mean_abs, ok, gap
 
 
@@ -816,22 +801,15 @@ def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     f1 = obj_fn(x1)
     f2 = obj_fn(x2)
     width = float(np.max(span))
-    if width <= _ANGLE_TOL:
-        n_iter = 1
-    else:
-        n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
+    n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
     for _ in range(n_iter):
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
         x1_new = np.where(take_left, lo + invphi2 * (hi - lo), x2)
         x2_new = np.where(take_left, x1, lo + invphi * (hi - lo))
-        carried_f1 = np.where(take_left, np.nan, f2)
-        carried_f2 = np.where(take_left, f1, np.nan)
-        need = np.where(take_left, x1_new, x2_new)
-        fresh = obj_fn(need)
-        f1 = np.where(take_left, fresh, carried_f1)
-        f2 = np.where(take_left, carried_f2, fresh)
+        fresh = obj_fn(np.where(take_left, x1_new, x2_new))
+        f1, f2 = np.where(take_left, fresh, f2), np.where(take_left, f1, fresh)
         x1, x2 = x1_new, x2_new
     mid = 0.5 * (lo + hi)
     return mid, obj_fn(mid)

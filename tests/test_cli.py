@@ -30,6 +30,22 @@ class TestExitCodes:
         code, _ = run_cli(["fit-decay", str(f)])
         assert code == 1
 
+    @pytest.mark.parametrize("data,line", [
+        (b"N,point\n2,0.8\n4,0.4\n6,\xb10.1\n", 4),
+        (b"N,point\n2,0.8\nx,0.4\n6,0.1\n", 3),
+        (b'{"result": {"N": 2, "point": 0.8}}\n{"result": 5}\n', 2),
+    ], ids=["not-utf8", "bad-csv-row", "bad-json-result"])
+    def test_bad_results_file_is_usage_error(self, data, line, tmp_path, monkeypatch):
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        f = tmp_path / "results"
+        f.write_bytes(data)
+        code, out = run_cli(["fit-decay", str(f)])
+        assert code == 2
+        assert out == b""
+        err = diag.getvalue()
+        assert err.startswith(f"usage error: line {line}: ") and err.count("\n") == 1
+
     def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch):
         diag = io.StringIO()
         monkeypatch.setattr(cli, "DIAG", diag)
@@ -62,18 +78,6 @@ class TestExitCodes:
         assert out == b""
         assert "64 unsigned bits" in capsys.readouterr().err
         code, _ = run_cli(argv + ["--seed", str(2**64 - 1), "--format", "json"])
-        assert code == 0
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_worker_environment_is_usage_error(self, value, monkeypatch):
-        monkeypatch.setenv("SU2LAB_WORKERS", value)
-        diag = io.StringIO()
-        monkeypatch.setattr(cli, "DIAG", diag)
-        code, out = run_cli(["hole", "-N", "1", "--trials", "10"])
-        assert code == 2
-        assert out == b""
-        assert "SU2LAB_WORKERS must be a positive integer" in diag.getvalue()
-        code, _ = run_cli(["hole", "-N", "1", "--trials", "10", "--workers", "1"])
         assert code == 0
 
     @pytest.mark.parametrize("argv,rule", [
@@ -342,22 +346,9 @@ class TestPipelines:
 
 
 class TestWorkerDefaults:
-    def test_env_variable_controls_default(self, monkeypatch):
-        from su2lab import montecarlo as mc
-
-        monkeypatch.setenv("SU2LAB_WORKERS", "3")
-        assert mc.default_workers() == 3
-        for bad in ("abc", "0", "-1", "2.5"):
-            monkeypatch.setenv("SU2LAB_WORKERS", bad)
-            with pytest.raises(ValueError, match="SU2LAB_WORKERS"):
-                mc.default_workers()
-        monkeypatch.delenv("SU2LAB_WORKERS")
-        assert mc.default_workers() >= 1
-
     def test_default_is_cpus_this_process_may_use(self, monkeypatch):
         from su2lab import montecarlo as mc
 
-        monkeypatch.delenv("SU2LAB_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)

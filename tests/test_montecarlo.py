@@ -284,21 +284,24 @@ class TestConcentrationEstimators:
         with pytest.raises(ValueError):
             mc.circle_average_lower_tail_frequency(plan, 1.0)
 
-    def test_unreachable_quadrature_target_is_refused(self):
+    def test_unreachable_quadrature_target_is_refused(self, monkeypatch):
         # a zero gap target forces every trial to the node cap; the
         # estimator must refuse rather than report from failed trials
-        plan = mc.TrialPlan(4, 1.0, 200, 1,
-                            tolerances=mc.Tolerances(quadrature_target=0.0))
-        with pytest.raises(mc.ReliabilityError):
-            mc.circle_average_lower_tail_frequency(plan, 0.5)
+        monkeypatch.setattr(mc, "TOLERANCES", mc.Tolerances(quadrature_target=0.0))
+        mc._plan_samples.cache_clear()
+        plan = mc.TrialPlan(4, 1.0, 200, 1)
+        try:
+            with pytest.raises(mc.ReliabilityError):
+                mc.circle_average_lower_tail_frequency(plan, 0.5)
+        finally:
+            mc._plan_samples.cache_clear()
 
-    def test_absurd_boundary_margin_is_refused(self):
+    def test_absurd_boundary_margin_is_refused(self, monkeypatch):
         # margin wider than the disk flags every trial's contour as
         # singular, tripping the failed-trial guard
-        plan = mc.TrialPlan(4, 1.0, 200, 1,
-                            tolerances=mc.Tolerances(boundary_margin=1.0))
+        monkeypatch.setattr(mc, "TOLERANCES", mc.Tolerances(boundary_margin=1.0))
         with pytest.raises(mc.ReliabilityError):
-            mc.estimate_hole_probability(plan)
+            mc.estimate_hole_probability(mc.TrialPlan(4, 1.0, 200, 1))
 
 
 class TestConditionalEstimators:
@@ -472,8 +475,8 @@ class TestConcentrationMemo:
 
     @pytest.mark.parametrize("changes", [
         dict(workers=2),
-        dict(tolerances=mc.Tolerances(quadrature_target=1e-7)),
         dict(master_seed=42),
+        dict(degree=7),
     ])
     def test_other_plan_misses(self, changes, monkeypatch):
         means = _spy(monkeypatch, "_batch_circle_log_means")
