@@ -13,10 +13,15 @@
 # Disk(0.3+0.2j, 0.7) for the N = 200 polynomials of seeds 0-199.  One
 # more pins the one-row circle means: `circle_log_integral` and
 # `circle_abs_log_integral` at r = 1 of the same polynomials, each as
-# float.hex, or "refused" with the best estimate and the gap: 47 files in
-# all.  Two of the estimator outputs pin degree 0, which runs the same
-# counting cascade as every other degree: `hole --grid 0,1` and
-# `mean-zeros -N 0` at r = 1, 9000 trials, seed 8, as JSON.
+# float.hex, or "refused" with the best estimate and the gap.  Two of the
+# estimator outputs pin degree 0, which runs the same counting cascade as
+# every other degree: `hole --grid 0,1` and `mean-zeros -N 0` at r = 1,
+# 9000 trials, seed 8, as JSON.  The last ten pin the record shapes and the
+# decay fit: single-row JSON records of `hole -N 4` and `deviation -N 10`,
+# and `fit-decay --grid 2,4,6` (each at --workers 1 and 2), `fit-decay` on
+# the r = 0.5, seed 2 hole file (whose N = 16 row has point 0 and is
+# dropped), `omega-bound` for one degree and for a grid, and
+# `count -N 200` as JSON: 57 files in all.
 #
 # The outputs are a pure function of argv, and JSON writes every float
 # exactly (the concentration files as float.hex), so two checkouts that
@@ -59,6 +64,12 @@ for w in 1 2; do
         --workers "$w" > "$out/hole_N0_w${w}.json"
     su2lab mean-zeros -N 0 -r 1 --trials 9000 --seed 8 --format json \
         --workers "$w" > "$out/mean-zeros_N0_w${w}.json"
+    su2lab hole -N 4 -r 0.5 --trials 20000 --seed 9 --format json \
+        --workers "$w" > "$out/hole_N4_w${w}.json"
+    su2lab deviation -N 10 -r 1 --delta 0.2 --trials 4000 --seed 5 --format json \
+        --workers "$w" > "$out/deviation_N10_w${w}.json"
+    su2lab fit-decay --grid 2,4,6 -r 0.5 --trials 20000 --seed 3 --format json \
+        --workers "$w" > "$out/fit-decay_grid_w${w}.json"
     for n in 10 40; do
         PYTHONPATH="$root/src" python3 - "$n" "$w" \
             > "$out/concentration_N${n}_w${w}.json" <<'PY'
@@ -130,5 +141,10 @@ for n in 12 50 200; do
     done
 done
 su2lab count -N 200 -r 1 --seed 1 > "$out/count_N200.csv"
+su2lab count -N 200 -r 1 --seed 1 --format json > "$out/count_N200.json"
+# relative, so the echoed file name is the same in every OUTDIR
+(cd "$out" && su2lab fit-decay hole_r0.5_s2_w1.json --format json > fit-decay_file.json)
+su2lab omega-bound -N 3 -r 0.5 --format json > "$out/omega-bound_N3.json"
+su2lab omega-bound --grid 1,2,3 -r 0.5 --format json > "$out/omega-bound_grid.json"
 su2lab orthonormality -N 10 --format json > "$out/orthonormality_N10.json"
 su2lab verify --format json > "$out/verify.json"

@@ -91,17 +91,6 @@ def serialize_record(record: ExperimentRecord, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def parse_record(data: bytes) -> ExperimentRecord:
-    """Inverse of JSON serialization, for round-trip checks."""
-    obj = json.loads(data.decode("utf-8"))
-    return ExperimentRecord(
-        command=obj["command"],
-        plan=obj["plan"],
-        result=obj["result"],
-        tool_version=obj["tool_version"],
-    )
-
-
 class UsageError(ValueError):
     """Invalid input found after parsing: a flag combination or an argv file."""
 
@@ -122,12 +111,27 @@ class ResultsFileError(UsageError):
         super().__init__(f"line {line}: {message}")
 
 
-def parse_results_file(path: str) -> list[tuple[int, float]]:
-    """Extract (N, log point) pairs from a hole-results CSV or JSON file.
+def _fit_points(rows) -> list[tuple[int, float]]:
+    """(N, log point) of the usable hole rows, each given as ``(where, N,
+    point, trials, trials_failed)``.  A row whose point is outside (0, 1] or
+    with more than 1% failed trials is dropped, with ``where`` naming it on
+    stderr; fewer than 3 usable rows is an error."""
+    usable = []
+    for where, n, point, trials, failed in rows:
+        if not 0.0 < point <= 1.0:
+            print(f"dropped {where}: point {point} outside (0, 1]", file=DIAG)
+        elif trials and failed > mc.MAX_FAILED_FRACTION * trials:
+            print(f"dropped {where}: {failed}/{trials} failed trials", file=DIAG)
+        else:
+            usable.append((n, math.log(point)))
+    if len(usable) < 3:
+        raise ValueError(f"only {len(usable)} usable points; need at least 3")
+    return usable
 
-    Rows with nonpositive points or more than 1% failed trials are
-    dropped (reported on stderr); fewer than 3 usable rows is an error.
-    """
+
+def parse_results_file(path: str) -> list[tuple[int, float]]:
+    """The ``_fit_points`` of a hole-results CSV or JSON file.  A missing,
+    empty or null ``trials`` or ``trials_failed`` reads as 0."""
     with _open_arg(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -135,47 +139,32 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
     except UnicodeDecodeError as exc:
         raise ResultsFileError(f"not UTF-8: {exc.reason}",
                                raw.count(b"\n", 0, exc.start) + 1) from exc
-    stripped = text.lstrip()
-    rows = []
-    if stripped.startswith("{") or stripped.startswith("["):
+    bad_row = (AttributeError, KeyError, TypeError, ValueError)
+    if text.lstrip().startswith(("{", "[")):
+        rows = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                result = obj["result"]
-                for row in result.get("rows", [result]):
-                    rows.append((lineno, int(row["N"]), float(row["point"]),
-                                 int(row.get("trials", 0)),
-                                 int(row.get("trials_failed", 0))))
-            except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
-                    ValueError) as exc:
+                result = json.loads(line)["result"]
+                rows += [(lineno, row) for row in result.get("rows", [result])]
+            except bad_row as exc:
                 raise ResultsFileError(str(exc), lineno) from exc
     else:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None or "N" not in reader.fieldnames \
                 or "point" not in reader.fieldnames:
             raise ResultsFileError("missing N/point columns", 1)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((lineno, int(row["N"]), float(row["point"]),
-                             int(row.get("trials") or 0),
-                             int(row.get("trials_failed") or 0)))
-            except (TypeError, ValueError) as exc:
-                raise ResultsFileError(str(exc), lineno) from exc
-    usable = []
-    for lineno, n, point, trials, failed in rows:
-        if point <= 0.0:
-            print(f"dropped line {lineno}: nonpositive point {point}", file=DIAG)
-            continue
-        if trials and failed > mc.MAX_FAILED_FRACTION * trials:
-            print(f"dropped line {lineno}: {failed}/{trials} failed trials",
-                  file=DIAG)
-            continue
-        usable.append((n, math.log(point)))
-    if len(usable) < 3:
-        raise ValueError(f"only {len(usable)} usable points; need at least 3")
-    return usable
+        rows = enumerate(reader, start=2)
+    points = []
+    for lineno, row in rows:
+        try:
+            points.append((f"line {lineno}", int(row["N"]), float(row["point"]),
+                           int(row.get("trials") or 0),
+                           int(row.get("trials_failed") or 0)))
+        except bad_row as exc:
+            raise ResultsFileError(str(exc), lineno) from exc
+    return _fit_points(points)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +334,17 @@ def _make_plan(args, degree: int) -> mc.TrialPlan:
                         master_seed=args.seed, workers=args.workers)
 
 
+def _hole_rows(args, degrees) -> list[dict]:
+    plans = [_make_plan(args, degree) for degree in degrees]
+    return [_estimate_row(p, mc.estimate_hole_probability(p)) for p in plans]
+
+
+def _rows_result(rows: list[dict], **extra) -> dict:
+    """A record's ``result``: its rows, a lone row's fields again at the top
+    level, then ``extra``."""
+    return {"rows": rows, **(rows[0] if len(rows) == 1 else {}), **extra}
+
+
 def _handle_sample(args) -> ExperimentRecord:
     poly = model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
     rows = [
@@ -384,17 +384,15 @@ def _handle_count(args) -> ExperimentRecord:
     return ExperimentRecord(
         command="count",
         plan={"N": args.degree, "r": args.radius, "seed": args.seed},
-        result={"rows": [row], **row},
+        result=_rows_result([row]),
     )
 
 
 def _handle_mean_zeros(args) -> ExperimentRecord:
     plan = _make_plan(args, args.degree)
-    est = mc.estimate_zero_count_mean(plan)
-    return ExperimentRecord(
-        command="mean-zeros", plan=_plan_echo(plan),
-        result={"rows": [_estimate_row(plan, est)], **_estimate_row(plan, est)},
-    )
+    row = _estimate_row(plan, mc.estimate_zero_count_mean(plan))
+    return ExperimentRecord(command="mean-zeros", plan=_plan_echo(plan),
+                            result=_rows_result([row]))
 
 
 def _handle_deviation(args) -> ExperimentRecord:
@@ -404,25 +402,17 @@ def _handle_deviation(args) -> ExperimentRecord:
     plan_echo = _plan_echo(plan)
     plan_echo["delta"] = args.delta
     return ExperimentRecord(command="deviation", plan=plan_echo,
-                            result={"rows": [row], **row})
+                            result=_rows_result([row]))
 
 
 def _handle_hole(args) -> ExperimentRecord:
     degrees = args.grid if args.grid is not None else [args.degree]
-    rows = []
-    plans = []
-    for degree in degrees:
-        plan = _make_plan(args, degree)
-        plans.append(plan)
-        est = mc.estimate_hole_probability(plan)
-        rows.append(_estimate_row(plan, est))
-    plan_echo = _plan_echo(plans[0])
+    rows = _hole_rows(args, degrees)
+    plan_echo = _plan_echo(_make_plan(args, degrees[0]))
     if args.grid is not None:
         plan_echo["grid"] = list(degrees)
-    result = {"rows": rows}
-    if len(rows) == 1:
-        result.update(rows[0])
-    return ExperimentRecord(command="hole", plan=plan_echo, result=result)
+    return ExperimentRecord(command="hole", plan=plan_echo,
+                            result=_rows_result(rows))
 
 
 def _handle_omega(args) -> ExperimentRecord:
@@ -431,13 +421,10 @@ def _handle_omega(args) -> ExperimentRecord:
         {"N": n, "r": args.radius, "log_prob": mc.omega_lower_bound(n, args.radius)}
         for n in degrees
     ]
-    result = {"rows": rows}
-    if len(rows) == 1:
-        result.update(rows[0])
     return ExperimentRecord(
         command="omega-bound",
         plan={"N": list(degrees), "r": args.radius},
-        result=result,
+        result=_rows_result(rows),
     )
 
 
@@ -451,25 +438,17 @@ def _handle_fit_decay(args) -> ExperimentRecord:
         points = parse_results_file(args.results_file)
         plan_echo = {"results_file": args.results_file}
     else:
-        points = []
-        for degree in args.grid:
-            plan = _make_plan(args, degree)
-            est = mc.estimate_hole_probability(plan)
-            if est.point <= 0.0:
-                print(f"dropped N={degree}: zero hole events", file=DIAG)
-                continue
-            points.append((degree, math.log(est.point)))
+        points = _fit_points((f"N={row['N']}", row["N"], row["point"],
+                              row["trials"], row["trials_failed"])
+                             for row in _hole_rows(args, args.grid))
         plan_echo = {"grid": list(args.grid), "r": args.radius,
                      "trials": args.trials, "seed": args.seed}
-        if len(points) < 3:
-            raise ValueError(f"only {len(points)} usable points; need at least 3")
     fit = mc.fit_decay_exponent(points)
     row = {"c_hat": fit.c_hat, "intercept": fit.intercept,
            "r_squared": fit.r_squared, "n_points": len(fit.points)}
     return ExperimentRecord(
         command="fit-decay", plan=plan_echo,
-        result={"rows": [row], **row,
-                "points": [[n, lp] for n, lp in fit.points]},
+        result=_rows_result([row], points=[[n, lp] for n, lp in fit.points]),
     )
 
 

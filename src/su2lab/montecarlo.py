@@ -180,11 +180,6 @@ class DeviationSpec:
 # blocked, schedule-invariant trial execution
 
 
-def _invoke(args):
-    fn, plan, start, stop = args
-    return fn(plan, start, stop)
-
-
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
 _pool_pid = 0  # the process that started the pool
@@ -226,13 +221,15 @@ def _worker_pool(size: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def _map_blocks(size: int, tasks: list) -> list:
+def _map_blocks(size: int, fn, *iterables) -> list:
+    """``list(map(fn, *iterables))`` on the shared pool of ``size`` workers.
+    The iterables must be sequences: a retry reads them again."""
     with _pool_lock:
         try:
-            results = _worker_pool(size).map(_invoke, tasks)
+            results = _worker_pool(size).map(fn, *iterables)
         except BrokenProcessPool:  # a worker died while the pool sat idle
             _close_pool()
-            results = _worker_pool(size).map(_invoke, tasks)
+            results = _worker_pool(size).map(fn, *iterables)
         try:
             return list(results)
         except BrokenProcessPool:  # a worker died running these blocks
@@ -249,15 +246,12 @@ def _run_blocked(plan: TrialPlan, fn):
     ``workers > 1`` go to the shared pool, sized
     ``min(workers, blocks)``.
     """
-    blocks = [
-        (s, min(s + BLOCK_TRIALS, plan.trials))
-        for s in range(0, plan.trials, BLOCK_TRIALS)
-    ]
-    if plan.workers == 1 or len(blocks) == 1:
-        parts = [fn(plan, s, e) for s, e in blocks]
+    starts = range(0, plan.trials, BLOCK_TRIALS)
+    blocks = ([plan] * len(starts), starts, [*starts[1:], plan.trials])
+    if plan.workers == 1 or len(starts) == 1:
+        parts = list(map(fn, *blocks))
     else:
-        parts = _map_blocks(min(plan.workers, len(blocks)),
-                            [(fn, plan, s, e) for s, e in blocks])
+        parts = _map_blocks(min(plan.workers, len(starts)), fn, *blocks)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

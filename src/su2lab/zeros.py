@@ -208,24 +208,13 @@ def _eval_circle_grid(b: np.ndarray, n_nodes: int) -> np.ndarray:
     return vals
 
 
-def _eval_circle_angles(b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """psi_hat of row i of ``b`` (``(B, N+1)``) at the angles ``theta[i]``
-    (``(B, K)``), by Horner in e^{i theta}."""
-    x = np.exp(1j * theta)
-    bt = np.ascontiguousarray(b.T)[:, :, None]
-    acc = np.zeros(x.shape, dtype=complex)
-    for k in range(b.shape[1] - 1, -1, -1):
-        acc *= x
-        acc += bt[k]
-    return acc
-
-
 def _eval_row_angles(bt: np.ndarray, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """psi_hat of row ``row[i]`` at angle ``theta[i]``, from the
-    coefficient-major ``bt`` (``b.T``).  One Horner pass gathers one
-    coefficient column per step, so memory stays O(points)."""
+    """psi_hat of row ``row`` at angle ``theta``, from the coefficient-major
+    ``bt`` (``b.T``), by Horner in e^{i theta}; ``row`` broadcasts against
+    ``theta``.  Each step gathers one coefficient per entry of ``row``, so
+    memory stays O(points)."""
     x = np.exp(1j * theta)
-    acc = np.zeros(len(row), dtype=complex)
+    acc = np.zeros(x.shape, dtype=complex)
     for c in bt[::-1]:
         acc *= x
         acc += c[row]
@@ -833,9 +822,11 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     top3 = np.argpartition(masked, -3, axis=1)[:, -3:]
     theta0 = 2.0 * np.pi * top3 / m
     h = 2.0 * np.pi / m
+    bt = np.ascontiguousarray(b.T)
+    rows = np.arange(len(b))[:, None]
 
     def objective(theta):
-        v = _eval_circle_angles(b, theta)
+        v = _eval_row_angles(bt, rows, theta)
         return np.log(np.maximum(np.abs(v), 1e-300))
 
     best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h)

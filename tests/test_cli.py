@@ -175,8 +175,9 @@ class TestRecords:
                                  "quadrature_target": 1e-6}},
             result={"point": 0.5, "stderr": 0.0016},
         )
-        back = cli.parse_record(cli.serialize_record(rec, "json"))
-        assert back == rec
+        back = json.loads(cli.serialize_record(rec, "json"))
+        assert back == {"command": rec.command, "plan": rec.plan,
+                        "result": rec.result, "tool_version": rec.tool_version}
 
     def test_shortest_round_trip_floats(self):
         rec = cli.ExperimentRecord(
@@ -230,6 +231,17 @@ class TestParseResultsFile:
         )
         points = cli.parse_results_file(str(f))
         assert [n for n, _ in points] == [2, 6, 8]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1.5"])
+    def test_drops_points_outside_unit_interval(self, bad, tmp_path, monkeypatch):
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        f = tmp_path / "holes.csv"
+        f.write_text(f"N,point\n2,0.8\n4,{bad}\n6,0.1\n8,0.01\n")
+        points = cli.parse_results_file(str(f))
+        assert [n for n, _ in points] == [2, 6, 8]
+        assert diag.getvalue() == \
+            f"dropped line 3: point {float(bad)} outside (0, 1]\n"
 
     def test_too_few_points(self, tmp_path):
         f = tmp_path / "holes.csv"
@@ -327,6 +339,12 @@ class TestPipelines:
         row = json.loads(out)["result"]
         assert row["n_points"] == 3
         assert row["r_squared"] > 0.9
+        # the grid source fits the same points to the same bits
+        code, out = run_cli(["fit-decay", "--grid", "2,4,6", "-r", "0.5",
+                             "--trials", "20000", "--seed", "3",
+                             "--workers", "1", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["result"] == row
 
     def test_orthonormality_command(self):
         code, out = run_cli(["orthonormality", "-N", "8"])

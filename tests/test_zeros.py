@@ -805,6 +805,18 @@ class TestMaxModulus:
         dense = float(np.max(np.abs(acc)))
         assert mm.value == pytest.approx(dense, rel=1e-8)
 
+    def test_row_angles_broadcast(self):
+        # the golden-section call, (B, 1) rows against (B, K) angles, equals
+        # the bisection's flat call on the same points bit for bit
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
+        theta = rng.uniform(0.0, 2.0 * np.pi, (6, 3))
+        bt = np.ascontiguousarray(b.T)
+        grid = zeros._eval_row_angles(bt, np.arange(6)[:, None], theta)
+        flat = zeros._eval_row_angles(bt, np.repeat(np.arange(6), 3), theta.ravel())
+        assert grid.shape == theta.shape
+        assert np.array_equal(grid.ravel(), flat)
+
     def test_log_safe_form(self):
         n = 600  # value ~ e^210: still representable
         p = SU2Polynomial(n, np.ones(n + 1))
