@@ -2,102 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .model import (
-    BasisChangeMatrix,
-    SU2Polynomial,
-    basis_change_matrix,
-    eq2_identity_residual,
-    evaluate,
-    evaluate_normalized,
-    fs_inner_product,
-    log_binomial,
-    reverse_coefficients,
-    sample_polynomial,
-)
-from .montecarlo import (
-    DecayFit,
-    DeviationSpec,
-    Estimate,
-    ReliabilityError,
-    Tolerances,
-    TrialPlan,
-    circle_average_lower_tail_frequency,
-    circle_average_lower_tail_probability,
-    estimate_deviation_probability,
-    estimate_hole_probability,
-    estimate_zero_count_mean,
-    expected_zero_count,
-    fit_decay_exponent,
-    log_l1_outlier_frequency,
-    max_modulus_outlier_frequency,
-    max_modulus_outlier_probability,
-    omega_lower_bound,
-)
+from . import model, montecarlo, zeros
+from .model import *
+from .montecarlo import *
 from .rng import RngSeed
-from .zeros import (
-    BoundaryMaximum,
-    ContourError,
-    Disk,
-    QuadratureError,
-    RootFindingError,
-    ZeroCount,
-    ZeroSet,
-    circle_abs_log_integral,
-    circle_log_integral,
-    count_zeros_argument_principle,
-    count_zeros_from_roots,
-    find_all_roots,
-    jensen_residual,
-    max_modulus_boundary,
-    poisson_kernel,
-    poisson_log_average,
-    poisson_partition_deviation,
-)
+from .zeros import *
 
-__all__ = [
-    "BasisChangeMatrix",
-    "BoundaryMaximum",
-    "ContourError",
-    "DecayFit",
-    "DeviationSpec",
-    "Disk",
-    "Estimate",
-    "QuadratureError",
-    "ReliabilityError",
-    "RngSeed",
-    "RootFindingError",
-    "SU2Polynomial",
-    "Tolerances",
-    "TrialPlan",
-    "ZeroCount",
-    "ZeroSet",
-    "basis_change_matrix",
-    "circle_abs_log_integral",
-    "circle_average_lower_tail_frequency",
-    "circle_average_lower_tail_probability",
-    "circle_log_integral",
-    "count_zeros_argument_principle",
-    "count_zeros_from_roots",
-    "eq2_identity_residual",
-    "estimate_deviation_probability",
-    "estimate_hole_probability",
-    "estimate_zero_count_mean",
-    "evaluate",
-    "evaluate_normalized",
-    "expected_zero_count",
-    "find_all_roots",
-    "fit_decay_exponent",
-    "fs_inner_product",
-    "jensen_residual",
-    "log_binomial",
-    "log_l1_outlier_frequency",
-    "max_modulus_boundary",
-    "max_modulus_outlier_frequency",
-    "max_modulus_outlier_probability",
-    "omega_lower_bound",
-    "poisson_kernel",
-    "poisson_log_average",
-    "poisson_partition_deviation",
-    "reverse_coefficients",
-    "sample_polynomial",
-]
+__all__ = [*model.__all__, *montecarlo.__all__, "RngSeed", *zeros.__all__]

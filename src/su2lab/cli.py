@@ -79,13 +79,10 @@ def serialize_record(record: ExperimentRecord, fmt: str) -> bytes:
         return (json.dumps(payload) + "\n").encode("utf-8")
     if fmt == "csv":
         columns = CSV_COLUMNS[record.command]
-        rows = record.result.get("rows")
-        if rows is None:
-            rows = [record.result]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
+        for row in record.result["rows"]:
             writer.writerow([_fmt(row[c]) for c in columns])
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
@@ -159,7 +156,8 @@ def parse_results_file(path: str) -> list[tuple[int, float]]:
     points = []
     for lineno, row in rows:
         try:
-            points.append((f"line {lineno}", int(row["N"]), float(row["point"]),
+            n = int(row["N"])
+            points.append((f"line {lineno} (N={n})", n, float(row["point"]),
                            int(row.get("trials") or 0),
                            int(row.get("trials_failed") or 0)))
         except bad_row as exc:
@@ -532,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=DIAG)
+        return 1
+    except MemoryError as exc:  # the limit is the machine's, not the input's
+        print(f"error: {str(exc) or 'out of memory'}", file=DIAG)
         return 1
     if not args.out:
         sys.stdout.buffer.write(data)

@@ -54,20 +54,6 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def stream_key(master_seed: int, trial_index: int) -> int:
-    return mix64((master_seed + _GAMMA * (trial_index + 1)) & _MASK64)
-
-
-def complex_gaussian(seed: RngSeed, j: int) -> complex:
-    """Standard complex Gaussian for coefficient ``j`` of trial ``seed``.
-
-    Routed through the batch kernel so scalar and batched sampling are
-    bit-identical (scalar and SIMD transcendentals may differ by an ulp).
-    """
-    trials = np.array([seed.trial_index], dtype=np.uint64)
-    return complex(gaussian_matrix(seed.master_seed, trials, j + 1)[0, j])
-
-
 def _mix64_np(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> _U64(30))) * _U64(_MIX1)
     x = (x ^ (x >> _U64(27))) * _U64(_MIX2)
@@ -77,7 +63,8 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
 def gaussian_matrix(master_seed: int, trial_indices: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Coefficient block for a batch of trials, shape ``(len(trials), n_coeffs)``.
 
-    Row ``t`` is bit-identical to ``[complex_gaussian(RngSeed(seed, t), j)]``.
+    Row ``i`` is the stream of trial ``trial_indices[i]``, whatever the
+    other rows of the batch.
     """
     trials = np.asarray(trial_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -418,6 +418,12 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
         return np.exp(logmag - (n / 2.0) * _log1p_square(az))
 
 
+def _refuse_zero(poly: SU2Polynomial) -> None:
+    """The one-row API's refusal of psi identically zero, at every degree."""
+    if not poly.coefficients.any():
+        raise ValueError("polynomial is identically zero")
+
+
 def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     """Locate every root by Aberth-Ehrlich iteration.
 
@@ -426,13 +432,12 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     rather than as meaningless huge locations.  Exact zeros at the low end
     are split off as exact origin roots before iterating.
     """
+    _refuse_zero(poly)
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
     amags = np.abs(poly.coefficients)
     top = amags.max()
-    if top == 0:
-        raise ValueError("polynomial is identically zero")
     # effective degree from the orthonormal-basis coefficients: the weighted
     # monomial coefficients span e^{+-N ln2/2} by construction, so a ratio
     # test there would discard genuine high-degree samples
@@ -497,11 +502,8 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
     ``DEFAULT_BOUNDARY_MARGIN`` of the contour, or a row that fails the
     winding rules, raises :class:`ContourError`.
     """
+    _refuse_zero(poly)
     n = poly.degree
-    if n == 0:
-        if np.abs(poly.coefficients[0]) == 0:
-            raise ValueError("polynomial is identically zero")
-        return ZeroCount(0, "argument_principle")
     center, r = disk.center, disk.radius
     margin = DEFAULT_BOUNDARY_MARGIN
     if center == 0:
@@ -730,8 +732,7 @@ def _circle_mean(poly: SU2Polynomial, r: float, target: float, absolute: bool) -
     """One-row circle mean of log|psi|, or of |log|psi|| when ``absolute``."""
     if not r > 0:
         raise ValueError("radius must be positive")
-    if np.abs(poly.coefficients).max() == 0:
-        raise ValueError("polynomial is identically zero")
+    _refuse_zero(poly)
     mean_log, mean_abs, ok, gap = _batch_circle_log_means(
         poly.coefficients[None], poly.degree, r, target
     )
@@ -850,6 +851,7 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
+    _refuse_zero(poly)
     n = poly.degree
     log_hat, theta = _batch_boundary_log_max(poly.coefficients[None], n, r)
     log_value = float(log_hat[0]) + _log_normalization(n, r)
@@ -908,6 +910,7 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
     ``DEFAULT_QUADRATURE_TARGET`` within ``NODE_CAP`` nodes."""
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
+    _refuse_zero(poly)
     n = poly.degree
     corr = _log_normalization(n, r)
     b = _circle_fourier_coeffs(poly.coefficients, n, r)

@@ -137,6 +137,24 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["result"]["point"] == 4.0
 
+    @pytest.mark.parametrize("module,callee,argv,exc,message", [
+        (cli.model, "sample_polynomial", ["sample", "-N", "4"],
+         MemoryError(), "out of memory"),
+        (cli.mc, "estimate_hole_probability", ["hole", "-N", "4", "--workers", "1"],
+         MemoryError("Unable to allocate 16.0 TiB"), "Unable to allocate 16.0 TiB"),
+    ], ids=["sample-bare", "hole-message"])
+    def test_memory_error_is_one(self, module, callee, argv, exc, message, monkeypatch):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(module, callee, exhausted)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli(argv)
+        assert code == 1
+        assert out == b""
+        assert diag.getvalue() == f"error: {message}\n"
+
     def test_success_is_zero(self):
         code, out = run_cli(["omega-bound", "-N", "2", "-r", "1"])
         assert code == 0
@@ -241,7 +259,18 @@ class TestParseResultsFile:
         points = cli.parse_results_file(str(f))
         assert [n for n, _ in points] == [2, 6, 8]
         assert diag.getvalue() == \
-            f"dropped line 3: point {float(bad)} outside (0, 1]\n"
+            f"dropped line 3 (N=4): point {float(bad)} outside (0, 1]\n"
+
+    def test_json_drop_names_the_degree(self, tmp_path, monkeypatch):
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        rows = [{"N": n, "point": point}
+                for n, point in ((2, 0.8), (4, 0.4), (16, 0.0), (6, 0.1))]
+        f = tmp_path / "holes.json"
+        f.write_text(json.dumps({"command": "hole", "result": {"rows": rows}}) + "\n")
+        points = cli.parse_results_file(str(f))
+        assert [n for n, _ in points] == [2, 4, 6]
+        assert diag.getvalue() == "dropped line 1 (N=16): point 0.0 outside (0, 1]\n"
 
     def test_too_few_points(self, tmp_path):
         f = tmp_path / "holes.csv"

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2lab.rng import (
-    RngSeed,
-    _mix64_np,
-    complex_gaussian,
-    gaussian_matrix,
-    mix64,
-    stream_key,
-)
+from su2lab import model
+from su2lab.rng import RngSeed, _mix64_np, gaussian_matrix, mix64
 
 
 def test_seed_validation():
@@ -32,8 +26,9 @@ def test_mix64_vectorized_matches_scalar(x):
 def test_scalar_matches_batch():
     batch = gaussian_matrix(12345, np.arange(100, dtype=np.uint64), 31)
     for trial in (0, 1, 57, 99):
+        poly = model.sample_polynomial(30, RngSeed(12345, trial))
         for j in (0, 17, 30):
-            assert complex_gaussian(RngSeed(12345, trial), j) == batch[trial, j]
+            assert poly.coefficients[j] == batch[trial, j]
 
 
 def test_batch_rows_independent_of_batch_shape():
@@ -47,7 +42,6 @@ def test_streams_differ_across_trials_and_seeds():
     b = gaussian_matrix(2, np.arange(4, dtype=np.uint64), 8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a[0], a[1])
-    assert stream_key(1, 0) != stream_key(1, 1)
 
 
 def test_gaussian_moment():

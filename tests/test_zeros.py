@@ -16,6 +16,23 @@ def random_poly(rng, degree):
     return SU2Polynomial(degree, a / math.sqrt(2.0))
 
 
+ONE_ROW_CALLS = {
+    "max_modulus_boundary": lambda p: zeros.max_modulus_boundary(p, 1.0),
+    "poisson_log_average": lambda p: zeros.poisson_log_average(p, 0.2, 1.0),
+    "count_zeros_argument_principle":
+        lambda p: zeros.count_zeros_argument_principle(p, zeros.Disk(0, 1.0)),
+    "circle_log_integral": lambda p: zeros.circle_log_integral(p, 1.0),
+    "find_all_roots": zeros.find_all_roots,
+}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+@pytest.mark.parametrize("call", ONE_ROW_CALLS.values(), ids=ONE_ROW_CALLS.keys())
+def test_zero_polynomial_is_refused(call, degree):
+    with pytest.raises(ValueError, match="polynomial is identically zero"):
+        call(SU2Polynomial(degree, [0] * (degree + 1)))
+
+
 class TestFindAllRoots:
     def test_roots_of_unity(self):
         n = 16
@@ -254,6 +271,13 @@ class TestArgumentPrinciple:
         p = SU2Polynomial(1, [1, 1])
         assert zeros.count_zeros_argument_principle(p, zeros.Disk(0, 0.5)).count == 0
         assert zeros.count_zeros_argument_principle(p, zeros.Disk(0, 2.0)).count == 1
+
+    @pytest.mark.parametrize("disk", [zeros.Disk(0, 1.0), zeros.Disk(0.3 + 0.1j, 0.5)],
+                             ids=["centered", "off-center"])
+    def test_nonzero_constant_counts_zero(self, disk):
+        zc = zeros.count_zeros_argument_principle(SU2Polynomial(0, [2.5 - 1j]), disk)
+        assert zc.count == 0
+        assert zc.method == "argument_principle"
 
     def test_near_boundary_zero_rejected(self):
         p = SU2Polynomial(1, [1, 1])  # root at -1
