@@ -517,8 +517,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # fit-decay on a results file takes --workers but runs no trial
+    runs_trials = hasattr(args, "workers") and getattr(args, "results_file", None) is None
     try:
-        if hasattr(args, "workers") and args.workers is None:
+        if runs_trials and args.workers is None:
             args.workers = mc.default_workers()
         record = _HANDLERS[args.command](args)
         data = serialize_record(record, args.format)
@@ -538,12 +540,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     wall = time.monotonic() - started
-    workers = getattr(args, "workers", 1)
-    print(
-        f"su2lab {record.command}: ok ({wall:.2f}s, workers={workers}, "
-        f"started {stamp})",
-        file=DIAG,
-    )
+    workers = f"workers={args.workers}, " if runs_trials else ""
+    print(f"su2lab {record.command}: ok ({wall:.2f}s, {workers}started {stamp})", file=DIAG)
     if record.command in ("verify", "orthonormality") and record.result["failed"]:
         return 1
     return 0

@@ -84,7 +84,7 @@ NODE_CAP = 1 << 20
 TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
 _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
 _MAX_REFINEMENTS = 20  # bisection rounds of the rough winding intervals
-_WINDING_CHUNK = 1 << 15  # first-grid samples per chunk of winding rows
+_GRID_CHUNK = 1 << 15  # FFT-grid samples per chunk of winding or circle-mean rows
 _PRECISION_FLOOR = 1e4 * np.finfo(float).eps  # share of sum |b_k| a winding sample must clear
 _SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk
 _ABERTH_TOL = 1e-13  # a root freezes once its step is below this, relative to 1 + |z|
@@ -208,11 +208,14 @@ def _eval_circle_grid(b: np.ndarray, n_nodes: int) -> np.ndarray:
     return vals
 
 
-def _eval_row_angles(bt: np.ndarray, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _eval_row_angles(bt: np.ndarray, row: np.ndarray | slice,
+                     theta: np.ndarray) -> np.ndarray:
     """psi_hat of row ``row`` at angle ``theta``, from the coefficient-major
     ``bt`` (``b.T``), by Horner in e^{i theta}; ``row`` broadcasts against
-    ``theta``.  Each step gathers one coefficient per entry of ``row``, so
-    memory stays O(points)."""
+    ``theta``.  An index array gathers one coefficient per entry at each
+    step, so memory stays O(points); ``row`` may also be a slice, whose
+    coefficient row is a view that broadcasts against the last axis of
+    ``theta`` with no gather."""
     x = np.exp(1j * theta)
     acc = np.zeros(x.shape, dtype=complex)
     for c in bt[::-1]:
@@ -530,12 +533,12 @@ def _batch_winding(alpha: np.ndarray, degree: int, r: float,
     """Winding numbers of a coefficient batch around |z| = r.
 
     Returns ``(counts, ok)`` under the rules of ``_winding_rows``.  Rows go
-    through in chunks of at most ``_WINDING_CHUNK`` first-grid samples, so
+    through in chunks of at most ``_GRID_CHUNK`` first-grid samples, so
     the grids held at once stay small whatever the batch size.
     """
     alpha = np.atleast_2d(alpha)
     m0 = _next_pow2(_WINDING_SAMPLES * (degree + 1))
-    step = max(1, _WINDING_CHUNK // m0)
+    step = max(1, _GRID_CHUNK // m0)
     parts = [_winding_rows(_circle_fourier_coeffs(alpha[s : s + step], degree, r),
                            r, boundary_margin, m0)
              for s in range(0, alpha.shape[0], step)]
@@ -681,8 +684,10 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     the cap report ``ok=False`` with their best estimate and their last
     doubling delta as ``gap`` (NaN only when the cap allowed no doubling).
     Each doubling reuses earlier samples: only the half-step midpoints are
-    evaluated afresh.  Samples are floored at 1e-300, so a zero on a node
-    stays in every later grid and its row, still finite, fails at the cap.
+    evaluated afresh, in chunks of at most ``_GRID_CHUNK`` samples so that
+    each chunk's elementwise passes stay in cache.  Samples are floored at
+    1e-300, so a zero on a node stays in every later grid and its row,
+    still finite, fails at the cap.
     """
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
@@ -698,14 +703,16 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
         s2 = np.empty(cnt)
         if half:
             sel_b = sel_b * np.exp(1j * np.pi * np.arange(n + 1) / m)
-        row_step = max(1, (1 << 22) // m)
+        row_step = max(1, _GRID_CHUNK // m)
         for s in range(0, cnt, row_step):
-            logs = np.abs(_eval_circle_grid(sel_b[s : s + row_step], m))
+            # M is a power of two, so the unscaled inverse FFT equals
+            # _eval_circle_grid's ifft * M bit for bit
+            logs = np.abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
             np.maximum(logs, 1e-300, out=logs)
             np.log(logs, out=logs)
             logs += corr
             s1[s : s + row_step] = logs.sum(axis=1)
-            s2[s : s + row_step] = np.abs(logs).sum(axis=1)
+            s2[s : s + row_step] = np.abs(logs, out=logs).sum(axis=1)
         return s1, s2
 
     active = np.arange(rows)
@@ -767,6 +774,7 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
+    _refuse_zero(poly)
     a0 = abs(poly.coefficients[0])
     if a0 <= 1e-12 * np.abs(poly.coefficients).max():
         raise ValueError("psi(0) is numerically zero; Jensen's identity needs psi(0) != 0")
@@ -821,16 +829,19 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
     masked = np.where(is_peak, logs, -np.inf)
     top3 = np.argpartition(masked, -3, axis=1)[:, -3:]
-    theta0 = 2.0 * np.pi * top3 / m
+    # peak-major (3, B) brackets: each Horner step adds one contiguous row
+    # of B coefficients to all three peaks, with no gather
+    theta0 = 2.0 * np.pi * top3.T / m
     h = 2.0 * np.pi / m
     bt = np.ascontiguousarray(b.T)
-    rows = np.arange(len(b))[:, None]
 
     def objective(theta):
-        v = _eval_row_angles(bt, rows, theta)
-        return np.log(np.maximum(np.abs(v), 1e-300))
+        v = np.abs(_eval_row_angles(bt, slice(None), theta))
+        np.maximum(v, 1e-300, out=v)
+        return np.log(v, out=v)
 
     best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h)
+    best_theta, best_val = best_theta.T, best_val.T
     scan_best = logs.max(axis=1)
     scan_arg = 2.0 * np.pi * logs.argmax(axis=1) / m
     refined_best = best_val.max(axis=1)

@@ -405,6 +405,27 @@ class TestWorkerDefaults:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert mc.default_workers() == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--workers", "2"]], ids=["default", "given"])
+    def test_fit_decay_file_reports_no_workers(self, flags, tmp_path, monkeypatch):
+        # a results file runs no trial, so no worker count did any work
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        f = tmp_path / "holes.csv"
+        f.write_text("N,point\n2,0.8\n4,0.4\n6,0.1\n")
+        code, _ = run_cli(["fit-decay", str(f), *flags])
+        assert code == 0
+        err = diag.getvalue()
+        assert err.startswith("su2lab fit-decay: ok (") and "workers=" not in err
+
+    def test_fit_decay_grid_reports_resolved_workers(self, monkeypatch):
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        monkeypatch.setattr(cli.mc, "default_workers", lambda: 1)
+        code, _ = run_cli(["fit-decay", "--grid", "1,2,3", "-r", "0.5",
+                           "--trials", "2000", "--seed", "5"])
+        assert code == 0
+        assert ", workers=1, started " in diag.getvalue()
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self):

@@ -22,6 +22,7 @@ ONE_ROW_CALLS = {
     "count_zeros_argument_principle":
         lambda p: zeros.count_zeros_argument_principle(p, zeros.Disk(0, 1.0)),
     "circle_log_integral": lambda p: zeros.circle_log_integral(p, 1.0),
+    "jensen_residual": lambda p: zeros.jensen_residual(p, 1.0),
     "find_all_roots": zeros.find_all_roots,
 }
 
@@ -698,6 +699,30 @@ class TestCircleLogIntegral:
             for got, want in zip(batch, alone):
                 assert got[i : i + 1].tobytes() == want.tobytes()
 
+    def test_chunking_keeps_every_bit(self, monkeypatch):
+        # a small _GRID_CHUNK splits the rows into chunks at M0 and again in
+        # the doubling tail; each row must not see where its chunk ends
+        n = 10
+        binom = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
+        rng = np.random.default_rng(21)
+        rows = (rng.standard_normal((40, n + 1))
+                + 1j * rng.standard_normal((40, n + 1))) / math.sqrt(2)
+        for i, root in ((5, (1 + 1e-7) * np.exp(0.7j)), (17, -1.0)):
+            # psi = (z - root) q(z): a zero 1e-7 off the circle, and one on
+            # the node theta = pi of every grid
+            w = np.convolve(rows[i, :n], [-root, 1.0])
+            rows[i] = w / np.sqrt(binom)
+        whole = zeros._batch_circle_log_means(rows, n, 1.0)
+        monkeypatch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
+        chunked = zeros._batch_circle_log_means(rows, n, 1.0)
+        assert not chunked[2][[5, 17]].any()
+        for got, want in zip(chunked, whole):
+            assert got.tobytes() == want.tobytes()
+        for i in range(len(rows)):
+            alone = zeros._batch_circle_log_means(rows[i : i + 1], n, 1.0)
+            for got, want in zip(chunked, alone):
+                assert got[i : i + 1].tobytes() == want.tobytes()
+
     def test_abs_log_integral_constant(self):
         # |log| of a unit constant is 0, below any outlier threshold
         assert zeros.circle_abs_log_integral(SU2Polynomial(0, [1.0]), 1.0) == \
@@ -840,6 +865,24 @@ class TestMaxModulus:
         flat = zeros._eval_row_angles(bt, np.repeat(np.arange(6), 3), theta.ravel())
         assert grid.shape == theta.shape
         assert np.array_equal(grid.ravel(), flat)
+        # a slice row, as the peak-major golden-section call passes it:
+        # (K, B) angles, each row of theta over all B coefficient rows
+        sliced = zeros._eval_row_angles(bt, slice(None), theta.T)
+        assert sliced.shape == theta.T.shape
+        assert sliced.T.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    def test_batch_rows_are_independent(self, n):
+        # N = 1 has one grid peak per row, so two of its three brackets
+        # start from -inf entries of the scan
+        rng = np.random.default_rng(30 + n)
+        rows = (rng.standard_normal((9, n + 1))
+                + 1j * rng.standard_normal((9, n + 1))) / math.sqrt(2)
+        log_max, theta = zeros._batch_boundary_log_max(rows, n, 1.0)
+        for i in range(len(rows)):
+            one_log, one_theta = zeros._batch_boundary_log_max(rows[i : i + 1], n, 1.0)
+            assert log_max[i : i + 1].tobytes() == one_log.tobytes()
+            assert theta[i : i + 1].tobytes() == one_theta.tobytes()
 
     def test_log_safe_form(self):
         n = 600  # value ~ e^210: still representable
