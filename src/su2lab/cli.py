@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,6 +36,8 @@ CSV_COLUMNS = {
                    "ci_lo", "ci_hi", "seed"],
     "deviation": ["N", "r", "delta", "trials", "trials_failed", "point",
                   "stderr", "ci_lo", "ci_hi", "seed"],
+    "concentration": ["N", "r", "estimator", "delta", "trials", "trials_failed",
+                      "point", "stderr", "ci_lo", "ci_hi", "seed"],
     "hole": ["N", "r", "trials", "trials_failed", "point", "stderr",
              "ci_lo", "ci_hi", "seed"],
     "omega-bound": ["N", "r", "log_prob"],
@@ -59,6 +62,8 @@ class ExperimentRecord:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):  # includes numpy float subclasses
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -220,6 +225,13 @@ def _add_output_flags(sub):
     sub.add_argument("--out", metavar="PATH", default=None)
 
 
+def _add_degree_flags(sub, entry):
+    """``-N`` or ``--grid``, exactly one, with entries obeying ``entry``."""
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("-N", "--degree", type=entry)
+    group.add_argument("--grid", type=_grid(entry), metavar="N1,N2,...")
+
+
 def _add_plan_flags(sub, trials_default=10000):
     sub.add_argument("-r", "--radius", type=_positive_float, default=1.0)
     sub.add_argument("--trials", type=_positive_int, default=trials_default)
@@ -227,7 +239,9 @@ def _add_plan_flags(sub, trials_default=10000):
     sub.add_argument("--workers", type=_positive_int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="su2lab",
         description="Numerical laboratory for zeros of Gaussian random "
@@ -257,22 +271,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = subs.add_parser("deviation", help="zero-count deviation frequency")
-    p.add_argument("-N", "--degree", type=_nonneg_int, required=True)
+    _add_degree_flags(p, _nonneg_int)
     p.add_argument("--delta", type=_positive_float, required=True)
     _add_plan_flags(p)
     _add_output_flags(p)
 
     p = subs.add_parser("hole", help="hole probability estimate")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("-N", "--degree", type=_nonneg_int)
-    group.add_argument("--grid", type=_grid(_nonneg_int), metavar="N1,N2,...")
+    _add_degree_flags(p, _nonneg_int)
     _add_plan_flags(p, trials_default=100000)
     _add_output_flags(p)
 
+    p = subs.add_parser("concentration", help="concentration outlier rates")
+    _add_degree_flags(p, _nonneg_int)
+    p.add_argument("--band", type=float, default=0.05,
+                   help="boundary-maximum band half-width, in (0, 1]")
+    p.add_argument("--tail", type=float, default=0.1,
+                   help="circle-average lower-tail margin, in (0, 1)")
+    _add_plan_flags(p)
+    _add_output_flags(p)
+
     p = subs.add_parser("omega-bound", help="exact explicit-event lower bound")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("-N", "--degree", type=_positive_int)
-    group.add_argument("--grid", type=_grid(_positive_int), metavar="N1,N2,...")
+    _add_degree_flags(p, _positive_int)
     p.add_argument("-r", "--radius", type=_positive_float, default=1.0)
     _add_output_flags(p)
 
@@ -304,11 +323,7 @@ def _plan_echo(plan: mc.TrialPlan) -> dict:
         "r": plan.radius,
         "trials": plan.trials,
         "seed": plan.master_seed,
-        "tolerances": {
-            "root_residual": mc.TOLERANCES.root_residual,
-            "boundary_margin": mc.TOLERANCES.boundary_margin,
-            "quadrature_target": mc.TOLERANCES.quadrature_target,
-        },
+        "tolerances": asdict(mc.TOLERANCES),
     }
 
 
@@ -332,15 +347,32 @@ def _make_plan(args, degree: int) -> mc.TrialPlan:
                         master_seed=args.seed, workers=args.workers)
 
 
-def _hole_rows(args, degrees) -> list[dict]:
-    plans = [_make_plan(args, degree) for degree in degrees]
-    return [_estimate_row(p, mc.estimate_hole_probability(p)) for p in plans]
+def _degrees(args) -> list[int]:
+    return args.grid if args.grid is not None else [args.degree]
+
+
+def _plans(args) -> list[mc.TrialPlan]:
+    return [_make_plan(args, degree) for degree in _degrees(args)]
+
+
+def _hole_rows(args) -> list[dict]:
+    return [_estimate_row(p, mc.estimate_hole_probability(p)) for p in _plans(args)]
 
 
 def _rows_result(rows: list[dict], **extra) -> dict:
     """A record's ``result``: its rows, a lone row's fields again at the top
     level, then ``extra``."""
     return {"rows": rows, **(rows[0] if len(rows) == 1 else {}), **extra}
+
+
+def _ladder_record(args, rows: list[dict], **echo) -> ExperimentRecord:
+    """The record of an estimate at ``-N`` or over ``--grid``: the first
+    degree's plan echo, then ``echo``, then the grid if one was given."""
+    plan_echo = {**_plan_echo(_make_plan(args, _degrees(args)[0])), **echo}
+    if args.grid is not None:
+        plan_echo["grid"] = list(args.grid)
+    return ExperimentRecord(command=args.command, plan=plan_echo,
+                            result=_rows_result(rows))
 
 
 def _handle_sample(args) -> ExperimentRecord:
@@ -394,27 +426,49 @@ def _handle_mean_zeros(args) -> ExperimentRecord:
 
 
 def _handle_deviation(args) -> ExperimentRecord:
-    plan = _make_plan(args, args.degree)
-    est = mc.estimate_deviation_probability(plan, mc.DeviationSpec(args.delta))
-    row = _estimate_row(plan, est, {"delta": args.delta})
-    plan_echo = _plan_echo(plan)
-    plan_echo["delta"] = args.delta
-    return ExperimentRecord(command="deviation", plan=plan_echo,
-                            result=_rows_result([row]))
+    spec = mc.DeviationSpec(args.delta)
+    rows = [_estimate_row(plan, mc.estimate_deviation_probability(plan, spec),
+                          {"delta": args.delta})
+            for plan in _plans(args)]
+    return _ladder_record(args, rows, delta=args.delta)
 
 
 def _handle_hole(args) -> ExperimentRecord:
-    degrees = args.grid if args.grid is not None else [args.degree]
-    rows = _hole_rows(args, degrees)
-    plan_echo = _plan_echo(_make_plan(args, degrees[0]))
-    if args.grid is not None:
-        plan_echo["grid"] = list(degrees)
-    return ExperimentRecord(command="hole", plan=plan_echo,
-                            result=_rows_result(rows))
+    return _ladder_record(args, _hole_rows(args))
+
+
+# (estimator, the flag giving its delta or None); the max-modulus pair runs
+# first, so each degree runs the boundary-maximum and circle-mean kernels
+# once each through the one-entry ``_plan_samples`` cache
+_CONCENTRATION_ESTIMATORS = (
+    ("max_modulus_outlier_frequency", "band"),
+    ("max_modulus_outlier_probability", "band"),
+    ("circle_average_lower_tail_frequency", "tail"),
+    ("circle_average_lower_tail_probability", "tail"),
+    ("log_l1_outlier_frequency", None),
+)
+
+
+def _handle_concentration(args) -> ExperimentRecord:
+    plans = _plans(args)
+    for flag, rule in (("band", mc._max_modulus_band),
+                       ("tail", mc._circle_tail_threshold)):
+        try:
+            rule(plans[0], getattr(args, flag))
+        except ValueError as exc:
+            raise UsageError(f"--{flag}: {exc}") from None
+    rows = []
+    for plan in plans:
+        for name, flag in _CONCENTRATION_ESTIMATORS:
+            delta = getattr(args, flag) if flag else None
+            estimate = getattr(mc, name)
+            est = estimate(plan) if flag is None else estimate(plan, delta)
+            rows.append(_estimate_row(plan, est, {"estimator": name, "delta": delta}))
+    return _ladder_record(args, rows, band=args.band, tail=args.tail)
 
 
 def _handle_omega(args) -> ExperimentRecord:
-    degrees = args.grid if args.grid is not None else [args.degree]
+    degrees = _degrees(args)
     rows = [
         {"N": n, "r": args.radius, "log_prob": mc.omega_lower_bound(n, args.radius)}
         for n in degrees
@@ -438,7 +492,7 @@ def _handle_fit_decay(args) -> ExperimentRecord:
     else:
         points = _fit_points((f"N={row['N']}", row["N"], row["point"],
                               row["trials"], row["trials_failed"])
-                             for row in _hole_rows(args, args.grid))
+                             for row in _hole_rows(args))
         plan_echo = {"grid": list(args.grid), "r": args.radius,
                      "trials": args.trials, "seed": args.seed}
     fit = mc.fit_decay_exponent(points)
@@ -492,6 +546,7 @@ _HANDLERS = {
     "mean-zeros": _handle_mean_zeros,
     "deviation": _handle_deviation,
     "hole": _handle_hole,
+    "concentration": _handle_concentration,
     "omega-bound": _handle_omega,
     "fit-decay": _handle_fit_decay,
     "verify": _handle_verify,

@@ -53,6 +53,12 @@ def _log_weights(degree: int) -> np.ndarray:
     return logw
 
 
+def _check_radius(r: float) -> None:
+    """Refuse a circle or disk radius that is not positive and finite."""
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
+
+
 def _log_normalization(degree: int, r: float) -> float:
     """(N/2) log(1 + r^2), the log of the spherical normalization at |z| = r;
     above r = 1e150, where r*r overflows, as (N/2)(2 log r + log1p(r^-2))."""

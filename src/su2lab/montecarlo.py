@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _log_normalization, _log_weights, log_binomial
+from .model import _check_radius, _log_normalization, _log_weights, log_binomial
 from .rng import RngSeed, gaussian_matrix
 from .zeros import (
     DEFAULT_BOUNDARY_MARGIN,
@@ -134,8 +134,7 @@ class TrialPlan:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        _check_radius(self.radius)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         RngSeed(self.master_seed)  # refuses a seed outside 64 unsigned bits

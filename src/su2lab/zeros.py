@@ -51,6 +51,7 @@ import numpy as np
 
 from .model import (
     SU2Polynomial,
+    _check_radius,
     _log1p_square,
     _log_normalization,
     _log_weights,
@@ -149,8 +150,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.center) and math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("disk needs a finite center and a positive finite radius")
+        if not np.isfinite(self.center):
+            raise ValueError("disk center must be finite")
+        _check_radius(self.radius)
 
 
 @dataclass(frozen=True)
@@ -737,8 +739,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
 
 def _circle_mean(poly: SU2Polynomial, r: float, target: float, absolute: bool) -> float:
     """One-row circle mean of log|psi|, or of |log|psi|| when ``absolute``."""
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     _refuse_zero(poly)
     mean_log, mean_abs, ok, gap = _batch_circle_log_means(
         poly.coefficients[None], poly.degree, r, target
@@ -772,8 +773,7 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
 
     Requires psi(0) away from zero relative to the coefficient scale.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     _refuse_zero(poly)
     a0 = abs(poly.coefficients[0])
     if a0 <= 1e-12 * np.abs(poly.coefficients).max():
@@ -860,8 +860,7 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
     Returned in log-safe form: ``log_value`` always, ``value`` only when
     within double range (inf otherwise).
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     _refuse_zero(poly)
     n = poly.degree
     log_hat, theta = _batch_boundary_log_max(poly.coefficients[None], n, r)
@@ -876,8 +875,7 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
 
 def poisson_kernel(zeta: complex, z: complex, r: float) -> float:
     """(r^2 - |zeta|^2) / |z - zeta|^2 for |zeta| < r, |z| = r."""
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
     if abs(abs(z) - r) > 1e-12 * r:
@@ -897,8 +895,7 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
         raise ValueError("m must be positive")
     if not 0 <= kappa < 1:
         raise ValueError("kappa must lie in [0, 1)")
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")
     rho = kappa * r + perturbation
@@ -919,6 +916,7 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
 def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
     """Mean of P_r(zeta, .) log|psi| over the circle, by node doubling to
     ``DEFAULT_QUADRATURE_TARGET`` within ``NODE_CAP`` nodes."""
+    _check_radius(r)
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
     _refuse_zero(poly)

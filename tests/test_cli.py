@@ -7,6 +7,7 @@ import pytest
 from conftest import run_cli
 
 from su2lab import cli
+from su2lab import montecarlo as mc
 
 
 class TestExitCodes:
@@ -382,6 +383,19 @@ class TestPipelines:
         assert lines[0] == "check,N,measured,threshold,status"
         assert all(line.endswith("PASS") for line in lines[1:])
 
+    def test_deviation_grid_rows_equal_single_degree_runs(self):
+        argv = ["deviation", "--delta", "0.3", "--trials", "2000", "--seed", "7",
+                "--workers", "1", "--format", "json"]
+        code, out = run_cli(argv + ["--grid", "4,6"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["plan"]["grid"] == [4, 6]
+        rows = record["result"]["rows"]
+        assert [row["N"] for row in rows] == [4, 6]
+        for row in rows:
+            _, single = run_cli(argv + ["-N", str(row["N"])])
+            assert json.loads(single)["result"]["rows"] == [row]
+
     def test_deviation_command(self):
         code, out = run_cli(["deviation", "-N", "6", "--delta", "0.3",
                              "--trials", "2000", "--seed", "7",
@@ -390,6 +404,69 @@ class TestPipelines:
         row = json.loads(out)["result"]["rows"][0]
         assert 0.0 <= row["point"] <= 1.0
         assert row["delta"] == 0.3
+
+
+class TestConcentration:
+    HEADER = "N,r,estimator,delta,trials,trials_failed,point,stderr,ci_lo,ci_hi,seed"
+
+    def test_rows_equal_library_estimates(self):
+        argv = ["concentration", "--grid", "10,40", "-r", "1", "--trials", "8192",
+                "--seed", "6", "--format", "json"]
+        code, out = run_cli(argv + ["--workers", "1"])
+        assert code == 0
+        assert run_cli(argv + ["--workers", "2"]) == (0, out)
+        record = json.loads(out)
+        assert record["plan"]["grid"] == [10, 40]
+        assert (record["plan"]["band"], record["plan"]["tail"]) == (0.05, 0.1)
+        got = [(row["N"], row["estimator"], row["delta"], row["trials_failed"],
+                row["point"], row["stderr"], row["ci_lo"], row["ci_hi"])
+               for row in record["result"]["rows"]]
+        want = []
+        for n in (10, 40):
+            plan = mc.TrialPlan(n, 1.0, 8192, 6)
+            for name, delta in (("max_modulus_outlier_frequency", 0.05),
+                                ("max_modulus_outlier_probability", 0.05),
+                                ("circle_average_lower_tail_frequency", 0.1),
+                                ("circle_average_lower_tail_probability", 0.1),
+                                ("log_l1_outlier_frequency", None)):
+                estimate = getattr(mc, name)
+                est = estimate(plan) if delta is None else estimate(plan, delta)
+                want.append((n, name, delta, est.trials_failed, est.point,
+                             est.stderr, *est.ci95))
+        assert got == want
+
+    def test_grid_rows_and_csv_header(self):
+        code, out = run_cli(["concentration", "--grid", "3,2", "--trials", "50",
+                             "--workers", "1"])
+        assert code == 0
+        lines = out.decode().splitlines()
+        assert lines[0] == self.HEADER
+        cells = [line.split(",") for line in lines[1:]]
+        names = [name for name, _ in cli._CONCENTRATION_ESTIMATORS]
+        assert [(c[0], c[2]) for c in cells] == \
+            [(n, name) for n in ("3", "2") for name in names]
+        assert [c[3] for c in cells[:5]] == ["0.05", "0.05", "0.1", "0.1", ""]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--band", "0"), ("--band", "1.5"), ("--band", "nan"),
+        ("--tail", "1"), ("--tail", "-0.1"), ("--tail", "inf"),
+    ])
+    def test_bad_band_or_tail_runs_no_trial(self, flag, value, tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the flags were checked")
+
+        for name, _ in cli._CONCENTRATION_ESTIMATORS:
+            monkeypatch.setattr(cli.mc, name, no_trials)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        path = tmp_path / "c.csv"
+        code, out = run_cli(["concentration", "--grid", "4,8", flag, value,
+                             "--out", str(path)])
+        assert code == 2
+        assert out == b"" and not path.exists()
+        err = diag.getvalue()
+        assert err.startswith(f"usage error: {flag}: delta must lie in ")
+        assert err.count("\n") == 1
 
 
 class TestWorkerDefaults:

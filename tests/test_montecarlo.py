@@ -30,6 +30,9 @@ class TestExpectedZeroCount:
         with pytest.raises(ValueError):
             mc.expected_zero_count(3, 0.0)
 
+    def test_infinite_radius_counts_every_zero(self):
+        assert mc.expected_zero_count(7, math.inf) == 7.0
+
 
 class TestPlanAndEstimateTypes:
     def test_plan_validation(self):
@@ -44,6 +47,11 @@ class TestPlanAndEstimateTypes:
         with pytest.raises(ValueError, match="64 unsigned bits"):
             mc.TrialPlan(3, 1.0, 10, -1)
         mc.TrialPlan(3, 1.0, 10, 2**64 - 1)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_plan_radius_is_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            mc.TrialPlan(4, radius, 100, 1)
 
     def test_estimate_interval_contract(self):
         with pytest.raises(ValueError):
@@ -224,6 +232,9 @@ class TestOmegaBound:
     def test_monotone_decreasing_in_radius(self, n, r, factor):
         # widening the disk shrinks every coefficient box, so log P drops
         assert mc.omega_lower_bound(n, r * factor) <= mc.omega_lower_bound(n, r)
+
+    def test_infinite_radius_forces_no_hole(self):
+        assert mc.omega_lower_bound(4, math.inf) == -math.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):

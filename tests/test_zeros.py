@@ -947,6 +947,26 @@ class TestPoissonPartition:
             zeros.poisson_partition_deviation(4, 0.9, 1.0, 0.2)
 
 
+class TestRadiusRule:
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda p, r: zeros.Disk(0.0, r),
+        lambda p, r: zeros.circle_log_integral(p, r),
+        lambda p, r: zeros.circle_abs_log_integral(p, r),
+        lambda p, r: zeros.jensen_residual(p, r),
+        lambda p, r: zeros.max_modulus_boundary(p, r),
+        lambda p, r: zeros.poisson_kernel(0.0, r, r),
+        lambda p, r: zeros.poisson_partition_deviation(4, 0.5, r),
+        lambda p, r: zeros.poisson_log_average(p, 0.0, r),
+    ], ids=["Disk", "circle_log_integral", "circle_abs_log_integral",
+            "jensen_residual", "max_modulus_boundary", "poisson_kernel",
+            "poisson_partition_deviation", "poisson_log_average"])
+    def test_radius_is_positive_and_finite(self, call, r):
+        p = model.sample_polynomial(6, RngSeed(1, 0))
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            call(p, r)
+
+
 class TestSubharmonic:
     def test_log_value_below_poisson_average(self):
         rng = np.random.default_rng(55)
