@@ -4,16 +4,20 @@
 # N in {12, 50, 200} and seeds 1 and 2, and one zero count from the roots
 # at N = 200), the orthonormality checks at N = 10 and the verify suite as
 # JSON, and the five concentration estimates (three *_frequency, two
-# *_probability) at N in {10, 40}, r = 1, 8192 trials, seed 6, each at
-# --workers 1 and 2, into OUTDIR: one file per run.  Two more kinds of
-# file pin the winding counter, which no CLI output covers: the sha256 of
-# the per-trial counts and failure flags of `zero_count_samples` at N = 50,
-# r = 1, 16384 trials, seed 7, at --workers 1 and 2, and the off-center
-# counts (or "refused") of `count_zeros_argument_principle` on
-# Disk(0.3+0.2j, 0.7) for the N = 200 polynomials of seeds 0-199.  One
-# more pins the one-row circle means: `circle_log_integral` and
-# `circle_abs_log_integral` at r = 1 of the same polynomials, each as
-# float.hex, or "refused" with the best estimate and the gap.  Two of the
+# *_probability) of `concentration --grid 10,40` at r = 1, 8192 trials,
+# seed 6, as JSON and as CSV, each at --workers 1 and 2, into OUTDIR: one
+# file per run.  Three more kinds of file pin the winding counter, which
+# no CLI output covers: the sha256 of the per-trial counts and failure
+# flags of `zero_count_samples` at N = 50, r = 1, 16384 trials, seed 7, at
+# --workers 1 and 2; the off-center counts (or "refused") of
+# `count_zeros_argument_principle` on Disk(0.3+0.2j, 0.7) for the N = 200
+# polynomials of seeds 0-199; and the counts (or "x", refused) of
+# `_batch_winding` on 2,400 constructed rows at N in {8, 30, 60, 100} and
+# r in {0.5, 1, 2}, each with 1-3 zeros 1e-13 to 1e-3 from |z| = r and
+# 1e-4 to 1e-2 rad apart.  One more pins the one-row circle means:
+# `circle_log_integral` and `circle_abs_log_integral` at r = 1 of the
+# N = 200 polynomials of seeds 0-199, each as float.hex, or "refused" with
+# the best estimate and the gap.  Two of the
 # estimator outputs pin degree 0, which runs the same counting cascade as
 # every other degree: `hole --grid 0,1` and `mean-zeros -N 0` at r = 1,
 # 9000 trials, seed 8, as JSON.  The last ten pin the record shapes and the
@@ -21,12 +25,11 @@
 # and `fit-decay --grid 2,4,6` (each at --workers 1 and 2), `fit-decay` on
 # the r = 0.5, seed 2 hole file (whose N = 16 row has point 0 and is
 # dropped), `omega-bound` for one degree and for a grid, and
-# `count -N 200` as JSON: 57 files in all.
+# `count -N 200` as JSON: 58 files in all.
 #
-# The outputs are a pure function of argv, and JSON writes every float
-# exactly (the concentration files as float.hex), so two checkouts that
-# agree on every estimate, root, residual and count give directories that
-# `diff -r` finds equal:
+# The outputs are a pure function of argv, and JSON and CSV write every
+# float exactly (as repr), so two checkouts that agree on every estimate,
+# root, residual and count give directories that `diff -r` finds equal:
 #
 #     scripts/identity_outputs.sh /tmp/ids-new
 #     /path/to/other/checkout/scripts/identity_outputs.sh /tmp/ids-old
@@ -70,32 +73,10 @@ for w in 1 2; do
         --workers "$w" > "$out/deviation_N10_w${w}.json"
     su2lab fit-decay --grid 2,4,6 -r 0.5 --trials 20000 --seed 3 --format json \
         --workers "$w" > "$out/fit-decay_grid_w${w}.json"
-    for n in 10 40; do
-        PYTHONPATH="$root/src" python3 - "$n" "$w" \
-            > "$out/concentration_N${n}_w${w}.json" <<'PY'
-import json
-import sys
-
-from su2lab import montecarlo as mc
-
-n, w = map(int, sys.argv[1:])
-plan = mc.TrialPlan(n, 1.0, 8192, 6, workers=w)
-estimates = {
-    "max_modulus_outlier_frequency": mc.max_modulus_outlier_frequency(plan, 0.05),
-    "max_modulus_outlier_probability": mc.max_modulus_outlier_probability(plan, 0.05),
-    "circle_average_lower_tail_frequency":
-        mc.circle_average_lower_tail_frequency(plan, 0.1),
-    "circle_average_lower_tail_probability":
-        mc.circle_average_lower_tail_probability(plan, 0.1),
-    "log_l1_outlier_frequency": mc.log_l1_outlier_frequency(plan),
-}
-json.dump({name: {"point": e.point.hex(), "stderr": e.stderr.hex(),
-                  "ci95": [x.hex() for x in e.ci95],
-                  "trials_used": e.trials_used, "trials_failed": e.trials_failed}
-           for name, e in estimates.items()}, sys.stdout, indent=1)
-print()
-PY
-    done
+    su2lab concentration --grid 10,40 -r 1 --trials 8192 --seed 6 --format json \
+        --workers "$w" > "$out/concentration_w${w}.json"
+    su2lab concentration --grid 10,40 -r 1 --trials 8192 --seed 6 \
+        --workers "$w" > "$out/concentration_w${w}.csv"
     PYTHONPATH="$root/src" python3 - "$w" > "$out/winding_N50_w${w}.txt" <<'PY'
 import hashlib
 import sys
@@ -120,6 +101,27 @@ for seed in range(200):
     except zeros.ContourError:
         count = "refused"
     print(seed, count)
+PY
+PYTHONPATH="$root/src" python3 - > "$out/winding_near_contour.txt" <<'PY'
+import numpy as np
+
+from su2lab import model, zeros
+
+rng = np.random.default_rng(11)
+for n in (8, 30, 60, 100):
+    for r in (0.5, 1.0, 2.0):
+        rows = []
+        for _ in range(200):
+            k = int(rng.integers(1, 4))
+            w = rng.standard_normal(n + 1 - k) + 1j * rng.standard_normal(n + 1 - k)
+            angle = 2.0 * np.pi * rng.uniform()
+            for _ in range(k):
+                dist = rng.choice((-1, 1)) * 10 ** rng.uniform(-13, -3)
+                w = np.convolve(w, [-(r + dist) * np.exp(1j * angle), 1.0])
+                angle += rng.choice((-1, 1)) * 10 ** rng.uniform(-4, -2)
+            rows.append(w * np.exp(-model._log_weights(n)))
+        counts, ok = zeros._batch_winding(np.array(rows), n, r)
+        print(n, r, "refused", int((~ok).sum()), *(c if good else "x" for c, good in zip(counts, ok)))
 PY
 PYTHONPATH="$root/src" python3 - > "$out/circle_means_N200.txt" <<'PY'
 from su2lab import model, zeros

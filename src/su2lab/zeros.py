@@ -23,8 +23,10 @@ suite cross-checks:
 - winding: track the phase of the polynomial around a centered circle,
   from the Fourier row of its normalized values there; a disk off the
   origin is a spherical cap, which one rotation of the sphere centers.
-  After one FFT grid per row, the rough intervals of all rows are
-  bisected together, as one flat list;
+  Each row takes one FFT grid, and a derivative grid only where the
+  Bernstein bound |psi_hat'| <= sum k |b_k| cannot rule out the Newton
+  margin test; the rough intervals of the whole batch are then bisected
+  together, as one flat list;
 - Schur-Cohn: run the Schur-Cohn recursion on the coefficients of
   psi(r z), N vectorized steps with no FFT and no roots.  A row counts
   only when every step's decisive gap clears ``SCHUR_COHN_MIN_GAP``,
@@ -475,12 +477,12 @@ def count_zeros_from_roots(zeros: ZeroSet, disk: Disk) -> ZeroCount:
 # argument-principle counting
 
 
-def _phase_steps(v_lo: np.ndarray, v_hi: np.ndarray):
+def _phase_steps(v_lo: np.ndarray, v_hi: np.ndarray, mag_lo: np.ndarray, mag_hi: np.ndarray):
     """Phase steps from ``v_lo`` to ``v_hi`` and the rough ones among them:
-    steps above pi/2, or with an end below ``TINY_SAMPLE``."""
+    steps above pi/2, or with an end modulus ``mag_*`` below ``TINY_SAMPLE``."""
     step = np.angle(v_hi * np.conj(v_lo))
     rough = np.abs(step) > 0.5 * np.pi
-    rough |= np.minimum(np.abs(v_lo), np.abs(v_hi)) < TINY_SAMPLE
+    rough |= np.minimum(mag_lo, mag_hi) < TINY_SAMPLE
     return step, rough
 
 
@@ -532,48 +534,59 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
 
 def _batch_winding(alpha: np.ndarray, degree: int, r: float,
                    boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
-    """Winding numbers of a coefficient batch around |z| = r.
-
-    Returns ``(counts, ok)`` under the rules of ``_winding_rows``.  Rows go
-    through in chunks of at most ``_GRID_CHUNK`` first-grid samples, so
-    the grids held at once stay small whatever the batch size.
-    """
-    alpha = np.atleast_2d(alpha)
-    m0 = _next_pow2(_WINDING_SAMPLES * (degree + 1))
-    step = max(1, _GRID_CHUNK // m0)
-    parts = [_winding_rows(_circle_fourier_coeffs(alpha[s : s + step], degree, r),
-                           r, boundary_margin, m0)
-             for s in range(0, alpha.shape[0], step)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    """Winding numbers of a coefficient batch around |z| = r: ``(counts,
+    ok)`` under the rules of ``_winding_rows``."""
+    b = _circle_fourier_coeffs(np.atleast_2d(alpha), degree, r)
+    return _winding_rows(b, r, boundary_margin, _next_pow2(_WINDING_SAMPLES * (degree + 1)))
 
 
 def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
     """``(counts, ok)`` for the Fourier rows ``b`` of boundary values on
-    |z| = r, from ``m0`` samples.  A row fails when a Newton step
-    |psi|/|psi'| puts a zero within ``boundary_margin`` of the contour, or
-    a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|.
+    |z| = r, from ``m0`` samples (a power of two).  A row fails when a
+    Newton step |psi|/|psi'| puts a zero within ``boundary_margin`` of the
+    contour, or a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|.
+    The derivative grid of that step is taken only for rows with a sample
+    below 2 margin D / r, D = sum k |b_k|: |psi'| <= D / r on the circle
+    (Bernstein), so on other rows every step is at least twice the margin.
 
-    The good phase steps of the first grid make each row's running total.
-    The rough intervals of all rows form one flat list, and each round
-    bisects every one of them: it evaluates only their midpoints, adds the
-    good halves' steps to their rows' totals and keeps the rough halves.
-    A row fails when its points would pass ``NODE_CAP``, when it keeps a
-    rough interval after ``_MAX_REFINEMENTS`` rounds, or when its total is
-    not within 0.01 of a multiple of 2 pi."""
+    The first grid runs in chunks of at most ``_GRID_CHUNK`` samples.  Its
+    good phase steps make each row's running total; the rough intervals of
+    all chunks form one flat list, and each round bisects every one of
+    them: it evaluates only their midpoints, adds the good halves' steps
+    to their rows' totals and keeps the rough halves.  A row fails when
+    its points would pass ``NODE_CAP``, when it keeps a rough interval
+    after ``_MAX_REFINEMENTS`` rounds, or when its total is not within
+    0.01 of a multiple of 2 pi."""
     rows, n1 = b.shape
-    vals = _eval_circle_grid(b, m0)
-    mag = np.abs(vals)
-    dmag = np.abs(_eval_circle_grid(b * (1j * np.arange(n1)), m0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.where(dmag == 0, np.inf, r * mag / np.where(dmag == 0, 1.0, dmag))
-    ok = ~(dist.min(axis=1) < boundary_margin)
-    ok &= mag.min(axis=1) > _PRECISION_FLOOR * np.abs(b).sum(axis=1)
-    step, rough = _phase_steps(vals, np.roll(vals, -1, axis=1))
-    rough &= ok[:, None]
-    total = np.where(rough, 0.0, step).sum(axis=1)
-    # rough intervals as (row, start in turns, value at start, value at end)
-    row, k = np.nonzero(rough)
-    span = (row, k / m0, vals[row, k], vals[row, (k + 1) % m0])
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    abs_b = np.abs(b)
+    gate = (2.0 * boundary_margin / r) * (abs_b @ np.arange(n1))
+    ok = np.empty(rows, dtype=bool)
+    total = np.empty(rows)
+    parts = []  # rough intervals as (row, start in turns, value at start, value at end)
+    chunk = max(1, _GRID_CHUNK // m0)
+    for s in range(0, rows, chunk):
+        sel = slice(s, s + chunk)
+        # the unscaled inverse FFT equals _eval_circle_grid's ifft * M bit for
+        # bit; the last column repeats the first, where the last interval ends
+        vals = np.fft.ifft(b[sel], n=m0, axis=1, norm="forward")
+        vals = np.concatenate((vals, vals[:, :1]), axis=1)
+        mag = np.abs(vals)
+        low = mag.min(axis=1)
+        ok[sel] = low > _PRECISION_FLOOR * abs_b[sel].sum(axis=1)
+        near = np.nonzero(low < gate[sel])[0]
+        dmag = np.abs(np.fft.ifft(b[s + near] * (1j * np.arange(n1)), n=m0, axis=1,
+                                  norm="forward"))
+        # a 0/0 step is NaN, never below the margin; its row fails the floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok[s + near] &= ~(r * mag[near, :m0] / dmag < boundary_margin).any(axis=1)
+        step, rough = _phase_steps(vals[:, :m0], vals[:, 1:], mag[:, :m0], mag[:, 1:])
+        rough &= ok[sel, None]
+        total[sel] = np.where(rough, 0.0, step).sum(axis=1)
+        row, k = np.nonzero(rough)
+        parts.append((row + s, k / m0, vals[row, k], vals[row, k + 1]))
+    span = tuple(np.concatenate(col) for col in zip(*parts))
     bt = np.ascontiguousarray(b.T)
     points = np.full(rows, m0)
     width = 1.0 / m0
@@ -589,7 +602,7 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
         v_mid = _eval_row_angles(bt, row, 2.0 * np.pi * t_mid)
         row, t_lo, v_lo, v_hi = (np.concatenate(pair) for pair in
                                  ((row, row), (t_lo, t_mid), (v_lo, v_mid), (v_mid, v_hi)))
-        step, rough = _phase_steps(v_lo, v_hi)
+        step, rough = _phase_steps(v_lo, v_hi, np.abs(v_lo), np.abs(v_hi))
         total += np.bincount(row[~rough], weights=step[~rough], minlength=rows)
         span = tuple(a[rough] for a in (row, t_lo, v_lo, v_hi))
     ok[span[0]] = False

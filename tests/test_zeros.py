@@ -469,26 +469,68 @@ class TestArgumentPrinciple:
             counts, ok = zeros._winding_rows(row, 1.0, 1e-9, 8)
             assert not ok[0] and counts[0] == 0
 
-    def test_mixed_batch_bisects_each_row_as_alone(self):
-        # rows with a zero 1e-4 to 1e-7 outside the unit circle, midway
-        # between two first-grid angles, among random rows
+    def test_mixed_batch_bisects_each_row_as_alone(self, monkeypatch):
+        # rows with a zero 1e-4 to 1e-7 outside the unit circle, a third of
+        # the way between two first-grid angles, and one 1e-11 outside,
+        # which 20 rounds cannot resolve, among random rows.  A small
+        # _GRID_CHUNK splits the first grid into chunks of one or two rows,
+        # whose rough intervals must still be bisected as one list: one
+        # Horner pass per round
         rng = np.random.default_rng(47)
-        n = 12
-        m0 = zeros._next_pow2(zeros._WINDING_SAMPLES * (n + 1))
-        rows = []
-        for eps in (1e-4, 1e-5, 1e-6, 1e-7):
-            angle = 2.0 * np.pi * (rng.integers(m0) + 0.5) / m0
-            rows.append(_alpha_with_zero_at(rng, n, (1.0 + eps) * np.exp(1j * angle)))
-            rows.extend(random_poly(rng, n).coefficients for _ in range(3))
-        alpha = np.array(rows)
-        counts, ok = zeros._batch_winding(alpha, n, 1.0)
-        assert ok.all()
-        for i, a in enumerate(alpha):
-            one, one_ok = zeros._batch_winding(a[None], n, 1.0)
-            assert one_ok[0] and one[0] == counts[i]
-            p = SU2Polynomial(n, a)
-            by_roots = zeros.count_zeros_from_roots(zeros.find_all_roots(p), zeros.Disk(0, 1.0))
-            assert by_roots.count == counts[i]
+        for n in (12, 50):
+            m0 = zeros._next_pow2(zeros._WINDING_SAMPLES * (n + 1))
+            rows = []
+            for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-11):
+                angle = 2.0 * np.pi * (rng.integers(m0) + 1 / 3) / m0
+                rows.append(_alpha_with_zero_at(rng, n, (1.0 + eps) * np.exp(1j * angle)))
+                rows.extend(random_poly(rng, n).coefficients for _ in range(3))
+            alpha = np.array(rows)
+            whole = zeros._batch_winding(alpha, n, 1.0)
+            with monkeypatch.context() as patch:
+                seen = self._spy_bisection(patch)
+                patch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
+                counts, ok = zeros._batch_winding(alpha, n, 1.0)
+                assert 10 < len(seen) <= zeros._MAX_REFINEMENTS
+                assert np.array_equal(counts, whole[0]) and np.array_equal(ok, whole[1])
+                assert ok.tolist() == [i != 16 for i in range(len(alpha))]
+                for i, a in enumerate(alpha):
+                    one, one_ok = zeros._batch_winding(a[None], n, 1.0)
+                    assert one_ok[0] == ok[i] and one[0] == counts[i]
+            for a, count in zip(alpha[ok], counts[ok]):
+                roots = zeros.find_all_roots(SU2Polynomial(n, a))
+                assert zeros.count_zeros_from_roots(roots, zeros.Disk(0, 1.0)).count == count
+
+    def test_pruned_derivative_grid_keeps_margin_refusals(self):
+        # 1-3 zeros 1e-13 to 1e-3 from the contour, each at a first-grid
+        # angle so that the Newton step there sees it: every row whose
+        # Newton distance on the full first grids falls below the margin
+        # must be refused, though the kernel takes the derivative grid only
+        # for rows with a sample below 2 margin sum k |b_k| / r
+        rng = np.random.default_rng(53)
+        margin = zeros.DEFAULT_BOUNDARY_MARGIN
+        within = 0
+        for n in (8, 30, 60):
+            for r in (0.5, 1.0, 2.0):
+                m0 = zeros._next_pow2(zeros._WINDING_SAMPLES * (n + 1))
+                alpha = np.array([_alpha_with_zero_at(rng, n, *(
+                    (r + rng.choice((-1, 1)) * 10 ** rng.uniform(-13, -3))
+                    * np.exp(2j * np.pi * rng.integers(m0) / m0)
+                    for _ in range(rng.integers(1, 4)))) for _ in range(40)])
+                b = zeros._circle_fourier_coeffs(alpha, n, r)
+                mag = np.abs(zeros._eval_circle_grid(b, m0))
+                dmag = np.abs(zeros._eval_circle_grid(b * (1j * np.arange(n + 1)), m0))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    newton = (r * mag / dmag < margin).any(axis=1)
+                _, ok = zeros._batch_winding(alpha, n, r)
+                assert not (ok & newton).any(), (n, r)
+                within += newton.sum()
+        assert within >= 50
+
+    @pytest.mark.parametrize("kernel", [zeros._batch_winding, zeros._batch_schur_cohn])
+    def test_empty_batch(self, kernel):
+        counts, ok = kernel(np.zeros((0, 13), dtype=complex), 12, 1.0)
+        assert counts.shape == ok.shape == (0,)
+        assert counts.dtype == np.int64 and ok.dtype == bool
 
     def test_huge_radius_counts_every_zero(self):
         p = model.sample_polynomial(12, RngSeed(5, 0))
@@ -507,10 +549,12 @@ def _sample(seed, rows, degree):
     return gaussian_matrix(seed, np.arange(rows, dtype=np.uint64), degree + 1)
 
 
-def _alpha_with_zero_at(rng, degree, zero):
-    """Coefficients of a random polynomial times (z - zero)."""
-    inner = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-    w = np.convolve(inner, [-zero, 1.0])
+def _alpha_with_zero_at(rng, degree, *zs):
+    """Coefficients of a random polynomial times (z - zero) for each zero."""
+    k = degree + 1 - len(zs)
+    w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for zero in zs:
+        w = np.convolve(w, [-zero, 1.0])
     return w * np.exp(-model._log_weights(degree))
 
 
