@@ -1,9 +1,11 @@
 #!/bin/sh
 # Write the 15 byte-identity outputs of the Monte Carlo estimators, each at
-# --workers 1 and 2, 7 one-polynomial outputs (Aberth roots for
-# N in {12, 50, 200} and seeds 1 and 2, and one zero count from the roots
-# at N = 200), the orthonormality checks at N = 10 and the verify suite as
-# JSON, and the five concentration estimates (three *_frequency, two
+# --workers 1 and 2, 8 one-polynomial outputs (Aberth roots for
+# N in {12, 50, 200} and seeds 1 and 2, and for N = 600, seed 1, a row
+# that splits both the Horner pass into spans and the pairwise fold into
+# chunks of j at the default _SWEEP_CHUNK; and one zero count from the
+# roots at N = 200), the orthonormality checks at N = 10 and the verify
+# suite as JSON, and the five concentration estimates (three *_frequency, two
 # *_probability) of `concentration --grid 10,40` at r = 1, 8192 trials,
 # seed 6, as JSON and as CSV, each at --workers 1 and 2, into OUTDIR: one
 # file per run.  Three more kinds of file pin the winding counter, which
@@ -25,7 +27,7 @@
 # and `fit-decay --grid 2,4,6` (each at --workers 1 and 2), `fit-decay` on
 # the r = 0.5, seed 2 hole file (whose N = 16 row has point 0 and is
 # dropped), `omega-bound` for one degree and for a grid, and
-# `count -N 200` as JSON: 58 files in all.
+# `count -N 200` as JSON: 59 files in all.
 #
 # The outputs are a pure function of argv, and JSON and CSV write every
 # float exactly (as repr), so two checkouts that agree on every estimate,
@@ -142,6 +144,7 @@ for n in 12 50 200; do
         su2lab roots -N "$n" --seed "$s" --format json > "$out/roots_N${n}_s${s}.json"
     done
 done
+su2lab roots -N 600 --seed 1 --format json > "$out/roots_N600_s1.json"
 su2lab count -N 200 -r 1 --seed 1 > "$out/count_N200.csv"
 su2lab count -N 200 -r 1 --seed 1 --format json > "$out/count_N200.json"
 # relative, so the echoed file name is the same in every OUTDIR

@@ -237,39 +237,38 @@ def _bini_start_points(w: np.ndarray) -> np.ndarray:
 
     Radii follow the upper convex hull of (k, log|w_k|); angles are spread
     uniformly with a fixed offset so no symmetry axis of the polynomial is
-    an invariant set of the iteration.
+    an invariant set of the iteration.  The hull runs on Python floats,
+    whose arithmetic is the IEEE arithmetic of numpy's float64 scalars.
     """
     rows, n1 = w.shape
     m = n1 - 1
-    out = np.empty((rows, m), dtype=complex)
     angles = 2.0 * np.pi * (np.arange(m) + 0.375) / m + 0.26
     unit = np.exp(1j * angles)
+    aw = np.abs(w)
     logw = np.full((rows, n1), -np.inf)
-    np.log(np.abs(w), out=logw, where=np.abs(w) > 0)
-    for i in range(rows):
-        ys = logw[i]
+    np.log(aw, out=logw, where=aw > 0)
+    radii = np.zeros((rows, m))
+    for i, ys in enumerate(logw.tolist()):
         hull: list[int] = []
-        for k in range(n1):
-            if ys[k] == -np.inf:
+        for k, y in enumerate(ys):
+            if y == -math.inf:
                 continue
             while len(hull) >= 2:
                 k1, k2 = hull[-2], hull[-1]
-                if (ys[k2] - ys[k1]) * (k - k2) <= (ys[k] - ys[k2]) * (k2 - k1):
+                if (ys[k2] - ys[k1]) * (k - k2) <= (y - ys[k2]) * (k2 - k1):
                     hull.pop()
                 else:
                     break
             hull.append(k)
-        radii = np.zeros(m)
         for a, bb in zip(hull[:-1], hull[1:]):
-            radii[a:bb] = math.exp((ys[a] - ys[bb]) / (bb - a))
-        out[i] = radii * unit
-    return out
+            radii[i, a:bb] = math.exp((ys[a] - ys[bb]) / (bb - a))
+    return radii * unit
 
 
-def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray,
+def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray,
                    derivative: bool = True):
     """Polynomial ``w[row[i]]`` at point ``z[i]`` by one Horner pass,
-    without overflow at any |z|.
+    without overflow at any |z|; ``az`` is |z|.
 
     A point with |z| <= 1 runs the direct coefficients at x = z.  A point
     with |z| > 1 runs the reversed ones at x = u = 1/z, which evaluates
@@ -278,42 +277,44 @@ def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray,
 
     Each Horner step is two ufunc calls on all points at once: the rows
     (dp, p, c) of step t lie in one buffer right before those of step
-    t + 1, so ``(dp, p) * x + (p, c)`` reads and writes whole slices.  The
-    buffer holds as many steps as fit in ``_SWEEP_CHUNK`` elements; after
-    each span of steps, (dp, p) moves to its front and the next span's
-    coefficients are gathered in.
+    t + 1, so ``acc[t + 1] = acc[t] * x + coef[t]``, with ``acc`` the
+    (dp, p) and ``coef`` the (p, c) rows, reads and writes whole slices.
+    The buffer holds as many steps as fit in ``_SWEEP_CHUNK`` elements;
+    after each span of steps, (dp, p) moves to its front and the next
+    span's coefficients are gathered in from a (2, rows, N+1) stack of
+    the direct coefficients, top first, and the reversed ones.
     """
     n1 = w.shape[1]
     points = len(z)
-    rev = np.abs(z) > 1.0
+    rev = az > 1.0
     x = np.divide(1.0, z, out=z.copy(), where=rev)
     width = 3 if derivative else 2  # buffer rows per step: (dp,) p, c
     span = max(1, min(n1, _SWEEP_CHUNK // (width * max(points, 1)) - 1))
     buf = np.empty((span + 1, width, points), dtype=complex)
-    flat = buf.reshape((span + 1) * width, points)
+    acc, coef = buf[:, :-1], buf[:, 1:]
     # x spelled out to the factor's shape: numpy's complex product rounds
     # differently on some broadcast layouts (a (1, 1) times a (1,) array),
     # and a same-shape contiguous product never does
     xs = np.repeat(x[None], width - 1, axis=0)
-    buf[0, :-1] = 0.0
+    # step t adds coefficient m - t directly, or t when reversed
+    stack = np.stack((w[:, ::-1], w))
+    flip = rev.astype(np.intp)
+    acc[0] = 0.0
     for t0 in range(0, n1, span):
-        steps = np.arange(t0, min(t0 + span, n1))
-        # step t adds coefficient m - t directly, or t when reversed
-        cols = np.where(rev[:, None], steps, n1 - 1 - steps)
-        buf[: len(steps), -1] = w[row[:, None], cols].T
-        for j in range(0, width * len(steps), width):
-            nxt = flat[j + width : j + 2 * width - 1]
-            np.multiply(flat[j : j + width - 1], xs, out=nxt)
-            nxt += flat[j + 1 : j + width]
-        buf[0, :-1] = buf[len(steps), :-1]
+        steps = min(span, n1 - t0)
+        buf[:steps, -1] = stack[flip, row, t0 : t0 + steps].T
+        for a0, a1, c0 in zip(acc[:steps], acc[1:], coef):
+            np.multiply(a0, xs, a1)  # a positional out parses faster than out=
+            np.add(a1, c0, a1)
+        acc[0] = acc[steps]
     val = buf[0, -2].copy()
     der = buf[0, 0].copy() if derivative else None
     return val, der, x, rev
 
 
-def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray):
+def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
     """Newton step p(z)/p'(z) of polynomial ``w[row[i]]`` at point
-    ``z[i]``, evaluated without overflow at any |z|.
+    ``z[i]``, evaluated without overflow at any |z|; ``az`` is |z|.
 
     For |z| <= 1 this is direct Horner; for |z| > 1 the polynomial is
     folded through its reversal q(u) = z^{-m} p(z) at u = 1/z, where the
@@ -325,7 +326,7 @@ def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray):
     denominator.
     """
     m = w.shape[1] - 1
-    val, der, x, rev = _folded_horner(w, row, z)
+    val, der, x, rev = _folded_horner(w, row, z, az)
     num = np.where(rev, z * val, val)
     denom = np.where(rev, m * val - x * der, der)
     deriv_zero = denom == 0
@@ -343,7 +344,8 @@ def _pairwise_sums(z: np.ndarray, row: np.ndarray, zp: np.ndarray) -> np.ndarray
     The point axis gets at least two columns, since numpy drops an axis of
     length 1.  Chunks of j keep the array within ``_SWEEP_CHUNK`` elements;
     each chunk carries the running sum in as its leading row, which keeps
-    the order.
+    the order.  A zero difference is left in place as its term: a sum
+    starts at +0, and adding a zero of either sign never changes it.
     """
     m = z.shape[1]
     points = len(zp)
@@ -355,10 +357,7 @@ def _pairwise_sums(z: np.ndarray, row: np.ndarray, zp: np.ndarray) -> np.ndarray
         diff = part[1:, :points]
         np.take(zt[j0 : j0 + len(diff)], row, axis=1, out=diff, mode="clip")
         np.subtract(zp, diff, out=diff)
-        zero = diff == 0
-        np.copyto(diff, 1.0, where=zero)
-        np.divide(1.0, diff, out=diff)
-        np.copyto(diff, 0.0, where=zero)
+        np.divide(1.0, diff, out=diff, where=diff != 0)
         buf[0] = part.sum(axis=0)
     return buf[0, :points].copy()
 
@@ -370,7 +369,8 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-negligible leading coefficient.  A sweep updates every root of
     every row at once from the previous sweep's roots, and only the roots
     still moving: a root is frozen once its step falls below
-    ``_ABERTH_TOL``.
+    ``_ABERTH_TOL``.  Roots and their active mask are kept flat, root i
+    of the flat list in row i // m, and |z| is taken once per sweep.
     """
     w = np.atleast_2d(w).astype(complex)
     rows, n1 = w.shape
@@ -382,32 +382,33 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         roots = (-w[:, 0] / w[:, 1])[:, None]
         return roots, np.ones(rows, dtype=bool)
     z = _bini_start_points(w)
-    active = np.ones((rows, m), dtype=bool)
+    flat = z.reshape(-1)
+    active = np.ones(rows * m, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for _ in range(_ABERTH_MAX_SWEEPS):
-            row, col = np.nonzero(active)
-            if not len(row):
+            idx = np.flatnonzero(active)
+            if not len(idx):
                 break
-            zp = z[row, col]
-            newton, deriv_zero = _newton_ratio(w, row, zp)
+            row = idx // m
+            zp = flat[idx]
+            az = np.abs(zp)
+            newton, deriv_zero = _newton_ratio(w, row, zp, az)
             # named, so numpy cannot reuse it as a temporary and swap the
             # product's operands: complex products round differently then
             s = _pairwise_sums(z, row, zp)
             denom = 1.0 - newton * s
             step = np.where(denom == 0, newton, newton / np.where(denom == 0, 1.0, denom))
             step = np.where(deriv_zero & (newton == 0), 0.0, step)
-            collided = deriv_zero & (newton != 0)
-            step = np.where(collided, -0.1 * (1.0 + np.abs(zp)), step)
-            done = np.abs(step) <= _ABERTH_TOL * (1.0 + np.abs(zp))
-            z[row, col] = np.where(done, zp, zp - step)
-            active[row, col] = ~done
-        converged = ~active.any(axis=1)
+            step = np.where(deriv_zero & (newton != 0), -0.1 * (1.0 + az), step)
+            done = np.abs(step) <= _ABERTH_TOL * (1.0 + az)
+            flat[idx] = np.where(done, zp, zp - step)
+            active[idx] = ~done
+        converged = ~active.reshape(rows, m).any(axis=1)
         every_row = np.repeat(np.arange(rows), m)
-        z = z.ravel()
         for _ in range(_ABERTH_POLISH):
-            newton, deriv_zero = _newton_ratio(w, every_row, z)
-            z = np.where(deriv_zero, z, z - newton)
-    return z.reshape(rows, m), converged
+            newton, deriv_zero = _newton_ratio(w, every_row, flat, np.abs(flat))
+            flat = np.where(deriv_zero, flat, flat - newton)
+    return flat.reshape(rows, m), converged
 
 
 def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> np.ndarray:
@@ -418,7 +419,7 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
-        val, _, _, rev = _folded_horner(w, row, roots.ravel(), derivative=False)
+        val, _, _, rev = _folded_horner(w, row, roots.ravel(), az.ravel(), derivative=False)
         log_val = np.log(np.maximum(np.abs(val), 1e-300)).reshape(roots.shape)
         log_rev = n * np.log(np.maximum(az, 1e-300)) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
@@ -505,9 +506,13 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
 
     Off the origin the row is that of psi moved by the rotation of
     ``_recentered_disk``, on |w| = rho, and the margin grows by the
-    rotation's largest stretch there.  A zero estimated within
-    ``DEFAULT_BOUNDARY_MARGIN`` of the contour, or a row that fails the
-    winding rules, raises :class:`ContourError`.
+    rotation's largest stretch there.  A Newton step at a first-grid
+    sample that puts a zero within ``DEFAULT_BOUNDARY_MARGIN`` of the
+    contour, or a row that fails the winding rules, raises
+    :class:`ContourError`.  A zero within the margin but between samples
+    can still certify (at N = 12, one 1e-11 from |z| = 1 half a grid
+    step from a sample does); ROADMAP item 2's certificate would refuse
+    it.
     """
     _refuse_zero(poly)
     n = poly.degree
@@ -543,8 +548,10 @@ def _batch_winding(alpha: np.ndarray, degree: int, r: float,
 def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
     """``(counts, ok)`` for the Fourier rows ``b`` of boundary values on
     |z| = r, from ``m0`` samples (a power of two).  A row fails when a
-    Newton step |psi|/|psi'| puts a zero within ``boundary_margin`` of the
-    contour, or a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|.
+    Newton step |psi|/|psi'| at one of the ``m0`` samples puts a zero
+    within ``boundary_margin`` of the contour, or a sample lies within
+    ``_PRECISION_FLOOR`` of sum |b_k|; a zero that close to the contour
+    but between samples need not be refused.
     The derivative grid of that step is taken only for rows with a sample
     below 2 margin D / r, D = sum k |b_k|: |psi'| <= D / r on the circle
     (Bernstein), so on other rows every step is at least twice the margin.
@@ -811,7 +818,8 @@ def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     x2 = lo + invphi * span
     f1 = obj_fn(x1)
     f2 = obj_fn(x2)
-    width = float(np.max(span))
+    # a bracket below the tolerance, or none at all, takes no iteration
+    width = float(np.max(span, initial=_ANGLE_TOL))
     n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
     for _ in range(n_iter):
         take_left = f1 >= f2

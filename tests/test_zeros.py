@@ -102,13 +102,43 @@ def _loop_newton_ratio(w, z):
             np.where(use_rev, denom == 0, dp == 0))
 
 
+def _loop_bini(w):
+    """Reference Newton-polygon start points: each row's upper hull of
+    (k, log|w_k|) on numpy float64 scalars, and its radii times the
+    offset unit angles, one row at a time."""
+    rows, n1 = w.shape
+    m = n1 - 1
+    out = np.empty((rows, m), dtype=complex)
+    unit = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.375) / m + 0.26))
+    logw = np.full((rows, n1), -np.inf)
+    np.log(np.abs(w), out=logw, where=np.abs(w) > 0)
+    for i in range(rows):
+        ys = logw[i]
+        hull = []
+        for k in range(n1):
+            if ys[k] == -np.inf:
+                continue
+            while len(hull) >= 2:
+                k1, k2 = hull[-2], hull[-1]
+                if (ys[k2] - ys[k1]) * (k - k2) <= (ys[k] - ys[k2]) * (k2 - k1):
+                    hull.pop()
+                else:
+                    break
+            hull.append(k)
+        radii = np.zeros(m)
+        for a, bb in zip(hull[:-1], hull[1:]):
+            radii[a:bb] = math.exp((ys[a] - ys[bb]) / (bb - a))
+        out[i] = radii * unit
+    return out
+
+
 def _loop_aberth(w, tol=1e-13, max_sweeps=500, polish=2):
     """Reference sweep: a Python loop over columns for the pairwise sums and
     two Horner passes per Newton step, on every root of every row."""
     w = w.astype(complex)
     w = w / np.max(np.abs(w), axis=1, keepdims=True)
     rows, n1 = w.shape
-    z = zeros._bini_start_points(w)
+    z = _loop_bini(w)
     active = np.ones((rows, n1 - 1), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for _ in range(max_sweeps):
@@ -168,6 +198,25 @@ class TestAberthBatch:
             one = roots[:1, k : k + 1]
             assert np.array_equal(zeros._normalized_residuals(alpha[:1], degree, one),
                                   _loop_residuals(alpha[:1], degree, one))
+
+    def test_start_points_match_loop_hull(self):
+        # exact zeros (-inf logs, at both ends too), a single nonzero,
+        # equal moduli (collinear points, popped by the <= test) and
+        # Gaussian rows, each batch at once and each row alone
+        batches = [
+            np.array([[0, 2, 0, 0, 1, 0, 3, 0], [1, 0, 0, 0, 0, 0, 0, 1e-3],
+                      [0, 0, 0, 5j, 0, 0, 0, 0], [1, -1, 1j, -1j, 1, 1, -1, 1]]),
+            np.array([[1, 1, 1, 1, 1], [2, 1, 0.5, 0.25, 0.125]]),
+        ]
+        for degree in (1, 2, 12, 200, 600):
+            alpha = gaussian_matrix(43, np.arange(3, dtype=np.uint64), degree + 1)
+            batches.append(alpha * np.exp(model._log_weights(degree)))
+        for w in batches:
+            w = w.astype(complex)
+            assert np.array_equal(zeros._bini_start_points(w), _loop_bini(w))
+            for i in range(len(w)):
+                assert np.array_equal(zeros._bini_start_points(w[i : i + 1]),
+                                      _loop_bini(w[i : i + 1]))
 
     @pytest.mark.parametrize("points", [1, 2, 7])
     @pytest.mark.parametrize("chunk", [1 << 17, 64])
@@ -259,6 +308,14 @@ class TestCountFromRoots:
     def test_off_center_disk(self):
         zs = zeros.find_all_roots(SU2Polynomial(1, [1, 1]))
         assert zeros.count_zeros_from_roots(zs, zeros.Disk(-1 + 0j, 0.3)).count == 1
+
+
+EMPTY_BATCH_DTYPES = {  # each batch kernel's outputs on zero rows
+    "_batch_winding": (np.int64, bool),
+    "_batch_schur_cohn": (np.int64, bool),
+    "_batch_boundary_log_max": (float, float),
+    "_batch_circle_log_means": (float, float, bool, float),
+}
 
 
 class TestArgumentPrinciple:
@@ -526,11 +583,11 @@ class TestArgumentPrinciple:
                 within += newton.sum()
         assert within >= 50
 
-    @pytest.mark.parametrize("kernel", [zeros._batch_winding, zeros._batch_schur_cohn])
+    @pytest.mark.parametrize("kernel", [getattr(zeros, name) for name in EMPTY_BATCH_DTYPES])
     def test_empty_batch(self, kernel):
-        counts, ok = kernel(np.zeros((0, 13), dtype=complex), 12, 1.0)
-        assert counts.shape == ok.shape == (0,)
-        assert counts.dtype == np.int64 and ok.dtype == bool
+        out = kernel(np.zeros((0, 13), dtype=complex), 12, 1.0)
+        assert [(a.shape, a.dtype) for a in out] == [
+            ((0,), np.dtype(t)) for t in EMPTY_BATCH_DTYPES[kernel.__name__]]
 
     def test_huge_radius_counts_every_zero(self):
         p = model.sample_polynomial(12, RngSeed(5, 0))
