@@ -8,8 +8,10 @@
 # copy of this working tree's identity_outputs.sh, so both sides write the
 # same 59 files (see identity_outputs.sh).  The two directories are then
 # compared with `diff -r`; the exit status is non-zero on any difference,
-# or if either side fails to write its files.  The temporary directories
-# are removed on exit.
+# or if either side fails to write its files.  Before the outputs, the
+# script prints `wc -l src/su2lab/*.py` for REV and for the working tree,
+# the line count of the package.  The temporary directories are removed on
+# exit.
 set -eu
 
 if [ $# -gt 1 ]; then
@@ -26,6 +28,11 @@ mkdir -p "$tmp/old/scripts"
 git -C "$root" archive -o "$tmp/src.tar" "$rev" src
 tar -x -f "$tmp/src.tar" -C "$tmp/old"
 cp "$root/scripts/identity_outputs.sh" "$tmp/old/scripts/"
+
+echo "$rev:"
+(cd "$tmp/old" && wc -l src/su2lab/*.py)
+echo "working tree:"
+(cd "$root" && wc -l src/su2lab/*.py)
 
 sh "$tmp/old/scripts/identity_outputs.sh" "$tmp/out-old"
 sh "$root/scripts/identity_outputs.sh" "$tmp/out-new"

@@ -75,13 +75,7 @@ def serialize_record(record: ExperimentRecord, fmt: str) -> bytes:
     """Serialize one record: JSON object (fixed key order, shortest
     round-trip floats) or CSV (documented fixed columns, LF, UTF-8)."""
     if fmt == "json":
-        payload = {
-            "command": record.command,
-            "plan": record.plan,
-            "result": record.result,
-            "tool_version": record.tool_version,
-        }
-        return (json.dumps(payload) + "\n").encode("utf-8")
+        return (json.dumps(asdict(record)) + "\n").encode("utf-8")
     if fmt == "csv":
         columns = CSV_COLUMNS[record.command]
         buf = io.StringIO()
@@ -267,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mean-zeros", help="Monte Carlo mean zero count")
     p.add_argument("-N", "--degree", type=_nonneg_int, required=True)
+    p.set_defaults(grid=None)  # one degree only: a ladder of one rung
     _add_plan_flags(p, trials_default=2000)
     _add_output_flags(p)
 
@@ -317,31 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand handlers (return an ExperimentRecord; data stream only)
 
 
-def _plan_echo(plan: mc.TrialPlan) -> dict:
-    return {
-        "N": plan.degree,
-        "r": plan.radius,
-        "trials": plan.trials,
-        "seed": plan.master_seed,
-        "tolerances": asdict(mc.TOLERANCES),
-    }
-
-
-def _estimate_row(plan: mc.TrialPlan, est: mc.Estimate, extra: dict | None = None) -> dict:
-    row = {"N": plan.degree, "r": plan.radius, "trials": plan.trials}
-    if extra:
-        row.update(extra)
-    row.update({
-        "trials_failed": est.trials_failed,
-        "point": est.point,
-        "stderr": est.stderr,
-        "ci_lo": est.ci95[0],
-        "ci_hi": est.ci95[1],
-        "seed": plan.master_seed,
-    })
-    return row
-
-
 def _make_plan(args, degree: int) -> mc.TrialPlan:
     return mc.TrialPlan(degree=degree, radius=args.radius, trials=args.trials,
                         master_seed=args.seed, workers=args.workers)
@@ -351,24 +321,35 @@ def _degrees(args) -> list[int]:
     return args.grid if args.grid is not None else [args.degree]
 
 
-def _plans(args) -> list[mc.TrialPlan]:
-    return [_make_plan(args, degree) for degree in _degrees(args)]
-
-
-def _hole_rows(args) -> list[dict]:
-    return [_estimate_row(p, mc.estimate_hole_probability(p)) for p in _plans(args)]
-
-
 def _rows_result(rows: list[dict], **extra) -> dict:
     """A record's ``result``: its rows, a lone row's fields again at the top
     level, then ``extra``."""
     return {"rows": rows, **(rows[0] if len(rows) == 1 else {}), **extra}
 
 
-def _ladder_record(args, rows: list[dict], **echo) -> ExperimentRecord:
-    """The record of an estimate at ``-N`` or over ``--grid``: the first
-    degree's plan echo, then ``echo``, then the grid if one was given."""
-    plan_echo = {**_plan_echo(_make_plan(args, _degrees(args)[0])), **echo}
+def _ladder_record(args, estimators, **echo) -> ExperimentRecord:
+    """The record of estimates at ``-N`` or over ``--grid``.
+
+    Each degree's plan gives one row per ``(estimator, extra)`` pair: the
+    plan's fields, ``extra``, then the estimate's.  The estimator is called
+    on the plan, and on ``extra``'s delta too when that is set.  The plan
+    echo is the first degree's, then ``echo``, then the grid if one was
+    given."""
+    plans = [_make_plan(args, degree) for degree in _degrees(args)]
+    rows = []
+    for plan in plans:
+        for estimate, extra in estimators:
+            delta = extra.get("delta")
+            est = estimate(plan) if delta is None else estimate(plan, delta)
+            rows.append({"N": plan.degree, "r": plan.radius, "trials": plan.trials,
+                         **extra, "trials_failed": est.trials_failed,
+                         "point": est.point, "stderr": est.stderr,
+                         "ci_lo": est.ci95[0], "ci_hi": est.ci95[1],
+                         "seed": plan.master_seed})
+    first = plans[0]
+    plan_echo = {"N": first.degree, "r": first.radius, "trials": first.trials,
+                 "seed": first.master_seed, "tolerances": asdict(mc.TOLERANCES),
+                 **echo}
     if args.grid is not None:
         plan_echo["grid"] = list(args.grid)
     return ExperimentRecord(command=args.command, plan=plan_echo,
@@ -388,9 +369,18 @@ def _handle_sample(args) -> ExperimentRecord:
     )
 
 
+def _root_polynomial(args) -> model.SU2Polynomial:
+    """The ``-N``/``--seed`` polynomial of ``roots`` and ``count``; a degree
+    whose monomial weights overflow doubles is a usage error."""
+    try:
+        model._weights(args.degree)
+    except OverflowError as exc:
+        raise UsageError(f"-N: {exc}") from None
+    return model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
+
+
 def _handle_roots(args) -> ExperimentRecord:
-    poly = model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
-    zs = zeros.find_all_roots(poly)
+    zs = zeros.find_all_roots(_root_polynomial(args))
     rows = [
         {"index": i, "re": float(z.real), "im": float(z.imag),
          "residual": float(res)}
@@ -404,9 +394,8 @@ def _handle_roots(args) -> ExperimentRecord:
 
 
 def _handle_count(args) -> ExperimentRecord:
-    poly = model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
     zc = zeros.count_zeros_from_roots(
-        zeros.find_all_roots(poly), zeros.Disk(0.0, args.radius)
+        zeros.find_all_roots(_root_polynomial(args)), zeros.Disk(0.0, args.radius)
     )
     row = {"N": args.degree, "r": args.radius, "count": zc.count,
            "method": zc.method, "near_boundary": zc.near_boundary,
@@ -419,22 +408,16 @@ def _handle_count(args) -> ExperimentRecord:
 
 
 def _handle_mean_zeros(args) -> ExperimentRecord:
-    plan = _make_plan(args, args.degree)
-    row = _estimate_row(plan, mc.estimate_zero_count_mean(plan))
-    return ExperimentRecord(command="mean-zeros", plan=_plan_echo(plan),
-                            result=_rows_result([row]))
+    return _ladder_record(args, [(mc.estimate_zero_count_mean, {})])
 
 
 def _handle_deviation(args) -> ExperimentRecord:
-    spec = mc.DeviationSpec(args.delta)
-    rows = [_estimate_row(plan, mc.estimate_deviation_probability(plan, spec),
-                          {"delta": args.delta})
-            for plan in _plans(args)]
-    return _ladder_record(args, rows, delta=args.delta)
+    return _ladder_record(args, [(mc.estimate_deviation_probability,
+                                  {"delta": args.delta})], delta=args.delta)
 
 
 def _handle_hole(args) -> ExperimentRecord:
-    return _ladder_record(args, _hole_rows(args))
+    return _ladder_record(args, [(mc.estimate_hole_probability, {})])
 
 
 # (estimator, the flag giving its delta or None); the max-modulus pair runs
@@ -450,21 +433,17 @@ _CONCENTRATION_ESTIMATORS = (
 
 
 def _handle_concentration(args) -> ExperimentRecord:
-    plans = _plans(args)
+    first = _make_plan(args, _degrees(args)[0])
     for flag, rule in (("band", mc._max_modulus_band),
                        ("tail", mc._circle_tail_threshold)):
         try:
-            rule(plans[0], getattr(args, flag))
+            rule(first, getattr(args, flag))
         except ValueError as exc:
             raise UsageError(f"--{flag}: {exc}") from None
-    rows = []
-    for plan in plans:
-        for name, flag in _CONCENTRATION_ESTIMATORS:
-            delta = getattr(args, flag) if flag else None
-            estimate = getattr(mc, name)
-            est = estimate(plan) if flag is None else estimate(plan, delta)
-            rows.append(_estimate_row(plan, est, {"estimator": name, "delta": delta}))
-    return _ladder_record(args, rows, band=args.band, tail=args.tail)
+    estimators = [(getattr(mc, name),
+                   {"estimator": name, "delta": getattr(args, flag) if flag else None})
+                  for name, flag in _CONCENTRATION_ESTIMATORS]
+    return _ladder_record(args, estimators, band=args.band, tail=args.tail)
 
 
 def _handle_omega(args) -> ExperimentRecord:
@@ -492,7 +471,7 @@ def _handle_fit_decay(args) -> ExperimentRecord:
     else:
         points = _fit_points((f"N={row['N']}", row["N"], row["point"],
                               row["trials"], row["trials_failed"])
-                             for row in _hole_rows(args))
+                             for row in _handle_hole(args).result["rows"])
         plan_echo = {"grid": list(args.grid), "r": args.radius,
                      "trials": args.trials, "seed": args.seed}
     fit = mc.fit_decay_exponent(points)
@@ -504,19 +483,22 @@ def _handle_fit_decay(args) -> ExperimentRecord:
     )
 
 
-def _handle_verify(args) -> ExperimentRecord:
-    rows = []
-    for result in verify_mod.run_all_checks():
-        rows.append({
-            "check": result.check,
-            "status": "PASS" if result.passed else "FAIL",
-            "measured": result.measured,
-            "threshold": result.threshold,
-        })
+def _check_record(args, plan: dict, rows: list[dict]) -> ExperimentRecord:
+    """The record of ``verify`` or ``orthonormality``: ``rows`` with each
+    ``status`` flag written PASS or FAIL, and how many failed."""
     return ExperimentRecord(
-        command="verify", plan={},
-        result={"rows": rows, "failed": sum(r["status"] == "FAIL" for r in rows)},
+        command=args.command, plan=plan,
+        result={"rows": [{**row, "status": "PASS" if row["status"] else "FAIL"}
+                         for row in rows],
+                "failed": sum(not row["status"] for row in rows)},
     )
+
+
+def _handle_verify(args) -> ExperimentRecord:
+    return _check_record(args, {}, [
+        {"check": res.check, "status": res.passed, "measured": res.measured,
+         "threshold": res.threshold}
+        for res in verify_mod.run_all_checks()])
 
 
 def _handle_orthonormality(args) -> ExperimentRecord:
@@ -529,14 +511,10 @@ def _handle_orthonormality(args) -> ExperimentRecord:
         ("recentered-basis-gram", min(n, 8),
          verify_mod.check_fs_zeta_orthonormality(min(n, 8))),
     )
-    rows = [{"check": name, "N": degree, "measured": res.measured,
-             "threshold": res.threshold, "status": "PASS" if res.passed else "FAIL"}
-            for name, degree, res in checks]
-    return ExperimentRecord(
-        command="orthonormality", plan={"N": n},
-        result={"rows": rows,
-                "failed": sum(r["status"] == "FAIL" for r in rows)},
-    )
+    return _check_record(args, {"N": n}, [
+        {"check": name, "N": degree, "measured": res.measured,
+         "threshold": res.threshold, "status": res.passed}
+        for name, degree, res in checks])
 
 
 _HANDLERS = {
@@ -597,9 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     wall = time.monotonic() - started
     workers = f"workers={args.workers}, " if runs_trials else ""
     print(f"su2lab {record.command}: ok ({wall:.2f}s, {workers}started {stamp})", file=DIAG)
-    if record.command in ("verify", "orthonormality") and record.result["failed"]:
-        return 1
-    return 0
+    return 1 if record.result.get("failed") else 0  # a check command's failures
 
 
 if __name__ == "__main__":

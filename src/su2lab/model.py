@@ -6,8 +6,8 @@ The central object is the degree-``N`` polynomial
 
 with i.i.d. standard complex Gaussian coefficients ``alpha_j``
 (``E|alpha_j|^2 = 1``).  Binomial weights are kept in log form throughout:
-``C(N, N/2)`` overflows doubles near ``N ~ 1030``, so linear-domain weights
-are only materialized under an explicit overflow guard.
+``sqrt(C(N, N/2))`` overflows doubles from ``N = 2054``, so linear-domain
+weights are only materialized by ``_weights``, which refuses such degrees.
 """
 
 from __future__ import annotations
@@ -53,6 +53,19 @@ def _log_weights(degree: int) -> np.ndarray:
     return logw
 
 
+@functools.lru_cache(maxsize=None)
+def _weights(degree: int) -> np.ndarray:
+    """sqrt(C(N, j)) for j = 0..N, read-only; ``OverflowError`` when one
+    leaves double range (N >= 2054), where the weights exist only as logs."""
+    with np.errstate(over="ignore"):
+        w = np.exp(_log_weights(degree))
+    if not np.isfinite(w).all():
+        raise OverflowError(f"degree {degree}: the weights sqrt(C(N, j)) "
+                            f"overflow doubles")
+    w.flags.writeable = False
+    return w
+
+
 def _check_radius(r: float) -> None:
     """Refuse a circle or disk radius that is not positive and finite."""
     if not 0 < r < math.inf:
@@ -69,7 +82,11 @@ def _log_normalization(degree: int, r: float) -> float:
 
 def _log1p_square(a: np.ndarray) -> np.ndarray:
     """log(1 + a^2) elementwise for a >= 0 by ``_log_normalization``'s rule:
-    log1p(a*a) up to 1e150, and 2 log a + log1p(a^-2) above it."""
+    log1p(a*a) up to 1e150, and 2 log a + log1p(a^-2) above it.
+
+    A second spelling, not a copy: numpy's ``log1p`` differs from
+    ``math.log1p`` in the last bit on a few percent of radii, so the
+    scalar and array callers each keep their own to keep their bits."""
     big = a > 1e150
     small = np.where(big, 0.0, a)
     out = np.log1p(small * small)
@@ -108,10 +125,10 @@ class SU2Polynomial:
     def weighted_coefficients(self) -> np.ndarray:
         """Monomial coefficients alpha_j * sqrt(C(N, j)).
 
-        Overflows for degree beyond ~1030; callers holding large degrees
-        must stay in log space.
+        Raises ``OverflowError`` where the weights do (see ``_weights``);
+        callers holding such degrees must stay in log space.
         """
-        return self.coefficients * np.exp(self.log_weights())
+        return self.coefficients * _weights(self.degree)
 
 
 def sample_polynomial(degree: int, seed: RngSeed) -> SU2Polynomial:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_radius, _log_normalization, _log_weights, log_binomial
+from .model import _check_radius, _log_normalization, _weights, log_binomial
 from .rng import RngSeed, gaussian_matrix
 from .zeros import (
     DEFAULT_BOUNDARY_MARGIN,
@@ -70,7 +70,6 @@ __all__ = [
     "TrialPlan",
     "Estimate",
     "DecayFit",
-    "DeviationSpec",
     "ReliabilityError",
     "default_workers",
     "expected_zero_count",
@@ -164,17 +163,6 @@ class DecayFit:
     points: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class DeviationSpec:
-    """Zero-count deviation threshold per unit degree: |Xi - mean| >= delta*N."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-
-
 # ---------------------------------------------------------------------------
 # blocked, schedule-invariant trial execution
 
@@ -261,8 +249,13 @@ def _sample_block(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
 
 def _root_counts(alpha: np.ndarray, plan: TrialPlan):
     """Aberth zero counts in B(0, r) with a trust mask (converged and
-    residuals within tolerance)."""
-    roots, conv = _aberth_batch(alpha * np.exp(_log_weights(plan.degree)))
+    residuals within tolerance).  No row is trusted, and none is iterated,
+    at a degree whose weights overflow doubles."""
+    try:
+        w = _weights(plan.degree)
+    except OverflowError:
+        return np.zeros(len(alpha), dtype=np.int64), np.zeros(len(alpha), dtype=bool)
+    roots, conv = _aberth_batch(alpha * w)
     res = _normalized_residuals(alpha, plan.degree, roots).max(axis=1, initial=0.0)
     trusted = conv & (res <= TOLERANCES.root_residual)
     return (np.abs(roots) < plan.radius).sum(axis=1).astype(np.int64), trusted
@@ -275,9 +268,9 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     The Schur-Cohn counter counts the rows it certifies.  Rows it cannot
     certify (including any it cannot prove clear of the boundary margin)
     are counted by winding, under its margin and failure rules.  Every
-    ``CROSS_CHECK_EVERY``-th trial is recounted by winding and by the root
-    oracle; a trustworthy disagreement fails the trial and marks it a
-    mismatch."""
+    ``CROSS_CHECK_EVERY``-th trial is recounted by winding and, below the
+    degree where the weights overflow, by the root oracle; a trustworthy
+    disagreement fails the trial and marks it a mismatch."""
     n, r, margin = plan.degree, plan.radius, TOLERANCES.boundary_margin
     alpha = _sample_block(plan, start, stop)
     counts, ok = _batch_schur_cohn(alpha, n, r, margin)
@@ -333,7 +326,8 @@ def _plan_samples(plan: TrialPlan, block) -> tuple:
 # estimate assembly
 
 
-def _wilson(successes: int, used: int) -> Estimate:
+def _wilson(successes: int, used: int) -> tuple[float, float, tuple[float, float]]:
+    """Point, stderr and Wilson 95% interval of ``successes`` in ``used``."""
     p = successes / used
     z2 = Z95 * Z95
     denom = 1.0 + z2 / used
@@ -343,7 +337,7 @@ def _wilson(successes: int, used: int) -> Estimate:
     # clamp against 1-ulp excursions at p in {0, 1}
     lo = min(max(0.0, center - half), p)
     hi = max(min(1.0, center + half), p)
-    return Estimate(p, stderr, (lo, hi), used, 0)
+    return p, stderr, (lo, hi)
 
 
 def _usable(failed: np.ndarray, plan: TrialPlan) -> tuple[int, int]:
@@ -360,8 +354,7 @@ def _usable(failed: np.ndarray, plan: TrialPlan) -> tuple[int, int]:
 def _frequency_estimate(event: np.ndarray, failed: np.ndarray,
                         plan: TrialPlan) -> Estimate:
     used, n_failed = _usable(failed, plan)
-    base = _wilson(int(event[~failed].sum()), used)
-    return Estimate(base.point, base.stderr, base.ci95, used, n_failed)
+    return Estimate(*_wilson(int(event[~failed].sum()), used), used, n_failed)
 
 
 def _mean_estimate(values: np.ndarray, failed: np.ndarray,
@@ -477,11 +470,13 @@ def estimate_zero_count_mean(plan: TrialPlan) -> Estimate:
     return _mean_estimate(counts, failed, plan)
 
 
-def estimate_deviation_probability(plan: TrialPlan, spec: DeviationSpec) -> Estimate:
-    """Frequency of |Xi - N r^2/(1+r^2)| >= delta * N."""
+def estimate_deviation_probability(plan: TrialPlan, delta: float) -> Estimate:
+    """Frequency of |Xi - N r^2/(1+r^2)| >= delta * N, for delta > 0."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     counts, failed = zero_count_samples(plan)
     mu = expected_zero_count(plan.degree, plan.radius)
-    event = np.abs(counts - mu) >= spec.delta * plan.degree
+    event = np.abs(counts - mu) >= delta * plan.degree
     return _frequency_estimate(event, failed, plan)
 
 

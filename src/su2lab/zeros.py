@@ -57,6 +57,7 @@ from .model import (
     _log1p_square,
     _log_normalization,
     _log_weights,
+    _weights,
     evaluate_normalized,
 )
 
@@ -126,11 +127,12 @@ SCHUR_COHN_MAX_DEGREE = 32
 
 
 class RootFindingError(RuntimeError):
-    """Aberth iteration failed to converge; carries the offending roots."""
+    """Aberth iteration failed to converge; carries the number of roots of
+    the unconverged row, not the roots themselves."""
 
-    def __init__(self, unconverged):
-        self.unconverged = list(unconverged)
-        super().__init__(f"roots {self.unconverged} unconverged after max sweeps")
+    def __init__(self, unconverged: int):
+        self.unconverged = unconverged
+        super().__init__(f"{unconverged} roots unconverged after max sweeps")
 
 
 class ContourError(RuntimeError):
@@ -414,7 +416,7 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> np.ndarray:
     """|psi_hat| at candidate roots, batched and overflow-safe."""
     n = degree
-    w = np.atleast_2d(alpha) * np.exp(_log_weights(n))
+    w = np.atleast_2d(alpha) * _weights(n)
     roots = np.atleast_2d(roots)
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -459,7 +461,7 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     if d - k0 >= 1:
         roots, conv = _aberth_batch(w[None, k0 : d + 1])
         if not conv[0]:
-            raise RootFindingError(np.arange(d - k0))
+            raise RootFindingError(d - k0)
         locations.extend(roots[0].tolist())
     locs = np.array(locations, dtype=complex)
     residuals = np.abs(evaluate_normalized(poly, locs)) if len(locs) else np.empty(0)

@@ -245,11 +245,10 @@ def test_criterion_9_decay_scaling(hole_grid):
 
 
 def test_criterion_10_deviation_trend():
-    spec = mc.DeviationSpec(0.3)
     small = mc.estimate_deviation_probability(
-        mc.TrialPlan(6, 1.0, 10000, SEED + 9, workers=WORKERS), spec)
+        mc.TrialPlan(6, 1.0, 10000, SEED + 9, workers=WORKERS), 0.3)
     large = mc.estimate_deviation_probability(
-        mc.TrialPlan(12, 1.0, 10000, SEED + 9, workers=WORKERS), spec)
+        mc.TrialPlan(12, 1.0, 10000, SEED + 9, workers=WORKERS), 0.3)
     pooled = math.hypot(small.stderr, large.stderr)
     ok = large.point < small.point and small.point - large.point >= 2 * pooled
     report("10 (zero-count deviation trend, delta=0.3, 6->12)", ok,

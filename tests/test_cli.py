@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import pytest
 from conftest import run_cli
@@ -80,6 +81,42 @@ class TestExitCodes:
         assert "64 unsigned bits" in capsys.readouterr().err
         code, _ = run_cli(argv + ["--seed", str(2**64 - 1), "--format", "json"])
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["roots", "count"])
+    def test_degree_beyond_weight_range_is_usage_error(self, command, monkeypatch):
+        # sqrt(C(N, N/2)) overflows doubles from N = 2054
+        def no_roots(poly):
+            raise AssertionError("the root finder ran")
+
+        monkeypatch.setattr(cli.zeros, "find_all_roots", no_roots)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli([command, "-N", "2100", "--seed", "1"])
+        assert code == 2
+        assert out == b""
+        err = diag.getvalue()
+        assert err.startswith("usage error: -N: degree 2100") and err.count("\n") == 1
+
+    def test_hole_beyond_weight_range_runs_without_warnings(self):
+        # winding counts every row; the sampled row skips the root check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["hole", "-N", "2100", "-r", "1", "--trials", "2",
+                                 "--workers", "1"])
+        assert code == 0
+        assert out.decode().splitlines()[1].startswith("2100,1.0,2,0,")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mean-zeros", "--grid", "10,20"], "required: -N/--degree"),
+        (["mean-zeros", "-N", "10", "--grid", "10,20"],
+         "unrecognized arguments: --grid 10,20"),
+    ])
+    def test_mean_zeros_has_no_grid_flag(self, argv, message, capsys):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == b""
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
 
     @pytest.mark.parametrize("argv,rule", [
         (["hole", "--grid", "4,-2"], "must be nonnegative"),

@@ -72,6 +72,18 @@ class TestSU2Polynomial:
         with pytest.raises(ValueError):
             p.coefficients[0] = 5.0
 
+    def test_weights_refuse_overflow(self):
+        # sqrt(C(N, N/2)) passes the largest double between N = 2053 and 2054
+        for n in (12, 2053):
+            w = model._weights(n)
+            assert np.array_equal(w, np.exp(model._log_weights(n)))
+            assert not w.flags.writeable
+        for n in (2054, 2100):
+            with pytest.raises(OverflowError, match=f"degree {n}"):
+                model._weights(n)
+        with np.errstate(all="raise"), pytest.raises(OverflowError):
+            SU2Polynomial(2100, np.ones(2101)).weighted_coefficients()
+
 
 class TestSampling:
     def test_degree_zero_has_one_coefficient(self):

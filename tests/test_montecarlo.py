@@ -57,17 +57,23 @@ class TestPlanAndEstimateTypes:
         with pytest.raises(ValueError):
             mc.Estimate(0.5, 0.1, (0.6, 0.7), 10, 0)
 
-    def test_deviation_spec(self):
-        with pytest.raises(ValueError):
-            mc.DeviationSpec(0.0)
+    def test_deviation_delta_is_positive(self, monkeypatch):
+        # refused before any trial runs
+        def no_trials(plan):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(mc, "zero_count_samples", no_trials)
+        for delta in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                mc.estimate_deviation_probability(mc.TrialPlan(4, 1.0, 100, 1), delta)
 
     @given(st.integers(1, 500), st.data())
     @settings(max_examples=100, deadline=None)
     def test_wilson_contains_point(self, n, data):
         k = data.draw(st.integers(0, n))
-        est = mc._wilson(k, n)
-        assert est.ci95[0] <= est.point <= est.ci95[1]
-        assert 0.0 <= est.ci95[0] and est.ci95[1] <= 1.0
+        point, _, (lo, hi) = mc._wilson(k, n)
+        assert lo <= point <= hi
+        assert 0.0 <= lo and hi <= 1.0
 
     def test_reliability_policy(self):
         plan = mc.TrialPlan(2, 1.0, 1000, 0)
@@ -99,18 +105,17 @@ class TestDeviation:
     def test_impossible_event(self):
         # delta beyond max(r^2,1)/(1+r^2) empties the event since Xi in [0,N]
         plan = mc.TrialPlan(6, 1.0, 300, 4)
-        est = mc.estimate_deviation_probability(plan, mc.DeviationSpec(0.51))
+        est = mc.estimate_deviation_probability(plan, 0.51)
         assert est.point == 0.0
 
     def test_tiny_delta_is_certain(self):
         plan = mc.TrialPlan(5, 1.0, 300, 4)  # mean 2.5 is never an integer count
-        est = mc.estimate_deviation_probability(plan, mc.DeviationSpec(1e-12))
+        est = mc.estimate_deviation_probability(plan, 1e-12)
         assert est.point == 1.0
 
     def test_decreasing_in_degree(self):
-        spec = mc.DeviationSpec(0.3)
-        small = mc.estimate_deviation_probability(mc.TrialPlan(6, 1.0, 10000, 23), spec)
-        large = mc.estimate_deviation_probability(mc.TrialPlan(12, 1.0, 10000, 23), spec)
+        small = mc.estimate_deviation_probability(mc.TrialPlan(6, 1.0, 10000, 23), 0.3)
+        large = mc.estimate_deviation_probability(mc.TrialPlan(12, 1.0, 10000, 23), 0.3)
         pooled = math.hypot(small.stderr, large.stderr)
         assert large.point <= small.point - 2 * pooled
 
@@ -192,6 +197,19 @@ class TestHole:
         self._off_by_one_schur_cohn(monkeypatch)
         _, failed = mc.zero_count_samples(plan)
         assert np.array_equal(failed, np.arange(5000) % mc.CROSS_CHECK_EVERY == 0)
+        # and every one of those failures is a cross-check mismatch
+        _, _, mism = mc._run_blocked(plan, mc._block_counts)
+        assert np.array_equal(mism, failed)
+
+    def test_root_check_skips_degrees_beyond_weight_range(self, monkeypatch):
+        # the weights overflow from N = 2054: no row is trusted or iterated
+        def no_aberth(w):
+            raise AssertionError("Aberth ran")
+
+        monkeypatch.setattr(mc, "_aberth_batch", no_aberth)
+        plan = mc.TrialPlan(2100, 1.0, 3, 0)
+        counts, trusted = mc._root_counts(mc._sample_block(plan, 0, 3), plan)
+        assert len(counts) == 3 and not trusted.any()
 
     def test_reversal_symmetry(self):
         # hole at (N, r) <-> all N zeros inside closed B(0, 1/r) for the

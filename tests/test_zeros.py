@@ -71,6 +71,17 @@ class TestFindAllRoots:
             zs = zeros.find_all_roots(random_poly(rng, n))
             assert len(zs.locations) + zs.degree_deficit == n
 
+    def test_unconverged_row_reports_a_count(self, monkeypatch):
+        def stuck(w):
+            rows, m = w.shape[0], w.shape[1] - 1
+            return np.full((rows, m), np.nan + 0j), np.zeros(rows, dtype=bool)
+
+        monkeypatch.setattr(zeros, "_aberth_batch", stuck)
+        with pytest.raises(zeros.RootFindingError,
+                           match=r"^300 roots unconverged after max sweeps$") as info:
+            zeros.find_all_roots(model.sample_polynomial(300, RngSeed(1, 0)))
+        assert info.value.unconverged == 300
+
     def test_rejects_degree_zero_and_null(self):
         with pytest.raises(ValueError):
             zeros.find_all_roots(SU2Polynomial(0, [1.0]))
