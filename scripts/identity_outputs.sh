@@ -19,7 +19,12 @@
 # 1e-4 to 1e-2 rad apart.  One more pins the one-row circle means:
 # `circle_log_integral` and `circle_abs_log_integral` at r = 1 of the
 # N = 200 polynomials of seeds 0-199, each as float.hex, or "refused" with
-# the best estimate and the gap.  Two of the
+# the best estimate and the gap.  One more pins the boundary maximum:
+# `max_modulus_boundary` at r = 1 of the same polynomials (log value and
+# argmax, as float.hex); the sha256 of both outputs of
+# `_batch_boundary_log_max` on 4096-row blocks at N in {1, 2, 3, 10, 40,
+# 100} and r in {0.5, 1, 2}; and its outputs, as float.hex, on the rows
+# 1 + z^N and 1 + z^(N/2) + z^N, whose peaks tie.  Two of the
 # estimator outputs pin degree 0, which runs the same counting cascade as
 # every other degree: `hole --grid 0,1` and `mean-zeros -N 0` at r = 1,
 # 9000 trials, seed 8, as JSON.  The last ten pin the record shapes and the
@@ -27,7 +32,7 @@
 # and `fit-decay --grid 2,4,6` (each at --workers 1 and 2), `fit-decay` on
 # the r = 0.5, seed 2 hole file (whose N = 16 row has point 0 and is
 # dropped), `omega-bound` for one degree and for a grid, and
-# `count -N 200` as JSON: 59 files in all.
+# `count -N 200` as JSON: 60 files in all.
 #
 # The outputs are a pure function of argv, and JSON and CSV write every
 # float exactly (as repr), so two checkouts that agree on every estimate,
@@ -138,6 +143,31 @@ for seed in range(200):
         except zeros.QuadratureError as exc:
             line += ["refused", exc.best_estimate.hex(), exc.gap.hex()]
     print(*line)
+PY
+PYTHONPATH="$root/src" python3 - > "$out/boundary_max.txt" <<'PY'
+import hashlib
+
+import numpy as np
+
+from su2lab import model, zeros
+from su2lab.rng import RngSeed, gaussian_matrix
+
+for seed in range(200):
+    mm = zeros.max_modulus_boundary(model.sample_polynomial(200, RngSeed(seed, 0)), 1.0)
+    print(seed, mm.log_value.hex(), mm.argmax.real.hex(), mm.argmax.imag.hex())
+for n in (1, 2, 3, 10, 40, 100):
+    alpha = gaussian_matrix(12, np.arange(4096, dtype=np.uint64), n + 1)
+    for r in (0.5, 1.0, 2.0):
+        log_max, theta = zeros._batch_boundary_log_max(alpha, n, r)
+        print(n, r, hashlib.sha256(log_max.tobytes()).hexdigest(),
+              hashlib.sha256(theta.tobytes()).hexdigest())
+for n in (2, 4, 10, 40, 100, 200):
+    tied = np.zeros((2, n + 1), dtype=complex)
+    tied[:, 0] = tied[:, n] = 1.0
+    tied[1, n // 2] += 1.0
+    for r in (0.5, 1.0, 2.0):
+        log_max, theta = zeros._batch_boundary_log_max(tied, n, r)
+        print(n, r, *(float(v).hex() for v in (*log_max, *theta)))
 PY
 for n in 12 50 200; do
     for s in 1 2; do

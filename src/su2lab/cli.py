@@ -370,13 +370,15 @@ def _handle_sample(args) -> ExperimentRecord:
 
 
 def _root_polynomial(args) -> model.SU2Polynomial:
-    """The ``-N``/``--seed`` polynomial of ``roots`` and ``count``; a degree
-    whose monomial weights overflow doubles is a usage error."""
+    """The ``-N``/``--seed`` polynomial of ``roots`` and ``count``; one
+    whose monomial coefficients overflow doubles is a usage error."""
     try:
-        model._weights(args.degree)
+        model._weights(args.degree)  # refuses a degree before sampling it
+        poly = model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
+        poly.weighted_coefficients()
     except OverflowError as exc:
         raise UsageError(f"-N: {exc}") from None
-    return model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
+    return poly
 
 
 def _handle_roots(args) -> ExperimentRecord:

@@ -125,10 +125,17 @@ class SU2Polynomial:
     def weighted_coefficients(self) -> np.ndarray:
         """Monomial coefficients alpha_j * sqrt(C(N, j)).
 
-        Raises ``OverflowError`` where the weights do (see ``_weights``);
-        callers holding such degrees must stay in log space.
+        Raises ``OverflowError`` where the weights do (see ``_weights``), or
+        where a product leaves double range, which |alpha_j| above about 1.3
+        does at N = 2053; callers holding such polynomials must stay in log
+        space.
         """
-        return self.coefficients * _weights(self.degree)
+        with np.errstate(over="ignore"):
+            w = self.coefficients * _weights(self.degree)
+        if not np.isfinite(w).all():
+            raise OverflowError(f"degree {self.degree}: the weighted coefficients "
+                                f"alpha_j sqrt(C(N, j)) overflow doubles")
+        return w
 
 
 def sample_polynomial(degree: int, seed: RngSeed) -> SU2Polynomial:

@@ -250,15 +250,22 @@ def _sample_block(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
 def _root_counts(alpha: np.ndarray, plan: TrialPlan):
     """Aberth zero counts in B(0, r) with a trust mask (converged and
     residuals within tolerance).  No row is trusted, and none is iterated,
-    at a degree whose weights overflow doubles."""
+    whose monomial coefficients overflow doubles, as all do at a degree
+    whose weights overflow."""
+    counts = np.zeros(len(alpha), dtype=np.int64)
+    trusted = np.zeros(len(alpha), dtype=bool)
     try:
         w = _weights(plan.degree)
     except OverflowError:
-        return np.zeros(len(alpha), dtype=np.int64), np.zeros(len(alpha), dtype=bool)
-    roots, conv = _aberth_batch(alpha * w)
-    res = _normalized_residuals(alpha, plan.degree, roots).max(axis=1, initial=0.0)
-    trusted = conv & (res <= TOLERANCES.root_residual)
-    return (np.abs(roots) < plan.radius).sum(axis=1).astype(np.int64), trusted
+        return counts, trusted
+    with np.errstate(over="ignore"):
+        w = alpha * w
+    fit = np.flatnonzero(np.isfinite(w).all(axis=1))
+    roots, conv = _aberth_batch(w[fit])
+    res = _normalized_residuals(alpha[fit], plan.degree, roots).max(axis=1, initial=0.0)
+    trusted[fit] = conv & (res <= TOLERANCES.root_residual)
+    counts[fit] = (np.abs(roots) < plan.radius).sum(axis=1)
+    return counts, trusted
 
 
 def _block_counts(plan: TrialPlan, start: int, stop: int):

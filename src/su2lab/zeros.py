@@ -96,6 +96,7 @@ _ABERTH_MAX_SWEEPS = 500
 _ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
 _SCAN_PER_DEGREE = 8  # boundary-maximum scan angles per unit of N + 1
 _ANGLE_TOL = 1e-10  # golden-section bracket width of the boundary maximum
+_PRUNE_ROUNDS = (4, 8, 16)  # golden-section rounds before which hopeless brackets are dropped
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
@@ -214,19 +215,14 @@ def _eval_circle_grid(b: np.ndarray, n_nodes: int) -> np.ndarray:
     return vals
 
 
-def _eval_row_angles(bt: np.ndarray, row: np.ndarray | slice,
-                     theta: np.ndarray) -> np.ndarray:
-    """psi_hat of row ``row`` at angle ``theta``, from the coefficient-major
-    ``bt`` (``b.T``), by Horner in e^{i theta}; ``row`` broadcasts against
-    ``theta``.  An index array gathers one coefficient per entry at each
-    step, so memory stays O(points); ``row`` may also be a slice, whose
-    coefficient row is a view that broadcasts against the last axis of
-    ``theta`` with no gather."""
+def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """psi_hat at the P angles ``theta`` by Horner in e^{i theta}, from the
+    points' gathered ``(N+1, P)`` Fourier coefficients ``coefs``."""
     x = np.exp(1j * theta)
     acc = np.zeros(x.shape, dtype=complex)
-    for c in bt[::-1]:
+    for c in coefs[::-1]:
         acc *= x
-        acc += c[row]
+        acc += c
     return acc
 
 
@@ -608,7 +604,7 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
             break
         width *= 0.5
         t_mid = t_lo + width
-        v_mid = _eval_row_angles(bt, row, 2.0 * np.pi * t_mid)
+        v_mid = _eval_row_angles(np.take(bt, row, axis=1), 2.0 * np.pi * t_mid)
         row, t_lo, v_lo, v_hi = (np.concatenate(pair) for pair in
                                  ((row, row), (t_lo, t_mid), (v_lo, v_mid), (v_mid, v_hi)))
         step, rough = _phase_steps(v_lo, v_hi, np.abs(v_lo), np.abs(v_hi))
@@ -811,69 +807,122 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
 # boundary maximum
 
 
-def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section maximization on bracketed unimodal data."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = invphi * invphi
-    span = hi - lo
-    x1 = lo + invphi2 * span
-    x2 = lo + invphi * span
-    f1 = obj_fn(x1)
-    f2 = obj_fn(x2)
-    # a bracket below the tolerance, or none at all, takes no iteration
-    width = float(np.max(span, initial=_ANGLE_TOL))
-    n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
-    for _ in range(n_iter):
-        take_left = f1 >= f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
-        x1_new = np.where(take_left, lo + invphi2 * (hi - lo), x2)
-        x2_new = np.where(take_left, x1, lo + invphi * (hi - lo))
-        fresh = obj_fn(np.where(take_left, x1_new, x2_new))
-        f1, f2 = np.where(take_left, fresh, f2), np.where(take_left, f1, fresh)
-        x1, x2 = x1_new, x2_new
-    mid = 0.5 * (lo + hi)
-    return mid, obj_fn(mid)
-
-
 def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     """log of max_{|z|=r} psi_hat plus the maximizing angles, batched.
 
-    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles, then golden-section
-    refines around the best three local maxima of each row.
+    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles and golden-section
+    refines the best three grid peaks of each row; a refined maximum at
+    least as large as the scan's replaces it, the first of tied brackets
+    giving the angle.  Four ``argmax`` passes pick the peaks; a row whose
+    third place ties the fourth, or is -inf (fewer than three peaks),
+    takes ``argpartition``'s three, since a -inf slot's bracket is refined
+    too.  The brackets form one flat list.  Before each round of
+    ``_PRUNE_ROUNDS`` a bracket [lo, hi] is dropped where
+
+        log(max(|psi_hat(x1)|, |psi_hat(x2)|) (1 + 1e-9)
+            + (hi - lo) sum k |b_k| + 1e-12 (N+1) sum |b_k|)
+
+    lies below its row's scan maximum: |d psi_hat/d theta| <= sum k |b_k|
+    and the brackets nest, so it could only end below the scan maximum,
+    which the result never is; the slack covers the Horner rounding.  The
+    list keeps at least two brackets, since numpy's in-place complex
+    product on one element rounds unlike that on two or more.  A row whose
+    kept maxima tie exactly takes ``argpartition``'s bracket order.
     """
     alpha = np.atleast_2d(alpha)
+    rows = alpha.shape[0]
     n = degree
     b = _circle_fourier_coeffs(alpha, n, r)
     m = _SCAN_PER_DEGREE * (n + 1)
     vals = np.abs(_eval_circle_grid(b, m))
     np.maximum(vals, 1e-300, out=vals)
     logs = np.log(vals)
+    every = np.arange(rows)
+    scan_idx = logs.argmax(axis=1)
+    scan_best = logs[every, scan_idx]
     is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
     masked = np.where(is_peak, logs, -np.inf)
-    top3 = np.argpartition(masked, -3, axis=1)[:, -3:]
-    # peak-major (3, B) brackets: each Horner step adds one contiguous row
-    # of B coefficients to all three peaks, with no gather
-    theta0 = 2.0 * np.pi * top3.T / m
+
+    def partition_slots(sel):
+        """The three peaks of rows ``sel`` in ``argpartition``'s order."""
+        return np.argpartition(np.where(is_peak[sel], logs[sel], -np.inf), -3, axis=1)[:, -3:]
+
+    # peak-major (3, B) slots; the fourth argmax only detects a tie
+    top = np.empty((4, rows), dtype=np.intp)
+    peak = np.empty((4, rows))
+    for k in range(4):
+        top[k] = masked.argmax(axis=1)
+        peak[k] = masked[every, top[k]]
+        masked[every, top[k]] = -np.inf
+    slots = top[:3]
+    third_tied = peak[2] == peak[3]
+    fallback = np.flatnonzero(third_tied)
+    if len(fallback):
+        slots[:, fallback] = partition_slots(fallback).T
+    theta0 = 2.0 * np.pi * slots / m
     h = 2.0 * np.pi / m
-    bt = np.ascontiguousarray(b.T)
+    lo = (theta0 - h).ravel()
+    hi = (theta0 + h).ravel()
+    row = np.tile(every, 3)
+    pos = np.arange(3 * rows)  # each bracket's place in the (3, B) result
+    coefs = np.take(np.ascontiguousarray(b.T), row, axis=1)
+    abs_b = np.abs(b)
+    lip = abs_b @ np.arange(n + 1)
+    slack = 1e-12 * (n + 1) * abs_b.sum(axis=1)
 
     def objective(theta):
-        v = np.abs(_eval_row_angles(bt, slice(None), theta))
+        v = np.abs(_eval_row_angles(coefs, theta))
         np.maximum(v, 1e-300, out=v)
         return np.log(v, out=v)
 
-    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h)
-    best_theta, best_val = best_theta.T, best_val.T
-    scan_best = logs.max(axis=1)
-    scan_arg = 2.0 * np.pi * logs.argmax(axis=1) / m
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    invphi2 = invphi * invphi
+    span = hi - lo
+    x1 = lo + invphi2 * span
+    x2 = lo + invphi * span
+    f1 = objective(x1)
+    f2 = objective(x2)
+    # a bracket below the tolerance, or none at all, takes no iteration
+    width = float(np.max(span, initial=_ANGLE_TOL))
+    n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
+    for it in range(n_iter):
+        if it in _PRUNE_ROUNDS:
+            top_val = np.exp(np.maximum(f1, f2)) * (1.0 + 1e-9)
+            bound = np.log(top_val + (hi - lo) * lip[row] + slack[row])
+            keep = ~(bound < scan_best[row])
+            short = 2 - np.count_nonzero(keep)
+            if short > 0:
+                keep[np.flatnonzero(~keep)[:short]] = True
+            if not keep.all():
+                lo, hi, x1, x2, f1, f2, row, pos = (
+                    a[keep] for a in (lo, hi, x1, x2, f1, f2, row, pos))
+                coefs = np.compress(keep, coefs, axis=1)
+        take_left = f1 >= f2
+        hi = np.where(take_left, x2, hi)
+        lo = np.where(take_left, lo, x1)
+        fresh_x = lo + np.where(take_left, invphi2, invphi) * (hi - lo)
+        fresh = objective(fresh_x)
+        x1, x2 = np.where(take_left, fresh_x, x2), np.where(take_left, x1, fresh_x)
+        f1, f2 = np.where(take_left, fresh, f2), np.where(take_left, f1, fresh)
+    mid = 0.5 * (lo + hi)
+    best_val = np.full(3 * rows, -np.inf)
+    best_theta = np.zeros(3 * rows)
+    best_val[pos] = objective(mid)
+    best_theta[pos] = mid
+    best_val = best_val.reshape(3, rows).T
+    best_theta = best_theta.reshape(3, rows).T
     refined_best = best_val.max(axis=1)
-    refined_arg = np.take_along_axis(
-        best_theta, best_val.argmax(axis=1)[:, None], axis=1
-    )[:, 0]
     use_refined = refined_best >= scan_best
+    tied = (best_val == refined_best[:, None]).sum(axis=1) > 1
+    tied = np.flatnonzero(tied & use_refined & ~third_tied)
+    if len(tied):
+        # column c of slot j: where the argmax slots hold argpartition's j-th peak
+        order = (slots[:, tied].T[:, None, :] == partition_slots(tied)[:, :, None]).argmax(axis=2)
+        best_val[tied] = np.take_along_axis(best_val[tied], order, axis=1)
+        best_theta[tied] = np.take_along_axis(best_theta[tied], order, axis=1)
+    refined_arg = best_theta[every, best_val.argmax(axis=1)]
     out_log = np.where(use_refined, refined_best, scan_best)
-    out_theta = np.where(use_refined, refined_arg, scan_arg)
+    out_theta = np.where(use_refined, refined_arg, 2.0 * np.pi * scan_idx / m)
     return out_log, out_theta
 
 
@@ -881,14 +930,17 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
     """max over the closed disk of |psi|, attained on |z| = r.
 
     Returned in log-safe form: ``log_value`` always, ``value`` only when
-    within double range (inf otherwise).
+    within double range (inf otherwise, from about log_value = 709.78).
     """
     _check_radius(r)
     _refuse_zero(poly)
     n = poly.degree
     log_hat, theta = _batch_boundary_log_max(poly.coefficients[None], n, r)
     log_value = float(log_hat[0]) + _log_normalization(n, r)
-    value = math.exp(log_value) if log_value < 709.0 else math.inf
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
     return BoundaryMaximum(log_value, value, r * complex(math.cos(theta[0]), math.sin(theta[0])))
 
 

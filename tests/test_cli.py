@@ -97,6 +97,24 @@ class TestExitCodes:
         err = diag.getvalue()
         assert err.startswith("usage error: -N: degree 2100") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["roots", "count"])
+    def test_overflowing_coefficients_are_usage_error(self, command, monkeypatch):
+        # the weights still fit at N = 2053, but seed 1's weighted monomial
+        # coefficients do not
+        def no_roots(poly):
+            raise AssertionError("the root finder ran")
+
+        monkeypatch.setattr(cli.zeros, "find_all_roots", no_roots)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli([command, "-N", "2053", "--seed", "1"])
+        assert code == 2
+        assert out == b""
+        err = diag.getvalue()
+        assert err.startswith("usage error: -N: degree 2053") and err.count("\n") == 1
+
     def test_hole_beyond_weight_range_runs_without_warnings(self):
         # winding counts every row; the sampled row skips the root check
         with warnings.catch_warnings():

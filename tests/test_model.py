@@ -84,6 +84,13 @@ class TestSU2Polynomial:
         with np.errstate(all="raise"), pytest.raises(OverflowError):
             SU2Polynomial(2100, np.ones(2101)).weighted_coefficients()
 
+    def test_weighted_coefficients_refuse_overflow(self):
+        # below the weight limit a product alpha_j sqrt(C(N, j)) can still
+        # pass the largest double: |alpha_j| = 1 fits at N = 2053, 2 does not
+        assert np.isfinite(SU2Polynomial(2053, np.ones(2054)).weighted_coefficients()).all()
+        with np.errstate(all="raise"), pytest.raises(OverflowError, match="degree 2053"):
+            SU2Polynomial(2053, np.full(2054, 2.0)).weighted_coefficients()
+
 
 class TestSampling:
     def test_degree_zero_has_one_coefficient(self):

@@ -211,6 +211,25 @@ class TestHole:
         counts, trusted = mc._root_counts(mc._sample_block(plan, 0, 3), plan)
         assert len(counts) == 3 and not trusted.any()
 
+    def test_root_check_skips_overflowing_rows(self, monkeypatch):
+        # at N = 2053 the weights fit, but |alpha_j| = 2 at j = N/2 takes
+        # its product past the largest double: that row is neither iterated
+        # nor trusted
+        seen = []
+
+        def fake_aberth(w):
+            seen.append(w)
+            return np.zeros((len(w), w.shape[1] - 1), dtype=complex), np.ones(len(w), dtype=bool)
+
+        monkeypatch.setattr(mc, "_aberth_batch", fake_aberth)
+        plan = mc.TrialPlan(2053, 1.0, 3, 0)
+        alpha = np.ones((3, 2054), dtype=complex)
+        alpha[1, 1026] = 2.0
+        with np.errstate(all="raise"):
+            counts, trusted = mc._root_counts(alpha, plan)
+        assert len(seen) == 1 and len(seen[0]) == 2 and np.isfinite(seen[0]).all()
+        assert counts.dtype == np.int64 and not trusted[1] and counts[1] == 0
+
     def test_reversal_symmetry(self):
         # hole at (N, r) <-> all N zeros inside closed B(0, 1/r) for the
         # reversed coefficients; statistically equal frequencies

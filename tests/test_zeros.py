@@ -492,9 +492,9 @@ class TestArgumentPrinciple:
         seen = []
         horner = zeros._eval_row_angles
 
-        def spy(bt, row, theta):
+        def spy(coefs, theta):
             seen.append(np.array(theta))
-            return horner(bt, row, theta)
+            return horner(coefs, theta)
 
         monkeypatch.setattr(zeros, "_eval_row_angles", spy)
         return seen
@@ -934,6 +934,89 @@ class TestReversalDuality:
             done += 1
 
 
+def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized golden-section maximization on bracketed unimodal data."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    invphi2 = invphi * invphi
+    span = hi - lo
+    x1 = lo + invphi2 * span
+    x2 = lo + invphi * span
+    f1 = obj_fn(x1)
+    f2 = obj_fn(x2)
+    # a bracket below the tolerance, or none at all, takes no iteration
+    width = float(np.max(span, initial=zeros._ANGLE_TOL))
+    n_iter = int(math.ceil(math.log(zeros._ANGLE_TOL / width) / math.log(invphi)))
+    for _ in range(n_iter):
+        take_left = f1 >= f2
+        hi = np.where(take_left, x2, hi)
+        lo = np.where(take_left, lo, x1)
+        x1_new = np.where(take_left, lo + invphi2 * (hi - lo), x2)
+        x2_new = np.where(take_left, x1, lo + invphi * (hi - lo))
+        fresh = obj_fn(np.where(take_left, x1_new, x2_new))
+        f1, f2 = np.where(take_left, fresh, f2), np.where(take_left, f1, fresh)
+        x1, x2 = x1_new, x2_new
+    mid = 0.5 * (lo + hi)
+    return mid, obj_fn(mid)
+
+
+def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
+    """Reference boundary maximum: ``argpartition`` picks the three best
+    grid peaks of each row, and golden-section search refines all three
+    brackets of every row for the full number of rounds, as a (3, B)
+    array whose Horner adds one whole coefficient row per step."""
+    alpha = np.atleast_2d(alpha)
+    n = degree
+    b = zeros._circle_fourier_coeffs(alpha, n, r)
+    m = zeros._SCAN_PER_DEGREE * (n + 1)
+    vals = np.abs(zeros._eval_circle_grid(b, m))
+    np.maximum(vals, 1e-300, out=vals)
+    logs = np.log(vals)
+    is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
+    masked = np.where(is_peak, logs, -np.inf)
+    top3 = np.argpartition(masked, -3, axis=1)[:, -3:]
+    theta0 = 2.0 * np.pi * top3.T / m
+    h = 2.0 * np.pi / m
+    bt = np.ascontiguousarray(b.T)
+
+    def objective(theta):
+        x = np.exp(1j * theta)
+        acc = np.zeros(x.shape, dtype=complex)
+        for c in bt[::-1]:
+            acc *= x
+            acc += c
+        v = np.abs(acc)
+        np.maximum(v, 1e-300, out=v)
+        return np.log(v, out=v)
+
+    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h)
+    best_theta, best_val = best_theta.T, best_val.T
+    scan_best = logs.max(axis=1)
+    scan_arg = 2.0 * np.pi * logs.argmax(axis=1) / m
+    refined_best = best_val.max(axis=1)
+    refined_arg = np.take_along_axis(
+        best_theta, best_val.argmax(axis=1)[:, None], axis=1
+    )[:, 0]
+    use_refined = refined_best >= scan_best
+    out_log = np.where(use_refined, refined_best, scan_best)
+    out_theta = np.where(use_refined, refined_arg, scan_arg)
+    return out_log, out_theta
+
+
+def _assert_matches_loop_max(alpha, degree, r):
+    got = zeros._batch_boundary_log_max(alpha, degree, r)
+    want = _loop_boundary_log_max(alpha, degree, r)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _tied_rows(degree):
+    """1 + z^N and 1 + z^(N/2) + z^N: peaks of equal height all round."""
+    rows = np.zeros((2, degree + 1), dtype=complex)
+    rows[:, 0] = rows[:, degree] = 1.0
+    rows[1, degree // 2] += 1.0
+    return rows
+
+
 class TestMaxModulus:
     def test_constant(self):
         mm = zeros.max_modulus_boundary(SU2Polynomial(0, [2.5]), 1.0)
@@ -966,22 +1049,66 @@ class TestMaxModulus:
         dense = float(np.max(np.abs(acc)))
         assert mm.value == pytest.approx(dense, rel=1e-8)
 
-    def test_row_angles_broadcast(self):
-        # the golden-section call, (B, 1) rows against (B, K) angles, equals
-        # the bisection's flat call on the same points bit for bit
+    def test_row_angles_any_block(self):
+        # a point's value does not depend on the other points of its block,
+        # from two points up: the boundary maximum's brackets and the winding
+        # bisection's midpoints move between blocks of every such size
         rng = np.random.default_rng(5)
         b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
-        theta = rng.uniform(0.0, 2.0 * np.pi, (6, 3))
-        bt = np.ascontiguousarray(b.T)
-        grid = zeros._eval_row_angles(bt, np.arange(6)[:, None], theta)
-        flat = zeros._eval_row_angles(bt, np.repeat(np.arange(6), 3), theta.ravel())
-        assert grid.shape == theta.shape
-        assert np.array_equal(grid.ravel(), flat)
-        # a slice row, as the peak-major golden-section call passes it:
-        # (K, B) angles, each row of theta over all B coefficient rows
-        sliced = zeros._eval_row_angles(bt, slice(None), theta.T)
-        assert sliced.shape == theta.T.shape
-        assert sliced.T.tobytes() == grid.tobytes()
+        row = rng.integers(0, 6, 18)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 18)
+        coefs = np.take(np.ascontiguousarray(b.T), row, axis=1)
+        full = zeros._eval_row_angles(coefs, theta)
+        x = np.exp(1j * theta)
+        want = np.array([np.polyval(b[i, ::-1], xi) for i, xi in zip(row, x)])
+        assert np.allclose(full, want, rtol=1e-13, atol=0.0)
+        for size in (2, 3, 5, 17):
+            for s in range(0, 18 - size + 1, size):
+                part = zeros._eval_row_angles(coefs[:, s : s + size], theta[s : s + size])
+                assert part.tobytes() == full[s : s + size].tobytes()
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 200])
+    def test_matches_reference_kernel(self, n, r):
+        # bit for bit, at every batch size: one row has three brackets, which
+        # pruning takes down to the two-bracket floor
+        rng = np.random.default_rng(100 + n)
+        for rows in (0, 1, 2, 3, 7, 300):
+            alpha = (rng.standard_normal((rows, n + 1))
+                     + 1j * rng.standard_normal((rows, n + 1))) / math.sqrt(2)
+            _assert_matches_loop_max(alpha, n, r)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_peaks_match_reference(self, n):
+        # |psi_hat|^2 has degree N in e^{i theta}, so at N <= 2 no row has
+        # three grid peaks and -inf slots get brackets
+        alpha = _sample(3, 64, n)
+        b = zeros._circle_fourier_coeffs(alpha, n, 1.0)
+        logs = np.log(np.abs(zeros._eval_circle_grid(b, 8 * (n + 1))))
+        peaks = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
+        assert peaks.sum(axis=1).max() < 3
+        for r in (0.5, 1.0, 2.0):
+            _assert_matches_loop_max(alpha, n, r)
+
+    def test_constant_rows_keep_their_brackets(self):
+        # at N = 0 every bracket ends exactly at the scan maximum log v, and
+        # its pruning bound has no width term: for these v, exp(log v) rounds
+        # low enough that the bound drops below log v without the slack
+        v = np.random.default_rng(1).uniform(0.5, 3.0, 20000)
+        f = np.log(v)
+        v = v[np.log(np.exp(f)) < f][:5]
+        assert len(v) == 5
+        for r in (0.5, 1.0, 2.0):
+            _assert_matches_loop_max(v[:, None].astype(complex), 0, r)
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 40, 200])
+    def test_tied_rows_match_reference(self, n):
+        # equal peaks tie the third place of the scan and the refined maxima
+        tied = _tied_rows(n)
+        mixed = np.concatenate((tied, _sample(4, 5, n), tied))
+        for r in (0.5, 1.0, 2.0):
+            for alpha in (tied, tied[:1], tied[1:], mixed):
+                _assert_matches_loop_max(alpha, n, r)
 
     @pytest.mark.parametrize("n", [1, 10, 40])
     def test_batch_rows_are_independent(self, n):
@@ -995,6 +1122,13 @@ class TestMaxModulus:
             one_log, one_theta = zeros._batch_boundary_log_max(rows[i : i + 1], n, 1.0)
             assert log_max[i : i + 1].tobytes() == one_log.tobytes()
             assert theta[i : i + 1].tobytes() == one_theta.tobytes()
+
+    def test_value_up_to_the_largest_double(self):
+        # log_value 709.196 lies above 709 but below log(max double) 709.78
+        mm = zeros.max_modulus_boundary(SU2Polynomial(0, [1e308]), 1.0)
+        assert 709.0 < mm.log_value < 709.7
+        assert mm.value == math.exp(mm.log_value)
+        assert mm.value == pytest.approx(1e308, rel=1e-12)
 
     def test_log_safe_form(self):
         n = 600  # value ~ e^210: still representable
