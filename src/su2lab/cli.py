@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (return an ExperimentRecord; data stream only)
+# subcommand handlers (return the record's plan and result; data stream only)
 
 
 def _make_plan(args, degree: int) -> mc.TrialPlan:
@@ -327,8 +327,8 @@ def _rows_result(rows: list[dict], **extra) -> dict:
     return {"rows": rows, **(rows[0] if len(rows) == 1 else {}), **extra}
 
 
-def _ladder_record(args, estimators, **echo) -> ExperimentRecord:
-    """The record of estimates at ``-N`` or over ``--grid``.
+def _ladder(args, estimators, **echo) -> tuple[dict, dict]:
+    """The plan and result of estimates at ``-N`` or over ``--grid``.
 
     Each degree's plan gives one row per ``(estimator, extra)`` pair: the
     plan's fields, ``extra``, then the estimate's.  The estimator is called
@@ -352,21 +352,14 @@ def _ladder_record(args, estimators, **echo) -> ExperimentRecord:
                  **echo}
     if args.grid is not None:
         plan_echo["grid"] = list(args.grid)
-    return ExperimentRecord(command=args.command, plan=plan_echo,
-                            result=_rows_result(rows))
+    return plan_echo, _rows_result(rows)
 
 
-def _handle_sample(args) -> ExperimentRecord:
+def _handle_sample(args) -> tuple[dict, dict]:
     poly = model.sample_polynomial(args.degree, RngSeed(args.seed, 0))
-    rows = [
-        {"j": j, "re": float(c.real), "im": float(c.imag)}
-        for j, c in enumerate(poly.coefficients)
-    ]
-    return ExperimentRecord(
-        command="sample",
-        plan={"N": args.degree, "seed": args.seed},
-        result={"rows": rows},
-    )
+    rows = [{"j": j, "re": float(c.real), "im": float(c.imag)}
+            for j, c in enumerate(poly.coefficients)]
+    return {"N": args.degree, "seed": args.seed}, {"rows": rows}
 
 
 def _root_polynomial(args) -> model.SU2Polynomial:
@@ -381,45 +374,36 @@ def _root_polynomial(args) -> model.SU2Polynomial:
     return poly
 
 
-def _handle_roots(args) -> ExperimentRecord:
+def _handle_roots(args) -> tuple[dict, dict]:
     zs = zeros.find_all_roots(_root_polynomial(args))
-    rows = [
-        {"index": i, "re": float(z.real), "im": float(z.imag),
-         "residual": float(res)}
-        for i, (z, res) in enumerate(zip(zs.locations, zs.residuals))
-    ]
-    return ExperimentRecord(
-        command="roots",
-        plan={"N": args.degree, "seed": args.seed},
-        result={"rows": rows, "degree_deficit": zs.degree_deficit},
-    )
+    rows = [{"index": i, "re": float(z.real), "im": float(z.imag),
+             "residual": float(res)}
+            for i, (z, res) in enumerate(zip(zs.locations, zs.residuals))]
+    return ({"N": args.degree, "seed": args.seed},
+            {"rows": rows, "degree_deficit": zs.degree_deficit})
 
 
-def _handle_count(args) -> ExperimentRecord:
+def _handle_count(args) -> tuple[dict, dict]:
     zc = zeros.count_zeros_from_roots(
         zeros.find_all_roots(_root_polynomial(args)), zeros.Disk(0.0, args.radius)
     )
     row = {"N": args.degree, "r": args.radius, "count": zc.count,
            "method": zc.method, "near_boundary": zc.near_boundary,
            "seed": args.seed}
-    return ExperimentRecord(
-        command="count",
-        plan={"N": args.degree, "r": args.radius, "seed": args.seed},
-        result=_rows_result([row]),
-    )
+    return {"N": args.degree, "r": args.radius, "seed": args.seed}, _rows_result([row])
 
 
-def _handle_mean_zeros(args) -> ExperimentRecord:
-    return _ladder_record(args, [(mc.estimate_zero_count_mean, {})])
+def _handle_mean_zeros(args) -> tuple[dict, dict]:
+    return _ladder(args, [(mc.estimate_zero_count_mean, {})])
 
 
-def _handle_deviation(args) -> ExperimentRecord:
-    return _ladder_record(args, [(mc.estimate_deviation_probability,
-                                  {"delta": args.delta})], delta=args.delta)
+def _handle_deviation(args) -> tuple[dict, dict]:
+    return _ladder(args, [(mc.estimate_deviation_probability, {"delta": args.delta})],
+                   delta=args.delta)
 
 
-def _handle_hole(args) -> ExperimentRecord:
-    return _ladder_record(args, [(mc.estimate_hole_probability, {})])
+def _handle_hole(args) -> tuple[dict, dict]:
+    return _ladder(args, [(mc.estimate_hole_probability, {})])
 
 
 # (estimator, the flag giving its delta or None); the max-modulus pair runs
@@ -434,7 +418,7 @@ _CONCENTRATION_ESTIMATORS = (
 )
 
 
-def _handle_concentration(args) -> ExperimentRecord:
+def _handle_concentration(args) -> tuple[dict, dict]:
     first = _make_plan(args, _degrees(args)[0])
     for flag, rule in (("band", mc._max_modulus_band),
                        ("tail", mc._circle_tail_threshold)):
@@ -445,23 +429,17 @@ def _handle_concentration(args) -> ExperimentRecord:
     estimators = [(getattr(mc, name),
                    {"estimator": name, "delta": getattr(args, flag) if flag else None})
                   for name, flag in _CONCENTRATION_ESTIMATORS]
-    return _ladder_record(args, estimators, band=args.band, tail=args.tail)
+    return _ladder(args, estimators, band=args.band, tail=args.tail)
 
 
-def _handle_omega(args) -> ExperimentRecord:
+def _handle_omega(args) -> tuple[dict, dict]:
     degrees = _degrees(args)
-    rows = [
-        {"N": n, "r": args.radius, "log_prob": mc.omega_lower_bound(n, args.radius)}
-        for n in degrees
-    ]
-    return ExperimentRecord(
-        command="omega-bound",
-        plan={"N": list(degrees), "r": args.radius},
-        result=_rows_result(rows),
-    )
+    rows = [{"N": n, "r": args.radius, "log_prob": mc.omega_lower_bound(n, args.radius)}
+            for n in degrees]
+    return {"N": list(degrees), "r": args.radius}, _rows_result(rows)
 
 
-def _handle_fit_decay(args) -> ExperimentRecord:
+def _handle_fit_decay(args) -> tuple[dict, dict]:
     if (args.results_file is None) == (args.grid is None):
         raise UsageError("need exactly one of a results file or --grid")
     if args.grid is not None and len(set(args.grid)) < 3:
@@ -471,39 +449,34 @@ def _handle_fit_decay(args) -> ExperimentRecord:
         points = parse_results_file(args.results_file)
         plan_echo = {"results_file": args.results_file}
     else:
+        _, hole = _handle_hole(args)
         points = _fit_points((f"N={row['N']}", row["N"], row["point"],
                               row["trials"], row["trials_failed"])
-                             for row in _handle_hole(args).result["rows"])
+                             for row in hole["rows"])
         plan_echo = {"grid": list(args.grid), "r": args.radius,
                      "trials": args.trials, "seed": args.seed}
     fit = mc.fit_decay_exponent(points)
     row = {"c_hat": fit.c_hat, "intercept": fit.intercept,
            "r_squared": fit.r_squared, "n_points": len(fit.points)}
-    return ExperimentRecord(
-        command="fit-decay", plan=plan_echo,
-        result=_rows_result([row], points=[[n, lp] for n, lp in fit.points]),
-    )
+    return plan_echo, _rows_result([row], points=[[n, lp] for n, lp in fit.points])
 
 
-def _check_record(args, plan: dict, rows: list[dict]) -> ExperimentRecord:
-    """The record of ``verify`` or ``orthonormality``: ``rows`` with each
+def _check_result(rows: list[dict]) -> dict:
+    """The result of ``verify`` or ``orthonormality``: ``rows`` with each
     ``status`` flag written PASS or FAIL, and how many failed."""
-    return ExperimentRecord(
-        command=args.command, plan=plan,
-        result={"rows": [{**row, "status": "PASS" if row["status"] else "FAIL"}
-                         for row in rows],
-                "failed": sum(not row["status"] for row in rows)},
-    )
+    return {"rows": [{**row, "status": "PASS" if row["status"] else "FAIL"}
+                     for row in rows],
+            "failed": sum(not row["status"] for row in rows)}
 
 
-def _handle_verify(args) -> ExperimentRecord:
-    return _check_record(args, {}, [
+def _handle_verify(args) -> tuple[dict, dict]:
+    return {}, _check_result([
         {"check": res.check, "status": res.passed, "measured": res.measured,
          "threshold": res.threshold}
         for res in verify_mod.run_all_checks()])
 
 
-def _handle_orthonormality(args) -> ExperimentRecord:
+def _handle_orthonormality(args) -> tuple[dict, dict]:
     n = args.degree
     cap = min(n, 40)
     checks = (
@@ -513,7 +486,7 @@ def _handle_orthonormality(args) -> ExperimentRecord:
         ("recentered-basis-gram", min(n, 8),
          verify_mod.check_fs_zeta_orthonormality(min(n, 8))),
     )
-    return _check_record(args, {"N": n}, [
+    return {"N": n}, _check_result([
         {"check": name, "N": degree, "measured": res.measured,
          "threshold": res.threshold, "status": res.passed}
         for name, degree, res in checks])
@@ -557,8 +530,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if runs_trials and args.workers is None:
             args.workers = mc.default_workers()
-        record = _HANDLERS[args.command](args)
-        data = serialize_record(record, args.format)
+        plan, result = _HANDLERS[args.command](args)
+        data = serialize_record(ExperimentRecord(args.command, plan, result), args.format)
         if args.out:
             with _open_arg(args.out, "wb") as fh:
                 fh.write(data)
@@ -576,8 +549,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.buffer.flush()
     wall = time.monotonic() - started
     workers = f"workers={args.workers}, " if runs_trials else ""
-    print(f"su2lab {record.command}: ok ({wall:.2f}s, {workers}started {stamp})", file=DIAG)
-    return 1 if record.result.get("failed") else 0  # a check command's failures
+    print(f"su2lab {args.command}: ok ({wall:.2f}s, {workers}started {stamp})", file=DIAG)
+    return 1 if result.get("failed") else 0  # a check command's failures
 
 
 if __name__ == "__main__":

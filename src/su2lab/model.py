@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,16 @@ def _log_weights(degree: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _weights(degree: int) -> np.ndarray:
     """sqrt(C(N, j)) for j = 0..N, read-only; ``OverflowError`` when one
-    leaves double range (N >= 2054), where the weights exist only as logs."""
+    leaves double range (N >= 2054), where the weights exist only as logs.
+    The central weight, the largest, refuses such a degree before the O(N)
+    table is built."""
+    message = f"degree {degree}: the weights sqrt(C(N, j)) overflow doubles"
+    if 0.5 * log_binomial(degree, degree // 2) > math.log(sys.float_info.max):
+        raise OverflowError(message)
     with np.errstate(over="ignore"):
         w = np.exp(_log_weights(degree))
     if not np.isfinite(w).all():
-        raise OverflowError(f"degree {degree}: the weights sqrt(C(N, j)) "
-                            f"overflow doubles")
+        raise OverflowError(message)
     w.flags.writeable = False
     return w
 

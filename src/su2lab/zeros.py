@@ -88,7 +88,7 @@ NODE_CAP = 1 << 20
 TRUNCATION_RATIO = 1e-14  # leading coefficients below this ratio are dropped
 _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
 _MAX_REFINEMENTS = 20  # bisection rounds of the rough winding intervals
-_GRID_CHUNK = 1 << 15  # FFT-grid samples per chunk of winding or circle-mean rows
+_GRID_CHUNK = 1 << 15  # FFT-grid samples per chunk of winding, circle-mean or scan rows
 _PRECISION_FLOOR = 1e4 * np.finfo(float).eps  # share of sum |b_k| a winding sample must clear
 _SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk
 _ABERTH_TOL = 1e-13  # a root freezes once its step is below this, relative to 1 + |z|
@@ -206,13 +206,6 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float) -> np.ndarr
     j = np.arange(n + 1)
     scale = np.exp(_log_weights(n) + j * math.log(r) - _log_normalization(n, r))
     return alpha * scale
-
-
-def _eval_circle_grid(b: np.ndarray, n_nodes: int) -> np.ndarray:
-    """psi_hat at the uniform angles 2*pi*m/M from Fourier coefficients."""
-    vals = np.fft.ifft(np.atleast_2d(b), n=n_nodes, axis=1)  # zero-padded to n_nodes
-    vals *= n_nodes
-    return vals
 
 
 def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -573,8 +566,8 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
     chunk = max(1, _GRID_CHUNK // m0)
     for s in range(0, rows, chunk):
         sel = slice(s, s + chunk)
-        # the unscaled inverse FFT equals _eval_circle_grid's ifft * M bit for
-        # bit; the last column repeats the first, where the last interval ends
+        # M is a power of two, so the unscaled inverse FFT equals ifft * M bit
+        # for bit; the last column repeats the first, where the last interval ends
         vals = np.fft.ifft(b[sel], n=m0, axis=1, norm="forward")
         vals = np.concatenate((vals, vals[:, :1]), axis=1)
         mag = np.abs(vals)
@@ -725,8 +718,8 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
             sel_b = sel_b * np.exp(1j * np.pi * np.arange(n + 1) / m)
         row_step = max(1, _GRID_CHUNK // m)
         for s in range(0, cnt, row_step):
-            # M is a power of two, so the unscaled inverse FFT equals
-            # _eval_circle_grid's ifft * M bit for bit
+            # M is a power of two, so the unscaled inverse FFT equals ifft * M
+            # bit for bit
             logs = np.abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
             np.maximum(logs, 1e-300, out=logs)
             np.log(logs, out=logs)
@@ -834,26 +827,38 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     n = degree
     b = _circle_fourier_coeffs(alpha, n, r)
     m = _SCAN_PER_DEGREE * (n + 1)
-    vals = np.abs(_eval_circle_grid(b, m))
-    np.maximum(vals, 1e-300, out=vals)
-    logs = np.log(vals)
-    every = np.arange(rows)
-    scan_idx = logs.argmax(axis=1)
-    scan_best = logs[every, scan_idx]
-    is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
-    masked = np.where(is_peak, logs, -np.inf)
+
+    def scan(sel):
+        """The scan's logs on rows ``sel``, and a copy with -inf off the peaks."""
+        # not norm="forward": M need not be a power of two, where it rounds differently
+        logs = np.abs(np.fft.ifft(b[sel], n=m, axis=1) * m)
+        np.maximum(logs, 1e-300, out=logs)
+        np.log(logs, out=logs)
+        is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
+        return logs, np.where(is_peak, logs, -np.inf)
 
     def partition_slots(sel):
         """The three peaks of rows ``sel`` in ``argpartition``'s order."""
-        return np.argpartition(np.where(is_peak[sel], logs[sel], -np.inf), -3, axis=1)[:, -3:]
+        return np.argpartition(scan(sel)[1], -3, axis=1)[:, -3:]
 
-    # peak-major (3, B) slots; the fourth argmax only detects a tie
+    # row chunks bound the scan's memory; peak-major (3, B) slots, and the
+    # fourth argmax only detects a tie
+    scan_idx = np.empty(rows, dtype=np.intp)
+    scan_best = np.empty(rows)
     top = np.empty((4, rows), dtype=np.intp)
     peak = np.empty((4, rows))
-    for k in range(4):
-        top[k] = masked.argmax(axis=1)
-        peak[k] = masked[every, top[k]]
-        masked[every, top[k]] = -np.inf
+    chunk = max(1, _GRID_CHUNK // m)
+    for s in range(0, rows, chunk):
+        sel = slice(s, s + chunk)
+        logs, masked = scan(sel)
+        here = np.arange(len(logs))
+        scan_idx[sel] = logs.argmax(axis=1)
+        scan_best[sel] = logs[here, scan_idx[sel]]
+        for k in range(4):
+            top[k, sel] = masked.argmax(axis=1)
+            peak[k, sel] = masked[here, top[k, sel]]
+            masked[here, top[k, sel]] = -np.inf
+    every = np.arange(rows)
     slots = top[:3]
     third_tied = peak[2] == peak[3]
     fallback = np.flatnonzero(third_tied)
@@ -1002,7 +1007,8 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
     prev = None
     while m <= NODE_CAP:
         theta = 2.0 * np.pi * np.arange(m) / m
-        logs = np.log(np.maximum(np.abs(_eval_circle_grid(b, m)[0]), 1e-300)) + corr
+        vals = np.fft.ifft(b, n=m, norm="forward")  # ifft * M, as M is a power of two
+        logs = np.log(np.maximum(np.abs(vals), 1e-300)) + corr
         z = r * np.exp(1j * theta)
         kern = (r * r - abs(zeta) ** 2) / np.abs(z - zeta) ** 2
         cur = float(np.mean(kern * logs))

@@ -115,6 +115,21 @@ class TestExitCodes:
         err = diag.getvalue()
         assert err.startswith("usage error: -N: degree 2053") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["roots", "count"])
+    def test_overflowing_degree_builds_no_weight_table(self, command, monkeypatch):
+        # the central weight alone refuses the degree, before any O(N) work
+        def no_table(degree):
+            raise AssertionError("the weight table was built")
+
+        monkeypatch.setattr(cli.model, "_log_weights", no_table)
+        diag = io.StringIO()
+        monkeypatch.setattr(cli, "DIAG", diag)
+        code, out = run_cli([command, "-N", "1000000"])
+        assert code == 2
+        assert out == b""
+        err = diag.getvalue()
+        assert err.startswith("usage error: -N: degree 1000000: ") and err.count("\n") == 1
+
     def test_hole_beyond_weight_range_runs_without_warnings(self):
         # winding counts every row; the sampled row skips the root check
         with warnings.catch_warnings():
@@ -278,6 +293,28 @@ class TestRecords:
         assert code == 0
         assert b"\r" not in out
         out.decode("utf-8")
+
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "-N", "2"],
+        ["roots", "-N", "3"],
+        ["count", "-N", "3"],
+        ["mean-zeros", "-N", "2", "--trials", "20"],
+        ["deviation", "-N", "2", "--delta", "0.5", "--trials", "20"],
+        ["hole", "-N", "1", "--trials", "20"],
+        ["concentration", "-N", "2", "--trials", "20"],
+        ["omega-bound", "-N", "2"],
+        ["fit-decay", "--grid", "1,2,3", "-r", "0.5", "--trials", "1000"],
+        ["verify"],
+        ["orthonormality", "-N", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_record_names_its_command(self, argv, monkeypatch):
+        monkeypatch.setattr(cli.mc, "default_workers", lambda: 1)
+        monkeypatch.setattr(cli.verify_mod, "run_all_checks",
+                            lambda: [cli.verify_mod.CheckResult("stub", 0.0, 1.0, True)])
+        code, out = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["command"] == argv[0]
 
 
 class TestParseResultsFile:
