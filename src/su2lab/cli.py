@@ -214,11 +214,6 @@ def _grid(entry):
     return parse
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", metavar="PATH", default=None)
-
-
 def _add_degree_flags(sub, entry):
     """``-N`` or ``--grid``, exactly one, with entries obeying ``entry``."""
     group = sub.add_mutually_exclusive_group(required=True)
@@ -246,35 +241,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sample", help="emit sampled coefficients")
     p.add_argument("-N", "--degree", type=_nonneg_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_output_flags(p)
 
     p = subs.add_parser("roots", help="emit all roots of a sampled polynomial")
     p.add_argument("-N", "--degree", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_output_flags(p)
 
     p = subs.add_parser("count", help="zero count of a sampled polynomial in B(0,r)")
     p.add_argument("-N", "--degree", type=_positive_int, required=True)
     p.add_argument("-r", "--radius", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_output_flags(p)
 
     p = subs.add_parser("mean-zeros", help="Monte Carlo mean zero count")
     p.add_argument("-N", "--degree", type=_nonneg_int, required=True)
     p.set_defaults(grid=None)  # one degree only: a ladder of one rung
     _add_plan_flags(p, trials_default=2000)
-    _add_output_flags(p)
 
     p = subs.add_parser("deviation", help="zero-count deviation frequency")
     _add_degree_flags(p, _nonneg_int)
     p.add_argument("--delta", type=_positive_float, required=True)
     _add_plan_flags(p)
-    _add_output_flags(p)
 
     p = subs.add_parser("hole", help="hole probability estimate")
     _add_degree_flags(p, _nonneg_int)
     _add_plan_flags(p, trials_default=100000)
-    _add_output_flags(p)
 
     p = subs.add_parser("concentration", help="concentration outlier rates")
     _add_degree_flags(p, _nonneg_int)
@@ -283,12 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", type=float, default=0.1,
                    help="circle-average lower-tail margin, in (0, 1)")
     _add_plan_flags(p)
-    _add_output_flags(p)
 
     p = subs.add_parser("omega-bound", help="exact explicit-event lower bound")
     _add_degree_flags(p, _positive_int)
     p.add_argument("-r", "--radius", type=_positive_float, default=1.0)
-    _add_output_flags(p)
 
     p = subs.add_parser("fit-decay", help="fit log P against N^2")
     p.add_argument("results_file", nargs="?", default=None,
@@ -296,15 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid(_nonneg_int), metavar="N1,N2,...",
                    default=None)
     _add_plan_flags(p, trials_default=100000)
-    _add_output_flags(p)
 
-    p = subs.add_parser("verify", help="run the invariant suites")
-    _add_output_flags(p)
+    subs.add_parser("verify", help="run the invariant suites")
 
     p = subs.add_parser("orthonormality", help="inner-product quadrature checks")
     p.add_argument("-N", "--degree", type=_positive_int, default=10)
-    _add_output_flags(p)
 
+    for p in subs.choices.values():  # after each command's own flags
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", metavar="PATH", default=None)
     return parser
 
 

@@ -23,7 +23,10 @@ class CheckResult:
     check: str
     measured: float
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.measured <= self.threshold
 
 
 def _random_poly(rng: np.random.Generator, degree: int) -> model.SU2Polynomial:
@@ -37,7 +40,7 @@ def check_sample_determinism() -> CheckResult:
     b = model.sample_polynomial(n, RngSeed(VERIFY_SEED, 7)).coefficients
     batch = gaussian_matrix(VERIFY_SEED, np.arange(64, dtype=np.uint64), n + 1)
     diff = max(float(np.max(np.abs(a - b))), float(np.max(np.abs(batch[7] - a))))
-    return CheckResult("sample-determinism", diff, 0.0, diff == 0.0)
+    return CheckResult("sample-determinism", diff, 0.0)
 
 
 def check_gaussian_moment() -> CheckResult:
@@ -46,7 +49,7 @@ def check_gaussian_moment() -> CheckResult:
     sq = np.abs(draws[:, 2]) ** 2
     se = float(sq.std(ddof=1) / math.sqrt(trials))
     dev = abs(float(sq.mean()) - 1.0)
-    return CheckResult("gaussian-moment", dev, 3.0 * se, dev <= 3.0 * se)
+    return CheckResult("gaussian-moment", dev, 3.0 * se)
 
 
 def check_point_value_distribution() -> CheckResult:
@@ -60,7 +63,7 @@ def check_point_value_distribution() -> CheckResult:
     sq = np.abs(vals) ** 2
     se = float(sq.std(ddof=1) / math.sqrt(trials))
     dev = abs(float(sq.mean()) - 1.0)
-    return CheckResult("point-value-distribution", dev, 3.0 * se, dev <= 3.0 * se)
+    return CheckResult("point-value-distribution", dev, 3.0 * se)
 
 
 def check_normalized_eval_consistency() -> CheckResult:
@@ -74,7 +77,7 @@ def check_normalized_eval_consistency() -> CheckResult:
             direct = model.evaluate(p, z)
             rescaled = model.evaluate_normalized(p, z) * (1 + abs(z) ** 2) ** (n / 2)
             worst = max(worst, abs(direct - rescaled) / abs(direct))
-    return CheckResult("normalized-eval-consistency", worst, 1e-10, worst <= 1e-10)
+    return CheckResult("normalized-eval-consistency", worst, 1e-10)
 
 
 def check_unitarity() -> CheckResult:
@@ -82,7 +85,7 @@ def check_unitarity() -> CheckResult:
     for n, zeta in ((10, 0.5 + 0.0j), (40, 0.7 + 0.2j), (100, 1.25 + 0.5j)):
         u = model.basis_change_matrix(n, zeta).matrix
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(n + 1)))))
-    return CheckResult("unitarity", worst, 1e-10, worst <= 1e-10)
+    return CheckResult("unitarity", worst, 1e-10)
 
 
 def check_eq2_identity() -> CheckResult:
@@ -93,7 +96,7 @@ def check_eq2_identity() -> CheckResult:
         pts = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         pts = 2.0 * pts / np.max(np.abs(pts))
         worst = max(worst, model.eq2_identity_residual(p, zeta, pts))
-    return CheckResult("eq2-identity", worst, 1e-8, worst <= 1e-8)
+    return CheckResult("eq2-identity", worst, 1e-8)
 
 
 def _gram_deviation(basis: list, n: int) -> float:
@@ -110,7 +113,7 @@ def check_fs_orthonormality(n: int = 10) -> CheckResult:
     """Gram matrix of the weighted monomial basis at degree n."""
     basis = [model.SU2Polynomial(n, np.eye(n + 1)[j]) for j in range(n + 1)]
     worst = _gram_deviation(basis, n)
-    return CheckResult("fs-orthonormality", worst, 1e-10, worst <= 1e-10)
+    return CheckResult("fs-orthonormality", worst, 1e-10)
 
 
 def check_fs_beta_identity(n: int = 40, js=(0, 1, 7, 20, 33, 40)) -> CheckResult:
@@ -121,7 +124,7 @@ def check_fs_beta_identity(n: int = 40, js=(0, 1, 7, 20, 33, 40)) -> CheckResult
         val = model.fs_inner_product(mono, mono, n).real
         target = 1.0 / math.comb(n, j)
         worst = max(worst, abs(val - target) / target)
-    return CheckResult("fs-beta-identity", worst, 1e-10, worst <= 1e-10)
+    return CheckResult("fs-beta-identity", worst, 1e-10)
 
 
 def check_fs_zeta_orthonormality(n: int = 8) -> CheckResult:
@@ -129,7 +132,7 @@ def check_fs_zeta_orthonormality(n: int = 8) -> CheckResult:
     zeta = 0.3j
     b = model.basis_change_matrix(n, zeta).matrix.conj().T
     worst = _gram_deviation([model.SU2Polynomial(n, b[:, j]) for j in range(n + 1)], n)
-    return CheckResult("fs-zeta-orthonormality", worst, 1e-9, worst <= 1e-9)
+    return CheckResult("fs-zeta-orthonormality", worst, 1e-9)
 
 
 def check_root_conservation() -> CheckResult:
@@ -139,14 +142,14 @@ def check_root_conservation() -> CheckResult:
         zs = zeros.find_all_roots(_random_poly(rng, n))
         if len(zs.locations) + zs.degree_deficit != n:
             bad += 1
-    return CheckResult("root-count-conservation", float(bad), 0.0, bad == 0)
+    return CheckResult("root-count-conservation", float(bad), 0.0)
 
 
 def check_root_residuals() -> CheckResult:
     rng = np.random.default_rng(VERIFY_SEED + 5)
     zs = zeros.find_all_roots(_random_poly(rng, 100))
     worst = float(zs.residuals.max())
-    return CheckResult("root-residuals-n100", worst, 1e-8, worst <= 1e-8)
+    return CheckResult("root-residuals-n100", worst, 1e-8)
 
 
 def check_oracle_equivalence() -> CheckResult:
@@ -172,7 +175,7 @@ def check_oracle_equivalence() -> CheckResult:
                 certified[0] and by_schur[0] != by_roots.count):
             mismatches += 1
         done += 1
-    return CheckResult("oracle-equivalence", float(mismatches), 0.0, mismatches == 0)
+    return CheckResult("oracle-equivalence", float(mismatches), 0.0)
 
 
 def check_reversal_duality() -> CheckResult:
@@ -187,7 +190,7 @@ def check_reversal_duality() -> CheckResult:
             continue
         mapped = np.sort_complex(1.0 / fwd)
         worst = max(worst, float(np.max(np.abs(np.sort_complex(rev) - mapped))))
-    return CheckResult("reversal-duality", worst, 1e-8, worst <= 1e-8)
+    return CheckResult("reversal-duality", worst, 1e-8)
 
 
 def check_jensen() -> CheckResult:
@@ -204,7 +207,7 @@ def check_jensen() -> CheckResult:
             continue
         worst = max(worst, zeros.jensen_residual(p, 1.0))
         done += 1
-    return CheckResult("jensen-identity", worst, 1e-6, worst <= 1e-6)
+    return CheckResult("jensen-identity", worst, 1e-6)
 
 
 def check_two_radius_jensen() -> CheckResult:
@@ -227,7 +230,7 @@ def check_two_radius_jensen() -> CheckResult:
         rhs = zeros.circle_log_integral(p, kappa * r) - zeros.circle_log_integral(p, r)
         worst = max(worst, abs(lhs - rhs))
         done += 1
-    return CheckResult("two-radius-jensen", worst, 1e-6, worst <= 1e-6)
+    return CheckResult("two-radius-jensen", worst, 1e-6)
 
 
 def check_subharmonic_majorization() -> CheckResult:
@@ -245,7 +248,7 @@ def check_subharmonic_majorization() -> CheckResult:
             continue
         excess = math.log(val) - zeros.poisson_log_average(p, zeta, r)
         worst = max(worst, excess)
-    return CheckResult("subharmonic-majorization", worst, 1e-8, worst <= 1e-8)
+    return CheckResult("subharmonic-majorization", worst, 1e-8)
 
 
 def check_poisson_mean_one() -> CheckResult:
@@ -257,7 +260,7 @@ def check_poisson_mean_one() -> CheckResult:
             z = r * np.exp(1j * theta)
             kern = np.array([zeros.poisson_kernel(zeta, zz, r) for zz in z])
             worst = max(worst, abs(float(kern.mean()) - 1.0))
-    return CheckResult("poisson-mean-one", worst, 1e-10, worst <= 1e-10)
+    return CheckResult("poisson-mean-one", worst, 1e-10)
 
 
 def check_poisson_partition_scaling() -> CheckResult:
@@ -269,14 +272,14 @@ def check_poisson_partition_scaling() -> CheckResult:
         m = int(math.ceil(1.0 / delta))
         val = zeros.poisson_partition_deviation(m, kappa, 1.0, delta)
         worst = max(worst, val / math.sqrt(delta))
-    return CheckResult("poisson-partition-scaling", worst, 3.0, worst <= 3.0)
+    return CheckResult("poisson-partition-scaling", worst, 3.0)
 
 
 def check_omega_exact() -> CheckResult:
     got = mc.omega_lower_bound(1, 1.0)
     want = math.log(math.exp(-1.0) * (1.0 - math.exp(-1.0)))
     dev = abs(got - want)
-    return CheckResult("omega-exact-n1", dev, 1e-12, dev <= 1e-12)
+    return CheckResult("omega-exact-n1", dev, 1e-12)
 
 
 def check_omega_dominance() -> CheckResult:
@@ -287,7 +290,7 @@ def check_omega_dominance() -> CheckResult:
         est = mc.estimate_hole_probability(plan)
         shortfall = math.exp(mc.omega_lower_bound(n, r)) - (est.point + 3 * est.stderr)
         worst = max(worst, shortfall)
-    return CheckResult("omega-dominance", worst, 0.0, worst <= 0.0)
+    return CheckResult("omega-dominance", worst, 0.0)
 
 
 def check_hole_deviation_consistency() -> CheckResult:
@@ -300,7 +303,7 @@ def check_hole_deviation_consistency() -> CheckResult:
     mu = mc.expected_zero_count(n, r)
     hole = float((counts == 0).mean())
     dev = float((np.abs(counts - mu) >= mu / 2.0).mean())
-    return CheckResult("hole-deviation-consistency", hole - dev, 0.0, hole <= dev)
+    return CheckResult("hole-deviation-consistency", hole - dev, 0.0)
 
 
 def check_reversal_symmetry_statistic() -> CheckResult:
@@ -316,13 +319,13 @@ def check_reversal_symmetry_statistic() -> CheckResult:
     se_full = math.sqrt(max(full * (1 - full), 1e-12) / len(counts))
     pooled = math.sqrt(e_hole.stderr**2 + se_full**2)
     gap = abs(e_hole.point - full)
-    return CheckResult("reversal-symmetry-statistic", gap, 3.0 * pooled, gap <= 3.0 * pooled)
+    return CheckResult("reversal-symmetry-statistic", gap, 3.0 * pooled)
 
 
 def check_zero_count_mean() -> CheckResult:
     est = mc.estimate_zero_count_mean(mc.TrialPlan(10, 1.0, 2000, VERIFY_SEED + 14))
     dev = abs(est.point - 5.0)
-    return CheckResult("zero-count-mean", dev, 3.0 * est.stderr, dev <= 3.0 * est.stderr)
+    return CheckResult("zero-count-mean", dev, 3.0 * est.stderr)
 
 
 def check_seed_determinism() -> CheckResult:
@@ -332,7 +335,7 @@ def check_seed_determinism() -> CheckResult:
     b = mc.estimate_hole_probability(plan1)
     c = mc.estimate_hole_probability(plan2)
     same = (a == b) and (a.point == c.point and a.ci95 == c.ci95)
-    return CheckResult("seed-determinism", 0.0 if same else 1.0, 0.0, same)
+    return CheckResult("seed-determinism", 0.0 if same else 1.0, 0.0)
 
 
 ALL_CHECKS = (

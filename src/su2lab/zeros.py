@@ -192,6 +192,13 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _log_abs(v: np.ndarray) -> np.ndarray:
+    """log|v| with |v| floored at 1e-300, so a zero gives a finite log."""
+    mag = np.abs(v)
+    np.maximum(mag, 1e-300, out=mag)
+    return np.log(mag, out=mag)
+
+
 # ---------------------------------------------------------------------------
 # boundary evaluation engines
 
@@ -411,8 +418,8 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
         val, _, _, rev = _folded_horner(w, row, roots.ravel(), az.ravel(), derivative=False)
-        log_val = np.log(np.maximum(np.abs(val), 1e-300)).reshape(roots.shape)
-        log_rev = n * np.log(np.maximum(az, 1e-300)) + log_val
+        log_val = _log_abs(val).reshape(roots.shape)
+        log_rev = n * _log_abs(az) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
         return np.exp(logmag - (n / 2.0) * _log1p_square(az))
 
@@ -720,9 +727,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
         for s in range(0, cnt, row_step):
             # M is a power of two, so the unscaled inverse FFT equals ifft * M
             # bit for bit
-            logs = np.abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
-            np.maximum(logs, 1e-300, out=logs)
-            np.log(logs, out=logs)
+            logs = _log_abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
             logs += corr
             s1[s : s + row_step] = logs.sum(axis=1)
             s2[s : s + row_step] = np.abs(logs, out=logs).sum(axis=1)
@@ -827,39 +832,40 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     n = degree
     b = _circle_fourier_coeffs(alpha, n, r)
     m = _SCAN_PER_DEGREE * (n + 1)
+    # a row that could overflow runs scaled by 2^-e, e the exponent of its largest
+    # real or imaginary part: the kernel's sums stay below 1.5 (N+1)^4 times that part
+    big = np.abs(b.view(float)).max(axis=1)
+    shift = np.where(big > np.finfo(float).max / (1.5 * (n + 1) ** 4), np.frexp(big)[1], 0)
+    if shift.any():
+        b = b * np.ldexp(1.0, -shift)[:, None]
 
     def scan(sel):
-        """The scan's logs on rows ``sel``, and a copy with -inf off the peaks."""
+        """The scan's logs on rows ``sel``, -inf off the peaks."""
         # not norm="forward": M need not be a power of two, where it rounds differently
-        logs = np.abs(np.fft.ifft(b[sel], n=m, axis=1) * m)
-        np.maximum(logs, 1e-300, out=logs)
-        np.log(logs, out=logs)
+        logs = _log_abs(np.fft.ifft(b[sel], n=m, axis=1) * m)
         is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
-        return logs, np.where(is_peak, logs, -np.inf)
+        return np.where(is_peak, logs, -np.inf)
 
     def partition_slots(sel):
         """The three peaks of rows ``sel`` in ``argpartition``'s order."""
-        return np.argpartition(scan(sel)[1], -3, axis=1)[:, -3:]
+        return np.argpartition(scan(sel), -3, axis=1)[:, -3:]
 
-    # row chunks bound the scan's memory; peak-major (3, B) slots, and the
-    # fourth argmax only detects a tie
-    scan_idx = np.empty(rows, dtype=np.intp)
-    scan_best = np.empty(rows)
+    # row chunks bound the scan's memory; peak-major (3, B) slots.  The first
+    # argmax is the scan's first maximum, a peak; the fourth only detects a tie
     top = np.empty((4, rows), dtype=np.intp)
     peak = np.empty((4, rows))
     chunk = max(1, _GRID_CHUNK // m)
     for s in range(0, rows, chunk):
         sel = slice(s, s + chunk)
-        logs, masked = scan(sel)
-        here = np.arange(len(logs))
-        scan_idx[sel] = logs.argmax(axis=1)
-        scan_best[sel] = logs[here, scan_idx[sel]]
+        masked = scan(sel)
+        here = np.arange(len(masked))
         for k in range(4):
             top[k, sel] = masked.argmax(axis=1)
             peak[k, sel] = masked[here, top[k, sel]]
             masked[here, top[k, sel]] = -np.inf
+    scan_best = peak[0]
     every = np.arange(rows)
-    slots = top[:3]
+    slots = top[:3].copy()  # the fallback rewrites slots, and top[0] gives the scan's angle
     third_tied = peak[2] == peak[3]
     fallback = np.flatnonzero(third_tied)
     if len(fallback):
@@ -876,9 +882,7 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     slack = 1e-12 * (n + 1) * abs_b.sum(axis=1)
 
     def objective(theta):
-        v = np.abs(_eval_row_angles(coefs, theta))
-        np.maximum(v, 1e-300, out=v)
-        return np.log(v, out=v)
+        return _log_abs(_eval_row_angles(coefs, theta))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = invphi * invphi
@@ -901,7 +905,10 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
             if not keep.all():
                 lo, hi, x1, x2, f1, f2, row, pos = (
                     a[keep] for a in (lo, hi, x1, x2, f1, f2, row, pos))
-                coefs = np.compress(keep, coefs, axis=1)
+                # in place: a compacted copy would sit beside the whole gather
+                for c in coefs:
+                    c[: len(row)] = c[keep]
+                coefs = coefs[:, : len(row)]
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
@@ -926,8 +933,8 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
         best_val[tied] = np.take_along_axis(best_val[tied], order, axis=1)
         best_theta[tied] = np.take_along_axis(best_theta[tied], order, axis=1)
     refined_arg = best_theta[every, best_val.argmax(axis=1)]
-    out_log = np.where(use_refined, refined_best, scan_best)
-    out_theta = np.where(use_refined, refined_arg, 2.0 * np.pi * scan_idx / m)
+    out_log = np.where(use_refined, refined_best, scan_best) + shift * math.log(2.0)
+    out_theta = np.where(use_refined, refined_arg, 2.0 * np.pi * top[0] / m)
     return out_log, out_theta
 
 
@@ -1008,7 +1015,7 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
     while m <= NODE_CAP:
         theta = 2.0 * np.pi * np.arange(m) / m
         vals = np.fft.ifft(b, n=m, norm="forward")  # ifft * M, as M is a power of two
-        logs = np.log(np.maximum(np.abs(vals), 1e-300)) + corr
+        logs = _log_abs(vals) + corr
         z = r * np.exp(1j * theta)
         kern = (r * r - abs(zeta) ** 2) / np.abs(z - zeta) ** 2
         cur = float(np.mean(kern * logs))

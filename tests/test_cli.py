@@ -311,10 +311,19 @@ class TestRecords:
     def test_record_names_its_command(self, argv, monkeypatch):
         monkeypatch.setattr(cli.mc, "default_workers", lambda: 1)
         monkeypatch.setattr(cli.verify_mod, "run_all_checks",
-                            lambda: [cli.verify_mod.CheckResult("stub", 0.0, 1.0, True)])
+                            lambda: [cli.verify_mod.CheckResult("stub", 0.0, 1.0)])
         code, out = run_cli(argv + ["--format", "json"])
         assert code == 0
         assert json.loads(out)["command"] == argv[0]
+
+    def test_failing_check_fails_verify(self, monkeypatch):
+        monkeypatch.setattr(cli.verify_mod, "run_all_checks",
+                            lambda: [cli.verify_mod.CheckResult("stub", 2.0, 1.0)])
+        code, out = run_cli(["verify", "--format", "json"])
+        assert code == 1
+        result = json.loads(out)["result"]
+        assert result["failed"] == 1
+        assert result["rows"][0]["status"] == "FAIL"
 
 
 class TestParseResultsFile:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -1136,6 +1137,29 @@ class TestMaxModulus:
         assert 709.0 < mm.log_value < 709.7
         assert mm.value == math.exp(mm.log_value)
         assert mm.value == pytest.approx(1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("n, c", [(3, 1e308), (10, 1.7e308), (40, 1e308)])
+    def test_overflowing_rows_stay_finite(self, n, c):
+        # the reference runs the row scaled by 2^-60, where nothing overflows
+        ref = zeros.max_modulus_boundary(SU2Polynomial(n, [c * 2.0**-60] * (n + 1)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mm = zeros.max_modulus_boundary(SU2Polynomial(n, [c] * (n + 1)), 1.0)
+        assert mm.log_value == pytest.approx(ref.log_value + 60 * math.log(2.0), abs=1e-12)
+
+    def test_block_memory(self):
+        # the golden-section gather, (N+1) x 3B complex, is compacted in place
+        from su2lab import montecarlo as mc
+
+        alpha = mc._sample_block(mc.TrialPlan(200, 1.0, 4096, 3), 0, 4096)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            zeros._batch_boundary_log_max(alpha, 200, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
 
     def test_log_safe_form(self):
         n = 600  # value ~ e^210: still representable
