@@ -35,8 +35,10 @@ suite cross-checks:
   contour; other rows fall back to winding.
 
 All boundary evaluations use the spherically normalized values
-``psi(z)/(1+|z|^2)^(N/2)``, whose magnitudes stay in double range at any
-degree; the positive normalization never changes a phase or a zero.
+``psi(z)/(1+|z|^2)^(N/2)``; the positive normalization never changes a
+phase or a zero.  Their magnitudes stay in double range for any finite
+row through the range rule of ``_in_range``, by which every circle kernel
+and the off-center count get their Fourier rows.
 
 Batch variants (leading underscore) operate on ``(trials, N+1)``
 coefficient blocks and are the engines behind the Monte Carlo layer; the
@@ -203,16 +205,31 @@ def _log_abs(v: np.ndarray) -> np.ndarray:
 # boundary evaluation engines
 
 
-def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float) -> np.ndarray:
-    """Fourier coefficients of theta -> psi_hat(r e^{i theta}).
+def _in_range(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The range rule: ``(b, shift)``, each row (last axis) whose largest
+    real or imaginary part lies outside [2^-400, 2^400] divided exactly by
+    2^e, e that part's exponent, and shift e there, 0 on rows left as they
+    are.  The band keeps every product of two samples and every Horner or
+    Bernstein sum in range for N below about 1e30, and every Gaussian row
+    inside it: log kernels add shift log 2, counts do not depend on scale."""
+    big = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=-1)
+    shift = np.where((big < 2.0**-400) | (big > 2.0**400), np.frexp(big)[1], 0)
+    if shift.any():
+        b = np.ldexp(b.real, -shift[..., None]) + 1j * np.ldexp(b.imag, -shift[..., None])
+    return b, shift
 
-    ``alpha`` is ``(..., N+1)``; returns the same shape.  Entry j equals
+
+def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
+    """Fourier coefficients of theta -> psi_hat(r e^{i theta}), as the
+    ``(b, shift)`` of ``_in_range``.
+
+    ``alpha`` is ``(..., N+1)``; so is ``b``.  Entry j equals 2^-shift
     ``alpha_j sqrt(C(N,j)) r^j / (1+r^2)^(N/2)`` assembled in log space.
     """
     n = degree
     j = np.arange(n + 1)
     scale = np.exp(_log_weights(n) + j * math.log(r) - _log_normalization(n, r))
-    return alpha * scale
+    return _in_range(alpha * scale)
 
 
 def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -517,7 +534,7 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
     center, r = disk.center, disk.radius
     margin = DEFAULT_BOUNDARY_MARGIN
     if center == 0:
-        b = _circle_fourier_coeffs(poly.coefficients[None], n, r)
+        b, _ = _circle_fourier_coeffs(poly.coefficients[None], n, r)
     else:
         # the moved polynomial's normalized value at w is psi_hat(z) (u/|u|)^N,
         # a trigonometric polynomial of degree N on the circle: its row is
@@ -526,8 +543,9 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
         m = _next_pow2(n + 1)
         w = r * np.exp(2j * np.pi * np.arange(m) / m)
         u = 1.0 - np.conj(a) * w
+        poly = SU2Polynomial(n, _in_range(poly.coefficients)[0])
         vals = evaluate_normalized(poly, (w + a) / u) * np.exp(1j * n * np.angle(u))
-        b = (np.fft.fft(vals) / m)[None, : n + 1]
+        b, _ = _in_range((np.fft.fft(vals) / m)[None, : n + 1])
         margin *= (1.0 + abs(a) * r) ** 2 / (1.0 + abs(a) ** 2)
     counts, ok = _winding_rows(b, r, margin, _next_pow2(_WINDING_SAMPLES * (n + 1)))
     if not ok[0]:
@@ -539,7 +557,7 @@ def _batch_winding(alpha: np.ndarray, degree: int, r: float,
                    boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
     """Winding numbers of a coefficient batch around |z| = r: ``(counts,
     ok)`` under the rules of ``_winding_rows``."""
-    b = _circle_fourier_coeffs(np.atleast_2d(alpha), degree, r)
+    b, _ = _circle_fourier_coeffs(np.atleast_2d(alpha), degree, r)
     return _winding_rows(b, r, boundary_margin, _next_pow2(_WINDING_SAMPLES * (degree + 1)))
 
 
@@ -670,7 +688,7 @@ def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
     rows = alpha.shape[0]
     if degree > SCHUR_COHN_MAX_DEGREE:
         return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
-    b = _circle_fourier_coeffs(alpha, degree, r)
+    b, _ = _circle_fourier_coeffs(alpha, degree, r)
     trail, lead, log_floor = _schur_cohn_steps(b)
     gap = trail - lead
     # a zero w of f with ||w| - 1| <= h forces |f(w / |w|)| <= h max|f'|
@@ -712,11 +730,11 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
     n = degree
-    corr = _log_normalization(n, r)
-    b = _circle_fourier_coeffs(alpha, n, r)
+    b, shift = _circle_fourier_coeffs(alpha, n, r)
+    corr = _log_normalization(n, r) + shift * math.log(2.0)
     m0 = max(128, _next_pow2(8 * (n + 1)))
 
-    def _accumulate(sel_b: np.ndarray, m: int, half: bool):
+    def _accumulate(sel_b: np.ndarray, sel_corr: np.ndarray, m: int, half: bool):
         """Sums of (log + corr) and |log + corr| over M angles, half a step on if ``half``."""
         cnt = len(sel_b)
         s1 = np.empty(cnt)
@@ -728,18 +746,18 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
             # M is a power of two, so the unscaled inverse FFT equals ifft * M
             # bit for bit
             logs = _log_abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
-            logs += corr
+            logs += sel_corr[s : s + row_step, None]
             s1[s : s + row_step] = logs.sum(axis=1)
             s2[s : s + row_step] = np.abs(logs, out=logs).sum(axis=1)
         return s1, s2
 
     active = np.arange(rows)
-    sum1, sum2 = _accumulate(b, m0, half=False)
+    sum1, sum2 = _accumulate(b, corr, m0, half=False)
     m = m0
     mean_log, mean_abs = sum1 / m, sum2 / m
     gap = np.full(rows, np.nan)
     while len(active) and 2 * m <= NODE_CAP:
-        a1, a2 = _accumulate(b[active], m, half=True)
+        a1, a2 = _accumulate(b[active], corr[active], m, half=True)
         sum1[active] += a1
         sum2[active] += a2
         m *= 2
@@ -830,14 +848,8 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
     n = degree
-    b = _circle_fourier_coeffs(alpha, n, r)
+    b, shift = _circle_fourier_coeffs(alpha, n, r)
     m = _SCAN_PER_DEGREE * (n + 1)
-    # a row that could overflow runs scaled by 2^-e, e the exponent of its largest
-    # real or imaginary part: the kernel's sums stay below 1.5 (N+1)^4 times that part
-    big = np.abs(b.view(float)).max(axis=1)
-    shift = np.where(big > np.finfo(float).max / (1.5 * (n + 1) ** 4), np.frexp(big)[1], 0)
-    if shift.any():
-        b = b * np.ldexp(1.0, -shift)[:, None]
 
     def scan(sel):
         """The scan's logs on rows ``sel``, -inf off the peaks."""
@@ -1008,8 +1020,8 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
         raise ValueError("zeta must lie strictly inside the circle")
     _refuse_zero(poly)
     n = poly.degree
-    corr = _log_normalization(n, r)
-    b = _circle_fourier_coeffs(poly.coefficients, n, r)
+    b, shift = _circle_fourier_coeffs(poly.coefficients, n, r)
+    corr = _log_normalization(n, r) + shift * math.log(2.0)
     m = max(128, _next_pow2(8 * (n + 1)))
     prev = None
     while m <= NODE_CAP:

@@ -592,7 +592,7 @@ class TestArgumentPrinciple:
                     (r + rng.choice((-1, 1)) * 10 ** rng.uniform(-13, -3))
                     * np.exp(2j * np.pi * rng.integers(m0) / m0)
                     for _ in range(rng.integers(1, 4)))) for _ in range(40)])
-                b = zeros._circle_fourier_coeffs(alpha, n, r)
+                b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
                 mag = np.abs(_circle_grid(b, m0))
                 dmag = np.abs(_circle_grid(b * (1j * np.arange(n + 1)), m0))
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -697,7 +697,7 @@ class TestSchurCohn:
         # threshold; exactly those are refused
         alpha = _sample(77, 4096, 32)
         _, certified = zeros._batch_schur_cohn(alpha, 32, 1.0, boundary_margin=0.0)
-        trail, lead, _ = zeros._schur_cohn_steps(zeros._circle_fourier_coeffs(alpha, 32, 1.0))
+        trail, lead, _ = zeros._schur_cohn_steps(zeros._circle_fourier_coeffs(alpha, 32, 1.0)[0])
         small = (np.abs(trail - lead) < zeros.SCHUR_COHN_MIN_GAP).any(axis=1)
         assert small.sum() >= 10
         assert np.array_equal(certified, ~small)
@@ -722,7 +722,7 @@ class TestSchurCohn:
     def test_floor_bounds_circle_minimum(self, degree, r):
         # the floor must sit below min |f| on |z| = 1, which a dense grid
         # over-estimates
-        b = zeros._circle_fourier_coeffs(_sample(40 + degree, 2048, degree), degree, r)
+        b = zeros._circle_fourier_coeffs(_sample(40 + degree, 2048, degree), degree, r)[0]
         _, _, log_floor = zeros._schur_cohn_steps(b)
         grid_min = np.abs(_circle_grid(b, 64 * (degree + 1))).min(axis=1)
         finite = np.isfinite(log_floor)
@@ -754,7 +754,7 @@ class TestSchurCohn:
         worst = 0.0
         for degree, r in SCHUR_COHN_GRID:
             alpha = _sample(700 + degree, 8192, degree)
-            b = zeros._circle_fourier_coeffs(alpha, degree, r)
+            b = zeros._circle_fourier_coeffs(alpha, degree, r)[0]
             trail, lead, log_floor = zeros._schur_cohn_steps(b)
             trail_ld, lead_ld, log_floor_ld = zeros._schur_cohn_steps(b.astype(np.clongdouble))
             gap = np.abs(trail - lead)
@@ -974,7 +974,7 @@ def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     array whose Horner adds one whole coefficient row per step."""
     alpha = np.atleast_2d(alpha)
     n = degree
-    b = zeros._circle_fourier_coeffs(alpha, n, r)
+    b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
     m = zeros._SCAN_PER_DEGREE * (n + 1)
     vals = np.abs(_circle_grid(b, m))
     np.maximum(vals, 1e-300, out=vals)
@@ -1091,7 +1091,7 @@ class TestMaxModulus:
         # |psi_hat|^2 has degree N in e^{i theta}, so at N <= 2 no row has
         # three grid peaks and -inf slots get brackets
         alpha = _sample(3, 64, n)
-        b = zeros._circle_fourier_coeffs(alpha, n, 1.0)
+        b = zeros._circle_fourier_coeffs(alpha, n, 1.0)[0]
         logs = np.log(np.abs(_circle_grid(b, 8 * (n + 1))))
         peaks = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
         assert peaks.sum(axis=1).max() < 3
@@ -1140,12 +1140,25 @@ class TestMaxModulus:
 
     @pytest.mark.parametrize("n, c", [(3, 1e308), (10, 1.7e308), (40, 1e308)])
     def test_overflowing_rows_stay_finite(self, n, c):
-        # the reference runs the row scaled by 2^-60, where nothing overflows
-        ref = zeros.max_modulus_boundary(SU2Polynomial(n, [c * 2.0**-60] * (n + 1)), 1.0)
+        # the reference runs the row scaled by 2^-60, where nothing overflows.
+        # These rows have their zeros on |z| = 1, where only the maximum is
+        # defined; at r = 0.5 every circle call and count agrees too
+        ref = SU2Polynomial(n, [c * 2.0**-60] * (n + 1))
+        shift = 60 * math.log(2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mm = zeros.max_modulus_boundary(SU2Polynomial(n, [c] * (n + 1)), 1.0)
-        assert mm.log_value == pytest.approx(ref.log_value + 60 * math.log(2.0), abs=1e-12)
+            p = SU2Polynomial(n, [c] * (n + 1))
+            mm = zeros.max_modulus_boundary(p, 1.0)
+            assert mm.log_value == pytest.approx(
+                zeros.max_modulus_boundary(ref, 1.0).log_value + shift, abs=1e-12)
+            for disk in (zeros.Disk(0, 0.5), zeros.Disk(0.3 + 0.2j, 0.7)):
+                want = zeros.count_zeros_argument_principle(ref, disk).count
+                assert zeros.count_zeros_argument_principle(p, disk).count == want
+            for value in (lambda x: zeros.circle_log_integral(x, 0.5),
+                          lambda x: zeros.circle_abs_log_integral(x, 0.5),
+                          lambda x: zeros.max_modulus_boundary(x, 0.5).log_value,
+                          lambda x: zeros.poisson_log_average(x, 0.2 - 0.1j, 0.5)):
+                assert value(p) == pytest.approx(value(ref) + shift, rel=1e-12, abs=0)
 
     def test_block_memory(self):
         # the golden-section gather, (N+1) x 3B complex, is compacted in place
@@ -1257,3 +1270,98 @@ class TestSubharmonic:
                 continue
             avg = zeros.poisson_log_average(p, complex(zeta), r)
             assert math.log(val) <= avg + 1e-8
+
+
+RANGE_SCALES = (1e-305, 1e-200, 1e200, 1e300, None)  # None: max |alpha_j| = 1.7e308
+RANGE_IDS = ["1e-305", "1e-200", "1e200", "1e300", "max"]
+RANGE_DISKS = (zeros.Disk(0, 0.5), zeros.Disk(0, 1.0), zeros.Disk(0, 2.0),
+               zeros.Disk(0.3 + 0.2j, 0.7), zeros.Disk(-1 + 0.5j, 1.5))
+
+
+def _scaled_polys(n, c):
+    """``(p, q, log c)`` per seed 0-2: the Gaussian polynomial p and q = c p,
+    with c = 1.7e308 / max |alpha_j| when ``c`` is None."""
+    for seed in range(3):
+        p = model.sample_polynomial(n, RngSeed(seed, 0))
+        q, log_c = _scaled_rows(p.coefficients, c)
+        yield p, SU2Polynomial(n, q), float(log_c)
+
+
+def _scaled_rows(alpha, c):
+    """``(c alpha, log c)`` per row, with c = 1.7e308 / max_j |alpha_j| when
+    ``c`` is None (divided first, since that c can pass the largest double)."""
+    if c is not None:
+        return alpha * c, math.log(c)
+    top = np.abs(alpha).max(axis=-1, keepdims=True)
+    return alpha / top * 1.7e308, math.log(1.7e308) - np.log(top[..., 0])
+
+
+@pytest.mark.filterwarnings("error")
+class TestRangeRule:
+    """A finite row far outside double's comfortable range gives the
+    counts of the unscaled row and its values plus log c."""
+
+    @pytest.mark.parametrize("c", RANGE_SCALES, ids=RANGE_IDS)
+    @pytest.mark.parametrize("n", [1, 3, 12, 50, 200])
+    def test_counts_as_unscaled(self, n, c):
+        # without the range rule, N = 1, seed 2 times 1e200 counted 4 zeros in B(0, 0.5):
+        # each phase step overflowed to angle(inf + inf j) = pi/4
+        for p, q, _ in _scaled_polys(n, c):
+            for disk in RANGE_DISKS:
+                want = zeros.count_zeros_argument_principle(p, disk).count
+                assert zeros.count_zeros_argument_principle(q, disk).count == want, disk
+        alpha = _sample(17, 64, n)
+        big, _ = _scaled_rows(alpha, c)
+        kernels = [zeros._batch_winding]
+        if n <= zeros.SCHUR_COHN_MAX_DEGREE:
+            kernels.append(zeros._batch_schur_cohn)
+        for r in (0.5, 1.0, 2.0):
+            for kernel in kernels:
+                counts, ok = kernel(alpha, n, r)
+                got, got_ok = kernel(big, n, r)
+                assert ok.any() and np.array_equal(got_ok, ok), (kernel.__name__, r)
+                assert np.array_equal(got[ok], counts[ok]), (kernel.__name__, r)
+
+    @pytest.mark.parametrize("c", RANGE_SCALES, ids=RANGE_IDS)
+    @pytest.mark.parametrize("n", [1, 3, 12, 50, 200])
+    def test_values_shift_by_log_c(self, n, c):
+        # without the range rule the 1e-300 floor of the samples clipped every 1e-305 row
+        for p, q, log_c in _scaled_polys(n, c):
+            for r in (0.5, 1.0, 2.0):
+                for value in (lambda x: zeros.circle_log_integral(x, r),
+                              lambda x: zeros.max_modulus_boundary(x, r).log_value,
+                              lambda x: zeros.poisson_log_average(x, 0.2 - 0.1j, r)):
+                    assert value(q) == pytest.approx(value(p) + log_c, rel=1e-12, abs=0)
+                b = zeros._circle_fourier_coeffs(p.coefficients[None], n, r)[0]
+                logs = np.log(np.abs(_circle_grid(b, 1 << 18)))
+                logs += model._log_normalization(n, r) + log_c
+                want = float(np.abs(logs).mean())
+                assert zeros.circle_abs_log_integral(q, r) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_gaussian_and_pinned_rows_keep_their_bits(self):
+        # the rule leaves every row of the pinned outputs unscaled; the tied
+        # row 1 + z^200 at r = 1 has its largest part at 2^-100, so a band of
+        # 2^+-100 would scale it and change its pinned boundary maximum
+        for n in (0, 1, 10, 200, 2000):
+            alpha = _sample(9, 512, n)
+            for r in (0.05, 0.5, 1.0, 2.0, 20.0):
+                assert not zeros._circle_fourier_coeffs(alpha, n, r)[1].any(), (n, r)
+        for n in (2, 4, 10, 40, 100, 200):
+            for r in (0.5, 1.0, 2.0):
+                assert not zeros._circle_fourier_coeffs(_tied_rows(n), n, r)[1].any()
+        # the generator of the near-contour winding rows, as the identity
+        # outputs write it; their largest parts go down to about 2^-48
+        rng = np.random.default_rng(11)
+        for n in (8, 30, 60, 100):
+            for r in (0.5, 1.0, 2.0):
+                rows = []
+                for _ in range(200):
+                    k = int(rng.integers(1, 4))
+                    w = rng.standard_normal(n + 1 - k) + 1j * rng.standard_normal(n + 1 - k)
+                    angle = 2.0 * np.pi * rng.uniform()
+                    for _ in range(k):
+                        dist = rng.choice((-1, 1)) * 10 ** rng.uniform(-13, -3)
+                        w = np.convolve(w, [-(r + dist) * np.exp(1j * angle), 1.0])
+                        angle += rng.choice((-1, 1)) * 10 ** rng.uniform(-4, -2)
+                    rows.append(w * np.exp(-model._log_weights(n)))
+                assert not zeros._circle_fourier_coeffs(np.array(rows), n, r)[1].any()
