@@ -38,7 +38,10 @@ All boundary evaluations use the spherically normalized values
 ``psi(z)/(1+|z|^2)^(N/2)``; the positive normalization never changes a
 phase or a zero.  Their magnitudes stay in double range for any finite
 row through the range rule of ``_in_range``, by which every circle kernel
-and the off-center count get their Fourier rows.
+and the off-center count get their Fourier rows; a row that underflows
+below the rule's band is rebuilt from logs.  The boundary maximum refines
+the best grid peaks of a uniform scan by safeguarded Newton on the
+derivative of |psi_hat|^2, one Horner pass per round.
 
 Batch variants (leading underscore) operate on ``(trials, N+1)``
 coefficient blocks and are the engines behind the Monte Carlo layer; the
@@ -92,13 +95,13 @@ _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
 _MAX_REFINEMENTS = 20  # bisection rounds of the rough winding intervals
 _GRID_CHUNK = 1 << 15  # FFT-grid samples per chunk of winding, circle-mean or scan rows
 _PRECISION_FLOOR = 1e4 * np.finfo(float).eps  # share of sum |b_k| a winding sample must clear
-_SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk
+_SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk, or bracket gather
 _ABERTH_TOL = 1e-13  # a root freezes once its step is below this, relative to 1 + |z|
 _ABERTH_MAX_SWEEPS = 500
 _ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
 _SCAN_PER_DEGREE = 8  # boundary-maximum scan angles per unit of N + 1
-_ANGLE_TOL = 1e-10  # golden-section bracket width of the boundary maximum
-_PRUNE_ROUNDS = (4, 8, 16)  # golden-section rounds before which hopeless brackets are dropped
+_NEWTON_TOL = 1e-10  # a boundary-maximum angle freezes once its Newton step is below this
+_NEWTON_ROUNDS = 100  # cap on the safeguarded Newton rounds of one angle
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
@@ -224,12 +227,27 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
     ``(b, shift)`` of ``_in_range``.
 
     ``alpha`` is ``(..., N+1)``; so is ``b``.  Entry j equals 2^-shift
-    ``alpha_j sqrt(C(N,j)) r^j / (1+r^2)^(N/2)`` assembled in log space.
+    ``alpha_j sqrt(C(N,j)) r^j / (1+r^2)^(N/2)``, its scale assembled in
+    log space.  A row whose product has its largest part below 2^-400,
+    or underflows to zero while alpha does not, has lost bits to
+    underflow: it is rebuilt from log|alpha_j| plus the log scale, at
+    shift e with its largest entry in [1/2, 1) (up to rounding).
     """
     n = degree
     j = np.arange(n + 1)
-    scale = np.exp(_log_weights(n) + j * math.log(r) - _log_normalization(n, r))
-    return _in_range(alpha * scale)
+    log_scale = _log_weights(n) + j * math.log(r) - _log_normalization(n, r)
+    b, shift = _in_range(alpha * np.exp(log_scale))
+    low = (shift < 0) | (~b.any(axis=-1) & alpha.any(axis=-1))
+    if low.any():
+        a = alpha[low]
+        mag = np.abs(a)
+        with np.errstate(divide="ignore"):
+            logs = np.log(mag) + log_scale
+        e = np.floor(logs.max(axis=-1) / math.log(2.0)) + 1.0
+        unit = np.divide(a, mag, out=np.zeros_like(a), where=mag > 0)
+        b[low] = unit * np.exp(logs - e[:, None] * math.log(2.0))
+        shift[low] = e
+    return b, shift
 
 
 def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -241,6 +259,25 @@ def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
         acc *= x
         acc += c
     return acc
+
+
+def _row_angle_derivs(coefs: np.ndarray, theta: np.ndarray):
+    """psi_hat and its first two theta-derivatives at the P angles
+    ``theta`` by one Horner pass in x = e^{i theta}, from the points'
+    gathered ``(N+1, P)`` Fourier coefficients ``coefs``.  The pass
+    carries (p''/2, p', p) as one stack, multiplied by x and then given
+    (p', p, c), so no complex product runs in place on one element, where
+    numpy rounds unlike on two or more: no point depends on the others."""
+    x = np.exp(1j * theta)
+    xs = np.repeat(x[None], 3, axis=0)
+    cur, nxt = np.zeros((2, 4, len(theta)), dtype=complex)  # rows p''/2, p', p, c
+    for c in coefs[::-1]:
+        cur[3] = c
+        np.multiply(cur[:3], xs, nxt[:3])
+        np.add(nxt[:3], cur[1:], nxt[:3])
+        cur, nxt = nxt, cur
+    half_d2, d1, v = cur[:3]
+    return v, 1j * x * d1, -x * (d1 + 2.0 * x * half_d2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +490,23 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     Leading (high-order) coefficients smaller than 1e-14 of the largest
     are treated as zero; the lost roots are reported as ``degree_deficit``
     rather than as meaningless huge locations.  Exact zeros at the low end
-    are split off as exact origin roots before iterating.
+    are split off as exact origin roots before iterating.  Roots do not
+    depend on scale: a row whose monomial coefficients overflow runs
+    divided by 2^e, every part below 1/2, and its residuals are scaled
+    back by 2^e; past N = 2053 the weights themselves refuse.
     """
     _refuse_zero(poly)
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
+    e = 0
+    try:
+        w = poly.weighted_coefficients()
+    except OverflowError:
+        parts = poly.coefficients.view(float)
+        e = int(np.frexp(np.abs(parts).max())[1]) + 1
+        poly = SU2Polynomial(n, np.ldexp(parts, -e).view(complex))
+        w = poly.weighted_coefficients()
     amags = np.abs(poly.coefficients)
     top = amags.max()
     # effective degree from the orthonormal-basis coefficients: the weighted
@@ -467,7 +515,6 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     sig = np.nonzero(amags >= TRUNCATION_RATIO * top)[0]
     d = int(sig[-1])
     deficit = n - d
-    w = poly.weighted_coefficients()
     k0 = int(np.nonzero(amags > 0)[0][0])
     k0 = min(k0, d)
     locations = [0.0 + 0.0j] * k0
@@ -477,7 +524,7 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
             raise RootFindingError(d - k0)
         locations.extend(roots[0].tolist())
     locs = np.array(locations, dtype=complex)
-    residuals = np.abs(evaluate_normalized(poly, locs)) if len(locs) else np.empty(0)
+    residuals = np.ldexp(np.abs(evaluate_normalized(poly, locs)), e) if len(locs) else np.empty(0)
     return ZeroSet(locs, residuals, deficit, n)
 
 
@@ -826,128 +873,74 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
 def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     """log of max_{|z|=r} psi_hat plus the maximizing angles, batched.
 
-    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles and golden-section
-    refines the best three grid peaks of each row; a refined maximum at
-    least as large as the scan's replaces it, the first of tied brackets
-    giving the angle.  Four ``argmax`` passes pick the peaks; a row whose
-    third place ties the fourth, or is -inf (fewer than three peaks),
-    takes ``argpartition``'s three, since a -inf slot's bracket is refined
-    too.  The brackets form one flat list.  Before each round of
-    ``_PRUNE_ROUNDS`` a bracket [lo, hi] is dropped where
-
-        log(max(|psi_hat(x1)|, |psi_hat(x2)|) (1 + 1e-9)
-            + (hi - lo) sum k |b_k| + 1e-12 (N+1) sum |b_k|)
-
-    lies below its row's scan maximum: |d psi_hat/d theta| <= sum k |b_k|
-    and the brackets nest, so it could only end below the scan maximum,
-    which the result never is; the slack covers the Horner rounding.  The
-    list keeps at least two brackets, since numpy's in-place complex
-    product on one element rounds unlike that on two or more.  A row whose
-    kept maxima tie exactly takes ``argpartition``'s bracket order.
+    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles in row chunks; three
+    ``argmax`` passes take each row's best three grid peaks, the first
+    being the scan maximum.  A finite peak theta_p is refined inside
+    [theta_p - h, theta_p + h], h the grid step, unless its Bernstein bound
+    |psi_hat(theta_p)| (1 + 1e-9) + h sum k |b_k| + 1e-12 (N+1) sum |b_k|
+    lies below the scan maximum (|psi_hat'| <= sum k |b_k|, and the slack
+    covers the rounding).  The refinement is safeguarded Newton on
+    g = Re(conj(psi_hat) psi_hat'), over chunks of at most ``_SWEEP_CHUNK``
+    gathered coefficients of the flat bracket list: the sign of g shrinks
+    the bracket, the midpoint replaces a Newton point that leaves it or
+    has g' >= 0, and a point freezes at its last angle once its next step
+    is below ``_NEWTON_TOL`` (or after ``_NEWTON_ROUNDS``), so no row
+    depends on the others.  The best refined value replaces the scan's
+    when at least as large, an exact tie going to the higher scan peak.
     """
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
     n = degree
     b, shift = _circle_fourier_coeffs(alpha, n, r)
     m = _SCAN_PER_DEGREE * (n + 1)
-
-    def scan(sel):
-        """The scan's logs on rows ``sel``, -inf off the peaks."""
-        # not norm="forward": M need not be a power of two, where it rounds differently
-        logs = _log_abs(np.fft.ifft(b[sel], n=m, axis=1) * m)
-        is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
-        return np.where(is_peak, logs, -np.inf)
-
-    def partition_slots(sel):
-        """The three peaks of rows ``sel`` in ``argpartition``'s order."""
-        return np.argpartition(scan(sel), -3, axis=1)[:, -3:]
-
-    # row chunks bound the scan's memory; peak-major (3, B) slots.  The first
-    # argmax is the scan's first maximum, a peak; the fourth only detects a tie
-    top = np.empty((4, rows), dtype=np.intp)
-    peak = np.empty((4, rows))
+    h = 2.0 * np.pi / m
+    top = np.empty((rows, 3), dtype=np.intp)
+    peak = np.empty((rows, 3))
     chunk = max(1, _GRID_CHUNK // m)
     for s in range(0, rows, chunk):
         sel = slice(s, s + chunk)
-        masked = scan(sel)
+        # not norm="forward": M need not be a power of two, where it rounds differently
+        logs = _log_abs(np.fft.ifft(b[sel], n=m, axis=1) * m)
+        is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
+        masked = np.where(is_peak, logs, -np.inf)
         here = np.arange(len(masked))
-        for k in range(4):
-            top[k, sel] = masked.argmax(axis=1)
-            peak[k, sel] = masked[here, top[k, sel]]
-            masked[here, top[k, sel]] = -np.inf
-    scan_best = peak[0]
-    every = np.arange(rows)
-    slots = top[:3].copy()  # the fallback rewrites slots, and top[0] gives the scan's angle
-    third_tied = peak[2] == peak[3]
-    fallback = np.flatnonzero(third_tied)
-    if len(fallback):
-        slots[:, fallback] = partition_slots(fallback).T
-    theta0 = 2.0 * np.pi * slots / m
-    h = 2.0 * np.pi / m
-    lo = (theta0 - h).ravel()
-    hi = (theta0 + h).ravel()
-    row = np.tile(every, 3)
-    pos = np.arange(3 * rows)  # each bracket's place in the (3, B) result
-    coefs = np.take(np.ascontiguousarray(b.T), row, axis=1)
+        for k in range(3):
+            top[sel, k] = masked.argmax(axis=1)
+            peak[sel, k] = masked[here, top[sel, k]]
+            masked[here, top[sel, k]] = -np.inf
     abs_b = np.abs(b)
-    lip = abs_b @ np.arange(n + 1)
-    slack = 1e-12 * (n + 1) * abs_b.sum(axis=1)
-
-    def objective(theta):
-        return _log_abs(_eval_row_angles(coefs, theta))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = invphi * invphi
-    span = hi - lo
-    x1 = lo + invphi2 * span
-    x2 = lo + invphi * span
-    f1 = objective(x1)
-    f2 = objective(x2)
-    # a bracket below the tolerance, or none at all, takes no iteration
-    width = float(np.max(span, initial=_ANGLE_TOL))
-    n_iter = int(math.ceil(math.log(_ANGLE_TOL / width) / math.log(invphi)))
-    for it in range(n_iter):
-        if it in _PRUNE_ROUNDS:
-            top_val = np.exp(np.maximum(f1, f2)) * (1.0 + 1e-9)
-            bound = np.log(top_val + (hi - lo) * lip[row] + slack[row])
-            keep = ~(bound < scan_best[row])
-            short = 2 - np.count_nonzero(keep)
-            if short > 0:
-                keep[np.flatnonzero(~keep)[:short]] = True
-            if not keep.all():
-                lo, hi, x1, x2, f1, f2, row, pos = (
-                    a[keep] for a in (lo, hi, x1, x2, f1, f2, row, pos))
-                # in place: a compacted copy would sit beside the whole gather
-                for c in coefs:
-                    c[: len(row)] = c[keep]
-                coefs = coefs[:, : len(row)]
-        take_left = f1 >= f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
-        fresh_x = lo + np.where(take_left, invphi2, invphi) * (hi - lo)
-        fresh = objective(fresh_x)
-        x1, x2 = np.where(take_left, fresh_x, x2), np.where(take_left, x1, fresh_x)
-        f1, f2 = np.where(take_left, fresh, f2), np.where(take_left, f1, fresh)
-    mid = 0.5 * (lo + hi)
-    best_val = np.full(3 * rows, -np.inf)
-    best_theta = np.zeros(3 * rows)
-    best_val[pos] = objective(mid)
-    best_theta[pos] = mid
-    best_val = best_val.reshape(3, rows).T
-    best_theta = best_theta.reshape(3, rows).T
-    refined_best = best_val.max(axis=1)
-    use_refined = refined_best >= scan_best
-    tied = (best_val == refined_best[:, None]).sum(axis=1) > 1
-    tied = np.flatnonzero(tied & use_refined & ~third_tied)
-    if len(tied):
-        # column c of slot j: where the argmax slots hold argpartition's j-th peak
-        order = (slots[:, tied].T[:, None, :] == partition_slots(tied)[:, :, None]).argmax(axis=2)
-        best_val[tied] = np.take_along_axis(best_val[tied], order, axis=1)
-        best_theta[tied] = np.take_along_axis(best_theta[tied], order, axis=1)
-    refined_arg = best_theta[every, best_val.argmax(axis=1)]
-    out_log = np.where(use_refined, refined_best, scan_best) + shift * math.log(2.0)
-    out_theta = np.where(use_refined, refined_arg, 2.0 * np.pi * top[0] / m)
-    return out_log, out_theta
+    reach = h * (abs_b @ np.arange(n + 1)) + 1e-12 * (n + 1) * abs_b.sum(axis=1)
+    bound = np.log(np.exp(peak) * (1.0 + 1e-9) + reach[:, None])
+    row, slot = np.nonzero((peak > -np.inf) & (bound >= peak[:, :1]))
+    found = np.full((rows, 3), -np.inf)
+    angle = np.zeros((rows, 3))
+    size = max(1, _SWEEP_CHUNK // (n + 1))
+    for s in range(0, len(row), size):
+        live = np.arange(s, min(s + size, len(row)))
+        coefs = np.ascontiguousarray(b[row[live]].T)
+        theta = 2.0 * np.pi * top[row[live], slot[live]] / m
+        lo, hi = theta - h, theta + h
+        for _ in range(_NEWTON_ROUNDS):
+            v, d1, d2 = _row_angle_derivs(coefs, theta)
+            at = row[live], slot[live]
+            found[at], angle[at] = _log_abs(v), theta
+            g = v.real * d1.real + v.imag * d1.imag
+            slope = d1.real * d1.real + d1.imag * d1.imag + v.real * d2.real + v.imag * d2.imag
+            lo = np.where(g > 0, theta, lo)
+            hi = np.where(g < 0, theta, hi)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                newton = theta - g / slope
+            nxt = np.where((slope < 0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+            go = np.abs(nxt - theta) >= _NEWTON_TOL
+            if not go.any():
+                break
+            live, theta, lo, hi = live[go], nxt[go], lo[go], hi[go]
+            coefs = coefs if go.all() else coefs[:, go]
+    pick = found.argmax(axis=1)
+    refined = found[np.arange(rows), pick]
+    out_theta = np.where(refined >= peak[:, 0], angle[np.arange(rows), pick],
+                         2.0 * np.pi * top[:, 0] / m)
+    return np.maximum(refined, peak[:, 0]) + shift * math.log(2.0), out_theta
 
 
 def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:

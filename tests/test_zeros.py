@@ -942,6 +942,9 @@ class TestReversalDuality:
             done += 1
 
 
+_ORACLE_WIDTH = 1e-10  # final golden-section bracket width of the reference
+
+
 def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized golden-section maximization on bracketed unimodal data."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -952,8 +955,8 @@ def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     f1 = obj_fn(x1)
     f2 = obj_fn(x2)
     # a bracket below the tolerance, or none at all, takes no iteration
-    width = float(np.max(span, initial=zeros._ANGLE_TOL))
-    n_iter = int(math.ceil(math.log(zeros._ANGLE_TOL / width) / math.log(invphi)))
+    width = float(np.max(span, initial=_ORACLE_WIDTH))
+    n_iter = int(math.ceil(math.log(_ORACLE_WIDTH / width) / math.log(invphi)))
     for _ in range(n_iter):
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
@@ -965,6 +968,19 @@ def _golden_max_batch(obj_fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
         x1, x2 = x1_new, x2_new
     mid = 0.5 * (lo + hi)
     return mid, obj_fn(mid)
+
+
+def _loop_log_abs(b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """log|psi_hat| of the B rows ``b`` at the (K, B) angles ``theta``,
+    K per row, by a Horner loop over the coefficients."""
+    x = np.exp(1j * theta)
+    acc = np.zeros(x.shape, dtype=complex)
+    for c in np.ascontiguousarray(b.T)[::-1]:
+        acc *= x
+        acc += c
+    v = np.abs(acc)
+    np.maximum(v, 1e-300, out=v)
+    return np.log(v, out=v)
 
 
 def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
@@ -984,19 +1000,7 @@ def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     top3 = np.argpartition(masked, -3, axis=1)[:, -3:]
     theta0 = 2.0 * np.pi * top3.T / m
     h = 2.0 * np.pi / m
-    bt = np.ascontiguousarray(b.T)
-
-    def objective(theta):
-        x = np.exp(1j * theta)
-        acc = np.zeros(x.shape, dtype=complex)
-        for c in bt[::-1]:
-            acc *= x
-            acc += c
-        v = np.abs(acc)
-        np.maximum(v, 1e-300, out=v)
-        return np.log(v, out=v)
-
-    best_theta, best_val = _golden_max_batch(objective, theta0 - h, theta0 + h)
+    best_theta, best_val = _golden_max_batch(lambda t: _loop_log_abs(b, t), theta0 - h, theta0 + h)
     best_theta, best_val = best_theta.T, best_val.T
     scan_best = logs.max(axis=1)
     scan_arg = 2.0 * np.pi * logs.argmax(axis=1) / m
@@ -1010,11 +1014,23 @@ def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     return out_log, out_theta
 
 
-def _assert_matches_loop_max(alpha, degree, r):
-    got = zeros._batch_boundary_log_max(alpha, degree, r)
-    want = _loop_boundary_log_max(alpha, degree, r)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+def _assert_matches_loop_max(alpha, degree, r, single=True):
+    """The kernel's log maximum is the reference's within 1e-13, and the
+    reference's objective at the kernel's angle reaches it within 1e-13.
+    Where the maximizer is single (N >= 1, and not ``single=False``), the
+    angles also name the same point within 1e-6, the resolution of
+    golden-section search on a log value: its angles sit up to 2e-7 from
+    the stationary point, where Newton's sit within 1e-10."""
+    got_log, got_theta = zeros._batch_boundary_log_max(alpha, degree, r)
+    want_log, want_theta = _loop_boundary_log_max(alpha, degree, r)
+    assert np.abs(got_log - want_log).max(initial=0.0) <= 1e-13
+    if len(got_log):
+        b = zeros._circle_fourier_coeffs(np.atleast_2d(alpha), degree, r)[0]
+        at = _loop_log_abs(b, got_theta[None])[0]
+        assert np.abs(at - want_log).max() <= 1e-13
+    if single and degree:
+        gap = np.abs(np.angle(np.exp(1j * (got_theta - want_theta))))
+        assert gap.max(initial=0.0) <= 1e-6
 
 
 def _tied_rows(degree):
@@ -1059,8 +1075,8 @@ class TestMaxModulus:
 
     def test_row_angles_any_block(self):
         # a point's value does not depend on the other points of its block,
-        # from two points up: the boundary maximum's brackets and the winding
-        # bisection's midpoints move between blocks of every such size
+        # from two points up: the winding bisection's midpoints move between
+        # blocks of every such size
         rng = np.random.default_rng(5)
         b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
         row = rng.integers(0, 6, 18)
@@ -1075,11 +1091,31 @@ class TestMaxModulus:
                 part = zeros._eval_row_angles(coefs[:, s : s + size], theta[s : s + size])
                 assert part.tobytes() == full[s : s + size].tobytes()
 
+    def test_row_angle_derivs_any_block(self):
+        # psi_hat and its two theta-derivatives at a point do not depend on
+        # the other points of its block, from one point up: the boundary
+        # maximum's brackets freeze one by one, and a one-row call at N = 1
+        # refines a single bracket
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
+        row = rng.integers(0, 6, 18)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 18)
+        coefs = np.take(np.ascontiguousarray(b.T), row, axis=1)
+        full = zeros._row_angle_derivs(coefs, theta)
+        k = np.arange(11)
+        for weight, got in zip((1.0, 1j * k, -k * k), full):
+            want = (b[row] * weight * np.exp(1j * np.outer(theta, k))).sum(axis=1)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(b).sum())
+        for size in (1, 2, 3, 5, 17):
+            for s in range(0, 18 - size + 1, size):
+                part = zeros._row_angle_derivs(coefs[:, s : s + size], theta[s : s + size])
+                for got, whole in zip(part, full):
+                    assert got.tobytes() == whole[s : s + size].tobytes()
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 200])
     def test_matches_reference_kernel(self, n, r):
-        # bit for bit, at every batch size: one row has three brackets, which
-        # pruning takes down to the two-bracket floor
+        # at every batch size, down to one row and to none
         rng = np.random.default_rng(100 + n)
         for rows in (0, 1, 2, 3, 7, 300):
             alpha = (rng.standard_normal((rows, n + 1))
@@ -1089,7 +1125,7 @@ class TestMaxModulus:
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_peaks_match_reference(self, n):
         # |psi_hat|^2 has degree N in e^{i theta}, so at N <= 2 no row has
-        # three grid peaks and -inf slots get brackets
+        # three grid peaks, and its -inf slots get no bracket
         alpha = _sample(3, 64, n)
         b = zeros._circle_fourier_coeffs(alpha, n, 1.0)[0]
         logs = np.log(np.abs(_circle_grid(b, 8 * (n + 1))))
@@ -1111,17 +1147,64 @@ class TestMaxModulus:
 
     @pytest.mark.parametrize("n", [2, 4, 10, 40, 200])
     def test_tied_rows_match_reference(self, n):
-        # equal peaks tie the third place of the scan and the refined maxima
+        # equal peaks tie the third place of the scan and the refined maxima,
+        # so the angle may be any of the tied maximizers
         tied = _tied_rows(n)
         mixed = np.concatenate((tied, _sample(4, 5, n), tied))
         for r in (0.5, 1.0, 2.0):
             for alpha in (tied, tied[:1], tied[1:], mixed):
-                _assert_matches_loop_max(alpha, n, r)
+                _assert_matches_loop_max(alpha, n, r, single=False)
 
-    @pytest.mark.parametrize("n", [1, 10, 40])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 200])
+    def test_dense_envelope(self, n, r):
+        # the maximum is at least every sample of a grid 16 times finer than the scan
+        alpha = _sample(60 + n, 64, n)
+        log_max, _ = zeros._batch_boundary_log_max(alpha, n, r)
+        b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
+        dense = np.log(np.abs(_circle_grid(b, 16 * zeros._SCAN_PER_DEGREE * (n + 1))))
+        assert (log_max >= dense.max(axis=1) - 1e-13).all()
+
+    def test_quartic_maximum(self):
+        # psi_hat = 1 + 4x - x^2/2 turned off the grid: at its maximum 4.5,
+        # |psi_hat|^2 has zero second derivative, where Newton converges only
+        # linearly (five fixed rounds miss by 8.5e-14)
+        alpha = np.array([2.0, 4.0 * math.sqrt(2.0), -1.0]) * np.exp(0.0123j * np.arange(3))
+        log_max, theta = zeros._batch_boundary_log_max(alpha[None], 2, 1.0)
+        assert abs(log_max[0] - math.log(4.5)) <= 1e-13
+        assert abs(np.angle(np.exp(1j * (theta[0] + 0.0123)))) <= 1e-3
+
+    def test_angles_are_stationary(self):
+        # the refined angle zeroes d|psi_hat|^2/d theta: one Newton step in
+        # long double moves it by less than 1e-9
+        for n, r in ((3, 0.5), (10, 1.0), (40, 2.0), (200, 1.0)):
+            alpha = _sample(70 + n, 32, n)
+            _, theta = zeros._batch_boundary_log_max(alpha, n, r)
+            b = zeros._circle_fourier_coeffs(alpha, n, r)[0].astype(np.clongdouble)
+            k = np.arange(n + 1, dtype=np.longdouble)
+            x = np.exp(1j * np.outer(theta.astype(np.longdouble), k))
+            v, d1, d2 = ((b * w * x).sum(axis=1) for w in (1, 1j * k, -k * k))
+            g = (np.conj(v) * d1).real
+            slope = (np.abs(d1) ** 2 + (np.conj(v) * d2).real)
+            assert (np.abs(g / slope) < 1e-9).all(), (n, r)
+
+    def test_chunks_keep_every_bit(self, monkeypatch):
+        # a small _GRID_CHUNK splits the scan into chunks of a few rows, and a
+        # small _SWEEP_CHUNK the brackets into chunks of a few points
+        for n in (0, 2, 10, 40):
+            alpha = _sample(80 + n, 300, n)
+            want = zeros._batch_boundary_log_max(alpha, n, 1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
+                patch.setattr(zeros, "_SWEEP_CHUNK", 1 << 9)
+                got = zeros._batch_boundary_log_max(alpha, n, 1.0)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 40])
     def test_batch_rows_are_independent(self, n):
-        # N = 1 has one grid peak per row, so two of its three brackets
-        # start from -inf entries of the scan
+        # N = 1 has one grid peak per row, so a one-row call refines a single
+        # bracket; N = 0 has three tied peaks per row
         rng = np.random.default_rng(30 + n)
         rows = (rng.standard_normal((9, n + 1))
                 + 1j * rng.standard_normal((9, n + 1))) / math.sqrt(2)
@@ -1161,7 +1244,8 @@ class TestMaxModulus:
                 assert value(p) == pytest.approx(value(ref) + shift, rel=1e-12, abs=0)
 
     def test_block_memory(self):
-        # the golden-section gather, (N+1) x 3B complex, is compacted in place
+        # the refinement gathers one chunk of brackets at a time, never the
+        # whole (N+1) x 3B block (40 MiB here)
         from su2lab import montecarlo as mc
 
         alpha = mc._sample_block(mc.TrialPlan(200, 1.0, 4096, 3), 0, 4096)
@@ -1172,7 +1256,7 @@ class TestMaxModulus:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * 2**20
+        assert peak <= 40 * 2**20
 
     def test_log_safe_form(self):
         n = 600  # value ~ e^210: still representable
@@ -1365,3 +1449,26 @@ class TestRangeRule:
                         angle += rng.choice((-1, 1)) * 10 ** rng.uniform(-4, -2)
                     rows.append(w * np.exp(-model._log_weights(n)))
                 assert not zeros._circle_fourier_coeffs(np.array(rows), n, r)[1].any()
+
+    def test_rows_below_the_band_rebuild_from_logs(self):
+        # the product alpha_j * scale_j of 1e-300 z^200 at r = 0.5 underflows
+        # to zero, and so does scale_2000 itself for z^2000 at r = 0.05
+        for p, r, want in ((SU2Polynomial(200, [0] * 200 + [1e-300]), 0.5,
+                            200 * math.log(0.5) + math.log(1e-300)),
+                           (SU2Polynomial(2000, [0] * 2000 + [1]), 0.05, 2000 * math.log(0.05))):
+            assert zeros.circle_log_integral(p, r) == pytest.approx(want, rel=1e-12, abs=0)
+            assert zeros.max_modulus_boundary(p, r).log_value == pytest.approx(want, rel=1e-12, abs=0)
+            assert zeros.count_zeros_argument_principle(p, zeros.Disk(0, r)).count == p.degree
+
+    @pytest.mark.parametrize("n, c", [(200, 1e300), (12, None), (50, None), (200, None)],
+                             ids=["200-1e300", "12-max", "50-max", "200-max"])
+    def test_roots_of_overflowing_rows(self, n, c):
+        # the weighted coefficients of these rows overflow; the roots do not
+        # depend on scale, and the residuals are reported at the row's own
+        p = model.sample_polynomial(n, RngSeed(0, 0))
+        alpha, log_c = _scaled_rows(p.coefficients, c)
+        q = SU2Polynomial(n, alpha)
+        want, got = zeros.find_all_roots(p), zeros.find_all_roots(q)
+        assert match_max_distance(got.locations, want.locations) <= 1e-12
+        assert np.log(got.residuals.max()) - log_c <= np.log(want.residuals.max()) + 1.0
+        assert zeros.jensen_residual(q, 1.0) <= 1e-9
