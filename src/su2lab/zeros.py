@@ -252,13 +252,16 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
 
 def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """psi_hat at the P angles ``theta`` by Horner in e^{i theta}, from the
-    points' gathered ``(N+1, P)`` Fourier coefficients ``coefs``."""
+    points' gathered ``(N+1, P)`` Fourier coefficients ``coefs``.  Each
+    step multiplies into a second buffer, as ``_row_angle_derivs`` does, so
+    no complex product runs in place on one element: no point depends on
+    the others."""
     x = np.exp(1j * theta)
-    acc = np.zeros(x.shape, dtype=complex)
+    cur, nxt = np.zeros((2, len(theta)), dtype=complex)
     for c in coefs[::-1]:
-        acc *= x
-        acc += c
-    return acc
+        np.add(np.multiply(cur, x, nxt), c, nxt)
+        cur, nxt = nxt, cur
+    return cur
 
 
 def _row_angle_derivs(coefs: np.ndarray, theta: np.ndarray):
@@ -317,15 +320,14 @@ def _bini_start_points(w: np.ndarray) -> np.ndarray:
     return radii * unit
 
 
-def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray,
-                   derivative: bool = True):
-    """Polynomial ``w[row[i]]`` at point ``z[i]`` by one Horner pass,
-    without overflow at any |z|; ``az`` is |z|.
+def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
+    """Polynomial ``w[row[i]]`` and its derivative at point ``z[i]`` by one
+    Horner pass, without overflow at any |z|; ``az`` is |z|.
 
     A point with |z| <= 1 runs the direct coefficients at x = z.  A point
     with |z| > 1 runs the reversed ones at x = u = 1/z, which evaluates
     q(u) = z^{-m} p(z) and q'(u).  Returns ``(val, der, x, rev)``, where
-    ``rev`` marks the reversed points and ``der`` is None unless asked for.
+    ``rev`` marks the reversed points.
 
     Each Horner step is two ufunc calls on all points at once: the rows
     (dp, p, c) of step t lie in one buffer right before those of step
@@ -340,28 +342,25 @@ def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray
     points = len(z)
     rev = az > 1.0
     x = np.divide(1.0, z, out=z.copy(), where=rev)
-    width = 3 if derivative else 2  # buffer rows per step: (dp,) p, c
-    span = max(1, min(n1, _SWEEP_CHUNK // (width * max(points, 1)) - 1))
-    buf = np.empty((span + 1, width, points), dtype=complex)
-    acc, coef = buf[:, :-1], buf[:, 1:]
+    span = max(1, min(n1, _SWEEP_CHUNK // (3 * max(points, 1)) - 1))
+    buf = np.empty((span + 1, 3, points), dtype=complex)
+    acc, coef = buf[:, :2], buf[:, 1:]
     # x spelled out to the factor's shape: numpy's complex product rounds
     # differently on some broadcast layouts (a (1, 1) times a (1,) array),
     # and a same-shape contiguous product never does
-    xs = np.repeat(x[None], width - 1, axis=0)
+    xs = np.repeat(x[None], 2, axis=0)
     # step t adds coefficient m - t directly, or t when reversed
     stack = np.stack((w[:, ::-1], w))
     flip = rev.astype(np.intp)
     acc[0] = 0.0
     for t0 in range(0, n1, span):
         steps = min(span, n1 - t0)
-        buf[:steps, -1] = stack[flip, row, t0 : t0 + steps].T
+        buf[:steps, 2] = stack[flip, row, t0 : t0 + steps].T
         for a0, a1, c0 in zip(acc[:steps], acc[1:], coef):
             np.multiply(a0, xs, a1)  # a positional out parses faster than out=
             np.add(a1, c0, a1)
         acc[0] = acc[steps]
-    val = buf[0, -2].copy()
-    der = buf[0, 0].copy() if derivative else None
-    return val, der, x, rev
+    return buf[0, 1].copy(), buf[0, 0].copy(), x, rev
 
 
 def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
@@ -471,7 +470,7 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
-        val, _, _, rev = _folded_horner(w, row, roots.ravel(), az.ravel(), derivative=False)
+        val, _, _, rev = _folded_horner(w, row, roots.ravel(), az.ravel())
         log_val = _log_abs(val).reshape(roots.shape)
         log_rev = n * _log_abs(az) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
@@ -852,10 +851,14 @@ def circle_abs_log_integral(poly: SU2Polynomial, r: float,
 def jensen_residual(poly: SU2Polynomial, r: float) -> float:
     """|log|psi(0)| + sum_{|a|<r} log(r/|a|) - circle average of log|psi||.
 
-    Requires psi(0) away from zero relative to the coefficient scale.
+    Requires psi(0) away from zero relative to the coefficient scale.  The
+    residual does not depend on scale, so a finite row whose moduli
+    overflow runs halved, which puts each below sqrt(2)/2 of the largest double.
     """
     _check_radius(r)
     _refuse_zero(poly)
+    if np.isinf(np.abs(poly.coefficients)).any():
+        poly = SU2Polynomial(poly.degree, poly.coefficients / 2.0)
     a0 = abs(poly.coefficients[0])
     if a0 <= 1e-12 * np.abs(poly.coefficients).max():
         raise ValueError("psi(0) is numerically zero; Jensen's identity needs psi(0) != 0")
@@ -875,11 +878,8 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
 
     Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles in row chunks; three
     ``argmax`` passes take each row's best three grid peaks, the first
-    being the scan maximum.  A finite peak theta_p is refined inside
-    [theta_p - h, theta_p + h], h the grid step, unless its Bernstein bound
-    |psi_hat(theta_p)| (1 + 1e-9) + h sum k |b_k| + 1e-12 (N+1) sum |b_k|
-    lies below the scan maximum (|psi_hat'| <= sum k |b_k|, and the slack
-    covers the rounding).  The refinement is safeguarded Newton on
+    being the scan maximum.  Every finite peak theta_p is refined inside
+    [theta_p - h, theta_p + h], h the grid step, by safeguarded Newton on
     g = Re(conj(psi_hat) psi_hat'), over chunks of at most ``_SWEEP_CHUNK``
     gathered coefficients of the flat bracket list: the sign of g shrinks
     the bracket, the midpoint replaces a Newton point that leaves it or
@@ -908,10 +908,7 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
             top[sel, k] = masked.argmax(axis=1)
             peak[sel, k] = masked[here, top[sel, k]]
             masked[here, top[sel, k]] = -np.inf
-    abs_b = np.abs(b)
-    reach = h * (abs_b @ np.arange(n + 1)) + 1e-12 * (n + 1) * abs_b.sum(axis=1)
-    bound = np.log(np.exp(peak) * (1.0 + 1e-9) + reach[:, None])
-    row, slot = np.nonzero((peak > -np.inf) & (bound >= peak[:, :1]))
+    row, slot = np.nonzero(peak > -np.inf)
     found = np.full((rows, 3), -np.inf)
     angle = np.zeros((rows, 3))
     size = max(1, _SWEEP_CHUNK // (n + 1))

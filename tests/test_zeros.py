@@ -889,6 +889,15 @@ class TestJensen:
         with pytest.raises(ValueError):
             zeros.jensen_residual(SU2Polynomial(1, [0, 1]), 1.0)
 
+    def test_overflowing_moduli(self):
+        # every part is finite but every modulus overflows: psi(0) is not
+        # zero, and the residual reads as on the row times 2^-60
+        alpha = np.full(13, 1.7e308 + 1.7e308j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeros.jensen_residual(SU2Polynomial(12, alpha), 0.5) <= 1e-9
+            assert zeros.jensen_residual(SU2Polynomial(12, alpha * 2.0**-60), 0.5) <= 1e-9
+
     def test_two_radius_difference(self):
         # annulus Jensen: circle-average difference balances root terms
         rng = np.random.default_rng(12)
@@ -1074,9 +1083,8 @@ class TestMaxModulus:
         assert mm.value == pytest.approx(dense, rel=1e-8)
 
     def test_row_angles_any_block(self):
-        # a point's value does not depend on the other points of its block,
-        # from two points up: the winding bisection's midpoints move between
-        # blocks of every such size
+        # a point's value does not depend on the other points of its block:
+        # the winding bisection's midpoints move between blocks of every size
         rng = np.random.default_rng(5)
         b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
         row = rng.integers(0, 6, 18)
@@ -1086,7 +1094,7 @@ class TestMaxModulus:
         x = np.exp(1j * theta)
         want = np.array([np.polyval(b[i, ::-1], xi) for i, xi in zip(row, x)])
         assert np.allclose(full, want, rtol=1e-13, atol=0.0)
-        for size in (2, 3, 5, 17):
+        for size in (1, 2, 3, 5, 17):
             for s in range(0, 18 - size + 1, size):
                 part = zeros._eval_row_angles(coefs[:, s : s + size], theta[s : s + size])
                 assert part.tobytes() == full[s : s + size].tobytes()
@@ -1135,9 +1143,10 @@ class TestMaxModulus:
             _assert_matches_loop_max(alpha, n, r)
 
     def test_constant_rows_keep_their_brackets(self):
-        # at N = 0 every bracket ends exactly at the scan maximum log v, and
-        # its pruning bound has no width term: for these v, exp(log v) rounds
-        # low enough that the bound drops below log v without the slack
+        # at N = 0 psi_hat is the constant b_0, so each bracket's Horner value
+        # ties the scan maximum log v exactly and the row returns log v; these
+        # v are ones whose exp(log v) rounds below v, where a test made
+        # through exp would misjudge that tie
         v = np.random.default_rng(1).uniform(0.5, 3.0, 20000)
         f = np.log(v)
         v = v[np.log(np.exp(f)) < f][:5]
@@ -1154,6 +1163,38 @@ class TestMaxModulus:
         for r in (0.5, 1.0, 2.0):
             for alpha in (tied, tied[:1], tied[1:], mixed):
                 _assert_matches_loop_max(alpha, n, r, single=False)
+
+    def test_scan_value_stands_when_horner_rounds_below(self):
+        # positive coefficients peak at theta = 0, on the grid, where the
+        # Horner value of some rows rounds below the FFT scan's: those rows
+        # keep the scan value, so the maximum is never below a scan sample
+        alpha = np.abs(_sample(90, 500, 10)).astype(complex)
+        log_max, theta = zeros._batch_boundary_log_max(alpha, 10, 1.0)
+        b = zeros._circle_fourier_coeffs(alpha, 10, 1.0)[0]
+        scan = np.log(np.abs(_circle_grid(b, zeros._SCAN_PER_DEGREE * 11)))
+        horner = _loop_log_abs(b, np.zeros((1, 500)))[0]
+        below = horner < scan[:, 0]
+        assert below.sum() > 10
+        assert (log_max == scan.max(axis=1))[below].all()
+        assert (theta[below] == 0.0).all()
+
+    # rows of gaussian_matrix(12, arange(4096), N + 1) whose maximum at r = 1
+    # comes from a grid peak other than the scan's first
+    LATER_PEAK_ROWS = {3: [60, 114, 1512, 1959, 2197, 2301, 2814, 3283, 3443, 4007],
+                       10: [2485], 40: [30, 4075]}
+
+    @pytest.mark.parametrize("n", sorted(LATER_PEAK_ROWS))
+    def test_later_peak_wins(self, n):
+        alpha = _sample(12, 4096, n)[self.LATER_PEAK_ROWS[n]]
+        log_max, theta = zeros._batch_boundary_log_max(alpha, n, 1.0)
+        b = zeros._circle_fourier_coeffs(alpha, n, 1.0)[0]
+        m = zeros._SCAN_PER_DEGREE * (n + 1)
+        first = 2.0 * np.pi * np.abs(_circle_grid(b, m)).argmax(axis=1) / m
+        assert (np.abs(np.angle(np.exp(1j * (theta - first)))) > 2.0 * np.pi / m).all()
+        want, _ = _loop_boundary_log_max(alpha, n, 1.0)
+        assert np.abs(log_max - want).max() <= 1e-13
+        dense = np.log(np.abs(_circle_grid(b, 16 * m)))
+        assert (log_max >= dense.max(axis=1) - 1e-13).all()
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 200])
