@@ -13,9 +13,12 @@
 # working tree won (ties count for neither side).  `gain` marks a metric
 # whose working tree won at least nine tenths of the pairs with medians
 # further apart than REV's interquartile range; `worse` marks a median
-# worse than REV's by more than the metric's bound.  The exit status is
-# non-zero if a run is not `correct` or has failed ops.  The temporary
-# checkout is removed on exit.
+# worse than REV's by more than the metric's bound.  Two more rows, read
+# from each run's report, give the raw walls behind `op_s.p50` and
+# `setup_s`: perfbench normalizes its walls by a reference speed measured
+# between ops, which the allocator state an op leaves can move.  The exit
+# status is non-zero if a run is not `correct` or has failed ops.  The
+# temporary checkout is removed on exit.
 set -eu
 
 usage() {
@@ -58,17 +61,21 @@ while [ "$k" -le "$pairs" ]; do
     k=$((k + 1))
 done
 
-python3 - "$root/BENCHMARK.json" "$tmp/runs" "$pairs" "$rev" "$workload" <<'PY'
+python3 - "$root/BENCHMARK.json" "$tmp/runs" "$pairs" "$rev" "$workload" \
+    "$tmp/old" "$root" <<'PY'
 import json
 import statistics
 import sys
 
-spec_path, runs, pairs, rev, workload = sys.argv[1:]
+spec_path, runs, pairs, rev, workload, old_dir, new_dir = sys.argv[1:]
 spec = json.load(open(spec_path))
 seeds = range(1, int(pairs) + 1)
 result = {side: [json.loads(open(f"{runs}/{side}-{k}.out").read().splitlines()[-1])
                  for k in seeds]
           for side in ("old", "new")}
+reports = {side: [json.load(open(f"{d}/.bench_out/report-{workload}-seed{k}-trace0.json"))
+                  for k in seeds]
+           for side, d in (("old", old_dir), ("new", new_dir))}
 bad = [f"{side} seed {k}" for side, rs in result.items() for k, r in zip(seeds, rs)
        if not r["correct"] or r["failed"]]
 
@@ -77,25 +84,33 @@ def num(x):
     return f"{x:.0f}" if abs(x) >= 1e4 else f"{x:.4g}"
 
 
-print(f"{workload}: {rev} (old) against the working tree (new), {pairs} pairs")
-print(f"{'metric':16} {'old median [q1, q3]':32} {'new median [q1, q3]':32} "
-      f"{'wins':>6} {'change':>8}")
-for metric in spec["end_to_end"]:
-    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-    old, new = ([r["metrics"][name]["value"] for r in result[side]]
-                for side in ("old", "new"))
+def row(name, old, new, sign, bound=None):
     (o1, om, o3), (n1, nm, n3) = (statistics.quantiles(v, n=4, method="inclusive")
                                   for v in (old, new))
     wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
     change = (nm - om) / om if om else float("nan")
     flags = []
-    if wins >= 0.9 * len(old) and sign * (nm - om) > o3 - o1:
+    if bound is not None and wins >= 0.9 * len(old) and sign * (nm - om) > o3 - o1:
         flags.append("gain")
-    if -sign * change > metric["bound"]:
+    if bound is not None and -sign * change > bound:
         flags.append("worse")
     print(f"{name:16} {num(om)} [{num(o1)}, {num(o3)}]".ljust(50)
           + f"{num(nm)} [{num(n1)}, {num(n3)}]".ljust(33)
           + f"{wins:3}/{len(old):<2} {change:+8.1%} {' '.join(flags)}".rstrip())
+
+
+print(f"{workload}: {rev} (old) against the working tree (new), {pairs} pairs")
+print(f"{'metric':16} {'old median [q1, q3]':32} {'new median [q1, q3]':32} "
+      f"{'wins':>6} {'change':>8}")
+for metric in spec["end_to_end"]:
+    name = metric["name"]
+    row(name, *([r["metrics"][name]["value"] for r in result[side]]
+                for side in ("old", "new")),
+        1 if metric["better"] == "higher" else -1, metric["bound"])
+row("op_s.p50 raw", *([statistics.median(r["op_walls_s"]["raw"]["timed"]) for r in reports[side]]
+                      for side in ("old", "new")), -1)
+row("setup_s raw", *([statistics.median(r["setup_samples_s"]["raw"]) for r in reports[side]]
+                     for side in ("old", "new")), -1)
 if bad:
     print("not correct or with failed ops:", ", ".join(bad))
     sys.exit(1)

@@ -15,6 +15,13 @@ form of Box-Muller:
 
 ``|alpha|^2`` is then exactly a unit-rate exponential, i.e.
 ``P(|alpha| >= lam) = exp(-lam^2)``.
+
+A batch draws its words as two planes, all u1 words and then all u2
+words, and mixes, logs and square-roots them in place.  The phase is
+written into the imaginary part of a zeroed complex array, which the
+complex exp and the product with the radius overwrite in place.  The
+stream is unchanged: each entry is bit for bit the formula above on words
+``2j`` and ``2j+1``.
 """
 
 from __future__ import annotations
@@ -55,9 +62,14 @@ def mix64(x: int) -> int:
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _U64(30))) * _U64(_MIX1)
-    x = (x ^ (x >> _U64(27))) * _U64(_MIX2)
-    return x ^ (x >> _U64(31))
+    """SplitMix64 finalizer on a uint64 array, in place; returns ``x``."""
+    tmp = np.empty_like(x)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, _U64(shift), out=tmp)
+        np.bitwise_xor(x, tmp, out=x)
+        np.multiply(x, _U64(mult), out=x)
+    np.right_shift(x, _U64(31), out=tmp)
+    return np.bitwise_xor(x, tmp, out=x)
 
 
 def gaussian_matrix(master_seed: int, trial_indices: np.ndarray, n_coeffs: int) -> np.ndarray:
@@ -69,10 +81,16 @@ def gaussian_matrix(master_seed: int, trial_indices: np.ndarray, n_coeffs: int) 
     trials = np.asarray(trial_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
         keys = _mix64_np(_U64(master_seed) + _U64(_GAMMA) * (trials + _U64(1)))
-        pos = np.arange(1, 2 * n_coeffs + 1, dtype=np.uint64)
-        words = _mix64_np(keys[:, None] + _U64(_GAMMA) * pos[None, :])
-    u = (words >> _U64(11)).astype(np.float64)
-    u1 = (u[:, 0::2] + 1.0) * _INV_2_53
-    u2 = u[:, 1::2] * _INV_2_53
-    r = np.sqrt(-np.log(u1))
-    return r * np.exp(2j * np.pi * u2)
+        # plane 0 holds the u1 words 2j, plane 1 the u2 words 2j + 1
+        pos = np.arange(1, 2 * n_coeffs + 1, dtype=np.uint64).reshape(n_coeffs, 2).T
+        words = _mix64_np(keys[:, None] + _U64(_GAMMA) * pos[:, None, :])
+    u1, u2 = np.right_shift(words, _U64(11), out=words).astype(np.float64)
+    # every step below rounds as the textbook form does: (w + 1) 2^-53 and
+    # the phase 2 pi w 2^-53 differ from it only by exact powers of two
+    u1 += 1.0
+    u1 *= _INV_2_53
+    r = np.sqrt(np.negative(np.log(u1, out=u1), out=u1), out=u1)
+    alpha = np.zeros(u2.shape, dtype=complex)
+    np.multiply(u2, 2.0 * np.pi * _INV_2_53, out=alpha.imag)
+    np.exp(alpha, out=alpha)
+    return np.multiply(alpha, r, out=alpha)

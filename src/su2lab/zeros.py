@@ -320,9 +320,10 @@ def _bini_start_points(w: np.ndarray) -> np.ndarray:
     return radii * unit
 
 
-def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
+def _folded_horner(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
     """Polynomial ``w[row[i]]`` and its derivative at point ``z[i]`` by one
-    Horner pass, without overflow at any |z|; ``az`` is |z|.
+    Horner pass, without overflow at any |z|; ``az`` is |z|, and ``stack``
+    is ``np.stack((w[:, ::-1], w))`` of the monomial rows ``w``.
 
     A point with |z| <= 1 runs the direct coefficients at x = z.  A point
     with |z| > 1 runs the reversed ones at x = u = 1/z, which evaluates
@@ -335,10 +336,10 @@ def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray
     (dp, p) and ``coef`` the (p, c) rows, reads and writes whole slices.
     The buffer holds as many steps as fit in ``_SWEEP_CHUNK`` elements;
     after each span of steps, (dp, p) moves to its front and the next
-    span's coefficients are gathered in from a (2, rows, N+1) stack of
-    the direct coefficients, top first, and the reversed ones.
+    span's coefficients are gathered in from ``stack``: the direct
+    coefficients, top first, and the reversed ones.
     """
-    n1 = w.shape[1]
+    n1 = stack.shape[2]
     points = len(z)
     rev = az > 1.0
     x = np.divide(1.0, z, out=z.copy(), where=rev)
@@ -350,7 +351,6 @@ def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray
     # and a same-shape contiguous product never does
     xs = np.repeat(x[None], 2, axis=0)
     # step t adds coefficient m - t directly, or t when reversed
-    stack = np.stack((w[:, ::-1], w))
     flip = rev.astype(np.intp)
     acc[0] = 0.0
     for t0 in range(0, n1, span):
@@ -363,9 +363,10 @@ def _folded_horner(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray
     return buf[0, 1].copy(), buf[0, 0].copy(), x, rev
 
 
-def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
+def _newton_ratio(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
     """Newton step p(z)/p'(z) of polynomial ``w[row[i]]`` at point
-    ``z[i]``, evaluated without overflow at any |z|; ``az`` is |z|.
+    ``z[i]``, evaluated without overflow at any |z|; ``az`` is |z| and
+    ``stack`` is as in ``_folded_horner``.
 
     For |z| <= 1 this is direct Horner; for |z| > 1 the polynomial is
     folded through its reversal q(u) = z^{-m} p(z) at u = 1/z, where the
@@ -374,13 +375,15 @@ def _newton_ratio(w: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray)
         p/p' = z q(u) / (m q(u) - u q'(u)).
 
     Returns ``(step, deriv_zero)``, the latter masking a vanishing
-    denominator.
+    denominator; only a call with one runs the masked division.
     """
-    m = w.shape[1] - 1
-    val, der, x, rev = _folded_horner(w, row, z, az)
+    m = stack.shape[2] - 1
+    val, der, x, rev = _folded_horner(stack, row, z, az)
     num = np.where(rev, z * val, val)
     denom = np.where(rev, m * val - x * der, der)
     deriv_zero = denom == 0
+    if not deriv_zero.any():
+        return num / denom, deriv_zero
     step = np.where(deriv_zero & (val == 0), 0.0,
                     num / np.where(deriv_zero, 1.0, denom))
     return step, deriv_zero
@@ -421,7 +424,10 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every row at once from the previous sweep's roots, and only the roots
     still moving: a root is frozen once its step falls below
     ``_ABERTH_TOL``.  Roots and their active mask are kept flat, root i
-    of the flat list in row i // m, and |z| is taken once per sweep.
+    of the flat list in row i // m, and |z| is taken once per sweep.  The
+    direct/reversed coefficient stack of the Horner passes is built once,
+    and the masked updates for a vanishing Newton denominator run only on
+    sweeps where some root has one.
     """
     w = np.atleast_2d(w).astype(complex)
     rows, n1 = w.shape
@@ -433,6 +439,7 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         roots = (-w[:, 0] / w[:, 1])[:, None]
         return roots, np.ones(rows, dtype=bool)
     z = _bini_start_points(w)
+    stack = np.stack((w[:, ::-1], w))
     flat = z.reshape(-1)
     active = np.ones(rows * m, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -443,21 +450,23 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             row = idx // m
             zp = flat[idx]
             az = np.abs(zp)
-            newton, deriv_zero = _newton_ratio(w, row, zp, az)
+            newton, deriv_zero = _newton_ratio(stack, row, zp, az)
             # named, so numpy cannot reuse it as a temporary and swap the
             # product's operands: complex products round differently then
             s = _pairwise_sums(z, row, zp)
             denom = 1.0 - newton * s
-            step = np.where(denom == 0, newton, newton / np.where(denom == 0, 1.0, denom))
-            step = np.where(deriv_zero & (newton == 0), 0.0, step)
-            step = np.where(deriv_zero & (newton != 0), -0.1 * (1.0 + az), step)
+            step = newton / denom
+            np.copyto(step, newton, where=denom == 0)
+            if deriv_zero.any():
+                step = np.where(deriv_zero & (newton == 0), 0.0, step)
+                step = np.where(deriv_zero & (newton != 0), -0.1 * (1.0 + az), step)
             done = np.abs(step) <= _ABERTH_TOL * (1.0 + az)
             flat[idx] = np.where(done, zp, zp - step)
             active[idx] = ~done
         converged = ~active.reshape(rows, m).any(axis=1)
         every_row = np.repeat(np.arange(rows), m)
         for _ in range(_ABERTH_POLISH):
-            newton, deriv_zero = _newton_ratio(w, every_row, flat, np.abs(flat))
+            newton, deriv_zero = _newton_ratio(stack, every_row, flat, np.abs(flat))
             flat = np.where(deriv_zero, flat, flat - newton)
     return flat.reshape(rows, m), converged
 
@@ -470,7 +479,8 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
-        val, _, _, rev = _folded_horner(w, row, roots.ravel(), az.ravel())
+        val, _, _, rev = _folded_horner(np.stack((w[:, ::-1], w)), row, roots.ravel(),
+                                        az.ravel())
         log_val = _log_abs(val).reshape(roots.shape)
         log_rev = n * _log_abs(az) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
@@ -539,12 +549,14 @@ def count_zeros_from_roots(zeros: ZeroSet, disk: Disk) -> ZeroCount:
 # argument-principle counting
 
 
-def _phase_steps(v_lo: np.ndarray, v_hi: np.ndarray, mag_lo: np.ndarray, mag_hi: np.ndarray):
+def _phase_steps(v_lo: np.ndarray, v_hi: np.ndarray, *mags: np.ndarray):
     """Phase steps from ``v_lo`` to ``v_hi`` and the rough ones among them:
-    steps above pi/2, or with an end modulus ``mag_*`` below ``TINY_SAMPLE``."""
+    steps above pi/2, or, when the end moduli ``mag_lo, mag_hi`` are given,
+    with one below ``TINY_SAMPLE``."""
     step = np.angle(v_hi * np.conj(v_lo))
     rough = np.abs(step) > 0.5 * np.pi
-    rough |= np.minimum(mag_lo, mag_hi) < TINY_SAMPLE
+    if mags:
+        rough |= np.minimum(*mags) < TINY_SAMPLE
     return step, rough
 
 
@@ -617,15 +629,19 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
     The derivative grid of that step is taken only for rows with a sample
     below 2 margin D / r, D = sum k |b_k|: |psi'| <= D / r on the circle
     (Bernstein), so on other rows every step is at least twice the margin.
+    A chunk pays for a rare row only when it holds one: it takes the
+    derivative grid only for a row in that gate, and the ``TINY_SAMPLE``
+    test only for a sample below it, which passes the floor only on a row
+    below the range band of ``_in_range``.
 
     The first grid runs in chunks of at most ``_GRID_CHUNK`` samples.  Its
     good phase steps make each row's running total; the rough intervals of
     all chunks form one flat list, and each round bisects every one of
-    them: it evaluates only their midpoints, adds the good halves' steps
-    to their rows' totals and keeps the rough halves.  A row fails when
-    its points would pass ``NODE_CAP``, when it keeps a rough interval
-    after ``_MAX_REFINEMENTS`` rounds, or when its total is not within
-    0.01 of a multiple of 2 pi."""
+    them on rows not yet failed: it evaluates only their midpoints, adds
+    the good halves' steps to their rows' totals and keeps the rough
+    halves.  A row fails when its points would pass ``NODE_CAP``, when it
+    keeps a rough interval after ``_MAX_REFINEMENTS`` rounds, or when its
+    total is not within 0.01 of a multiple of 2 pi."""
     rows, n1 = b.shape
     if not rows:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
@@ -645,15 +661,17 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
         low = mag.min(axis=1)
         ok[sel] = low > _PRECISION_FLOOR * abs_b[sel].sum(axis=1)
         near = np.nonzero(low < gate[sel])[0]
-        dmag = np.abs(np.fft.ifft(b[s + near] * (1j * np.arange(n1)), n=m0, axis=1,
-                                  norm="forward"))
-        # a 0/0 step is NaN, never below the margin; its row fails the floor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok[s + near] &= ~(r * mag[near, :m0] / dmag < boundary_margin).any(axis=1)
-        step, rough = _phase_steps(vals[:, :m0], vals[:, 1:], mag[:, :m0], mag[:, 1:])
-        rough &= ok[sel, None]
-        total[sel] = np.where(rough, 0.0, step).sum(axis=1)
+        if len(near):
+            dmag = np.abs(np.fft.ifft(b[s + near] * (1j * np.arange(n1)), n=m0, axis=1,
+                                      norm="forward"))
+            # a 0/0 step is NaN, never below the margin; its row fails the floor
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ok[s + near] &= ~(r * mag[near, :m0] / dmag < boundary_margin).any(axis=1)
+        tiny = (mag[:, :m0], mag[:, 1:]) if low.min() < TINY_SAMPLE else ()
+        step, rough = _phase_steps(vals[:, :m0], vals[:, 1:], *tiny)
         row, k = np.nonzero(rough)
+        step[row, k] = 0.0
+        total[sel] = step.sum(axis=1)
         parts.append((row + s, k / m0, vals[row, k], vals[row, k + 1]))
     span = tuple(np.concatenate(col) for col in zip(*parts))
     bt = np.ascontiguousarray(b.T)

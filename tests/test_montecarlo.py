@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2lab import montecarlo as mc
+from su2lab import zeros
 
 
 class TestExpectedZeroCount:
@@ -334,12 +335,15 @@ class TestConcentrationEstimators:
 
     def test_unreachable_quadrature_target_is_refused(self, monkeypatch):
         # a zero gap target forces every trial to the node cap; the
-        # estimator must refuse rather than report from failed trials
+        # estimator must refuse rather than report from failed trials.  A
+        # cap of 2^12 nodes fails every trial as the default 2^20 does, at
+        # a 256th of the nodes
         monkeypatch.setattr(mc, "TOLERANCES", mc.Tolerances(quadrature_target=0.0))
+        monkeypatch.setattr(zeros, "NODE_CAP", 1 << 12)
         mc._plan_samples.cache_clear()
         plan = mc.TrialPlan(4, 1.0, 200, 1)
         try:
-            with pytest.raises(mc.ReliabilityError):
+            with pytest.raises(mc.ReliabilityError, match="200/200 trials failed"):
                 mc.circle_average_lower_tail_frequency(plan, 0.5)
         finally:
             mc._plan_samples.cache_clear()

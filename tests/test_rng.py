@@ -7,6 +7,44 @@ from su2lab import model
 from su2lab.rng import RngSeed, _mix64_np, gaussian_matrix, mix64
 
 
+_U64 = np.uint64
+
+
+def _reference_gaussian_matrix(master_seed, trial_indices, n_coeffs):
+    """The sampler as first written: interleaved words, one new array per
+    step.  Frozen here as the oracle of the two-plane, in-place one."""
+    def mix(x):
+        x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+        return x ^ (x >> _U64(31))
+
+    gamma = _U64(0x9E3779B97F4A7C15)
+    trials = np.asarray(trial_indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        keys = mix(_U64(master_seed) + gamma * (trials + _U64(1)))
+        pos = np.arange(1, 2 * n_coeffs + 1, dtype=np.uint64)
+        words = mix(keys[:, None] + gamma * pos[None, :])
+    u = (words >> _U64(11)).astype(np.float64)
+    u1 = (u[:, 0::2] + 1.0) * 2.0**-53
+    u2 = u[:, 1::2] * 2.0**-53
+    r = np.sqrt(-np.log(u1))
+    return r * np.exp(2j * np.pi * u2)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 201), (7, 13), (4096, 51)])
+def test_matches_frozen_reference_bit_for_bit(master_seed, shape):
+    # (1, 1) matters: numpy's in-place complex product can round
+    # differently on a one-element array
+    rows, n_coeffs = shape
+    for trials in (np.arange(rows, dtype=np.uint64),
+                   _U64(2**64 - 1) - np.arange(rows, dtype=np.uint64)):
+        got = gaussian_matrix(master_seed, trials, n_coeffs)
+        want = _reference_gaussian_matrix(master_seed, trials, n_coeffs)
+        assert got.shape == shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_seed_validation():
     with pytest.raises(ValueError):
         RngSeed(-1, 0)

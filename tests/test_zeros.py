@@ -293,6 +293,56 @@ class TestAberthBatch:
         np.testing.assert_allclose(res[0], want, rtol=1e-12)
         np.testing.assert_allclose(res[0, 2:], 4.0, rtol=1e-12)
 
+    def test_vanishing_derivative_row_takes_its_branch_alone(self, monkeypatch):
+        # row 2 has a double root at 0, where two of its start points sit:
+        # p and p' vanish there, so the first sweep and the polish run the
+        # masked updates that other sweeps skip, and on seed 8 the last
+        # sweep moves a single root.  The batch must match the loop oracle,
+        # the row its one-row solve and the other rows the batch without it
+        n = 10
+        w = _sample(8, 5, n) * np.exp(model._log_weights(n))
+        w[2, :2] = 0.0
+        sweeps = []
+        ratio = zeros._newton_ratio
+
+        def spy(stack, row, z, az):
+            step, deriv_zero = ratio(stack, row, z, az)
+            sweeps.append((len(z), bool(deriv_zero.any())))
+            return step, deriv_zero
+
+        monkeypatch.setattr(zeros, "_newton_ratio", spy)
+        roots = _assert_matches_loop(w)
+        assert sweeps[0] == (5 * n, True) and (1, False) in sweeps
+        assert np.sum(roots[2] == 0) == 2
+        one_roots, one_conv = zeros._aberth_batch(w[2:3])
+        assert np.array_equal(one_roots[0], roots[2]) and one_conv[0]
+        rest = [0, 1, 3, 4]
+        rest_roots, rest_conv = zeros._aberth_batch(w[rest])
+        assert np.array_equal(rest_roots, roots[rest]) and rest_conv.all()
+
+    def test_critical_point_start_takes_the_fallback_step(self, monkeypatch):
+        # a root at a zero of p' where p is not 0 steps by -0.1 (1 + |z|),
+        # the one masked update that changes a step.  No Bini start point
+        # lies on a critical point, so both the kernel and the loop oracle
+        # start row 2 at 0, where w_1 = 0 and w_0 != 0
+        n = 10
+        w = _sample(9, 5, n) * np.exp(model._log_weights(n))
+        w[2, 1] = 0.0
+        bini, loop_bini = zeros._bini_start_points, _loop_bini
+
+        def at_zero(start):
+            def points(w):
+                z = start(w).copy()
+                z[2, 0] = 0.0
+                return z
+            return points
+
+        monkeypatch.setattr(zeros, "_bini_start_points", at_zero(bini))
+        monkeypatch.setitem(globals(), "_loop_bini", at_zero(loop_bini))
+        roots = _assert_matches_loop(w)
+        residuals = zeros._normalized_residuals(w * np.exp(-model._log_weights(n)), n, roots)
+        assert residuals.max() <= 1e-8
+
     @pytest.mark.parametrize("degree,rows", [(10, 48), (50, 12)])
     def test_rows_are_independent(self, degree, rows):
         # converged rows leave the sweeps early; each row's roots and flag
@@ -601,6 +651,42 @@ class TestArgumentPrinciple:
                 assert not (ok & newton).any(), (n, r)
                 within += newton.sum()
         assert within >= 50
+
+    def test_rare_rows_take_their_branches_alone(self, monkeypatch):
+        # a first-grid chunk runs the TINY_SAMPLE test and the derivative
+        # grid only when one of its rows needs them.  Row 1 is 2^-980 z,
+        # below the range band: its samples fall under TINY_SAMPLE but
+        # clear the floor, and the products of its phase steps underflow to
+        # 0, so without the test it would certify 0 zeros.  Row 6 has a zero
+        # 3e-10 outside the circle at a grid angle, inside the Bernstein
+        # gate.  A small _GRID_CHUNK puts them in different chunks.  Each
+        # must equal its one-row call, and the other rows the batch without
+        # both
+        rng = np.random.default_rng(59)
+        n, r, margin = 12, 1.0, zeros.DEFAULT_BOUNDARY_MARGIN
+        m0 = zeros._next_pow2(zeros._WINDING_SAMPLES * (n + 1))
+        alpha = np.array([random_poly(rng, n).coefficients for _ in range(8)])
+        alpha[6] = _alpha_with_zero_at(rng, n, (r + 3e-10) * np.exp(2j * np.pi * 37 / m0))
+        b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
+        b[1] = 0.0
+        b[1, 1] = 2.0**-980
+        low = np.abs(_circle_grid(b, m0)).min(axis=1)
+        gate = (2.0 * margin / r) * (np.abs(b) @ np.arange(n + 1))
+        assert (low < zeros.TINY_SAMPLE).tolist() == [i == 1 for i in range(8)]
+        assert (low < gate).tolist() == [i == 6 for i in range(8)]
+        monkeypatch.setattr(zeros, "_GRID_CHUNK", 4 * m0)
+        counts, ok = zeros._winding_rows(b, r, margin, m0)
+        # the tiny row's intervals stay rough, and the Newton step refuses
+        # row 6; z itself counts 1
+        assert ok.tolist() == [i not in (1, 6) for i in range(8)]
+        one, one_ok = zeros._winding_rows(b[1:2] * 2.0**980, r, margin, m0)
+        assert one_ok[0] and one[0] == 1
+        for i in (1, 6):
+            one = zeros._winding_rows(b[i : i + 1], r, margin, m0)
+            assert (counts[i], ok[i]) == (one[0][0], one[1][0])
+        rest = [0, 2, 3, 4, 5, 7]
+        want = zeros._winding_rows(b[rest], r, margin, m0)
+        assert np.array_equal(counts[rest], want[0]) and np.array_equal(ok[rest], want[1])
 
     @pytest.mark.parametrize("kernel", [getattr(zeros, name) for name in EMPTY_BATCH_DTYPES])
     def test_empty_batch(self, kernel):
