@@ -20,7 +20,9 @@ any worker count or schedule.  Numerical rejects (contour singularities,
 quadrature caps, cross-check mismatches) are excluded from estimates but counted
 and reported; above 1% the estimate is refused outright, since such failures
 correlate with near-boundary zeros and silent dropping would bias hole
-statistics.
+statistics.  Count blocks reduce to the count law inside the block (the
+histogram of certified counts, then the failed and mismatched totals), which
+the hole, deviation and mean estimators read: none holds a per-trial count.
 
 Blocks run in one worker pool per process.  It starts on the first
 estimate that splits across workers, serves later estimates of the same
@@ -298,6 +300,21 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     return counts, ~ok, mism
 
 
+def _block_count_law(plan: TrialPlan, start: int, stop: int):
+    """The block's count law, one int64 row: the histogram of its certified
+    counts (length N + 1), then the numbers of trials failed and mismatched."""
+    counts, failed, mism = _block_counts(plan, start, stop)
+    hist = np.bincount(counts[~failed], minlength=plan.degree + 1)
+    return (np.concatenate((hist, [failed.sum(), mism.sum()]))[None],)
+
+
+def _count_law(plan: TrialPlan) -> np.ndarray:
+    """The rows of ``_block_count_law`` summed over the plan's blocks: exact
+    integer sums, the same for any worker count or schedule."""
+    rows, = _run_blocked(plan, _block_count_law)
+    return rows.sum(axis=0)
+
+
 def _log_norm(alpha: np.ndarray) -> np.ndarray:
     """Per-row log R with R^2 = sum_j |alpha_j|^2."""
     return 0.5 * np.log((alpha.real**2 + alpha.imag**2).sum(axis=1))
@@ -347,35 +364,19 @@ def _wilson(successes: int, used: int) -> tuple[float, float, tuple[float, float
     return p, stderr, (lo, hi)
 
 
-def _usable(failed: np.ndarray, plan: TrialPlan) -> tuple[int, int]:
-    """(used, failed) trial counts; refuses above the 1% failure limit."""
-    used = int((~failed).sum())
-    n_failed = int(failed.sum())
+def _usable(n_failed: int, plan: TrialPlan) -> int:
+    """Trials used when ``n_failed`` failed; refuses above the 1% limit."""
+    used = plan.trials - n_failed
     if used == 0 or n_failed > MAX_FAILED_FRACTION * plan.trials:
         raise ReliabilityError(
             f"{n_failed}/{plan.trials} trials failed numerically (limit 1%)"
         )
-    return used, n_failed
+    return used
 
 
-def _frequency_estimate(event: np.ndarray, failed: np.ndarray,
-                        plan: TrialPlan) -> Estimate:
-    used, n_failed = _usable(failed, plan)
-    return Estimate(*_wilson(int(event[~failed].sum()), used), used, n_failed)
-
-
-def _mean_estimate(values: np.ndarray, failed: np.ndarray,
-                   plan: TrialPlan) -> Estimate:
-    used, n_failed = _usable(failed, plan)
-    kept = values[~failed]
-    mean = float(kept.sum()) / used
-    if used > 1:
-        var = (float((kept.astype(float) ** 2).sum()) - used * mean * mean) / (used - 1)
-        stderr = math.sqrt(max(var, 0.0) / used)
-    else:
-        stderr = 0.0
-    return Estimate(mean, stderr, (mean - Z95 * stderr, mean + Z95 * stderr),
-                    used, n_failed)
+def _frequency_estimate(hits: int, n_failed: int, plan: TrialPlan) -> Estimate:
+    used = _usable(n_failed, plan)
+    return Estimate(*_wilson(hits, used), used, n_failed)
 
 
 def _probability_estimate(probs: np.ndarray, failed: np.ndarray,
@@ -384,7 +385,8 @@ def _probability_estimate(probs: np.ndarray, failed: np.ndarray,
 
     The spread is taken relative to the largest value so that squares of
     probabilities far below 1e-154 do not underflow."""
-    used, n_failed = _usable(failed, plan)
+    n_failed = int(failed.sum())
+    used = _usable(n_failed, plan)
     kept = probs[~failed]
     point = float(kept.mean())
     scale = float(kept.max())
@@ -461,36 +463,44 @@ def expected_zero_count(degree: int, radius: float) -> float:
 
 
 def zero_count_samples(plan: TrialPlan):
-    """Per-trial zero counts in B(0, r): Schur-Cohn where it certifies,
-    winding elsewhere, sampled trials recounted by winding and roots.
-
-    Returns ``(counts, failed)`` aligned with trial index; building block
-    for the mean/deviation estimators and for consistency checks that need
-    a common trial set.
-    """
+    """Per-trial zero counts in B(0, r), ``(counts, failed)`` aligned with
+    trial index: the per-trial view of the trials whose law the count
+    estimators read (Schur-Cohn where it certifies, winding elsewhere,
+    sampled trials recounted by winding and roots)."""
     counts, failed, _ = _run_blocked(plan, _block_counts)
     return counts, failed
 
 
 def estimate_zero_count_mean(plan: TrialPlan) -> Estimate:
-    counts, failed = zero_count_samples(plan)
-    return _mean_estimate(counts, failed, plan)
+    """Mean zero count in B(0, r), from sum k h_k and sum k^2 h_k of the law."""
+    law = _count_law(plan)
+    hist, n_failed = law[:-2], int(law[-2])
+    used = _usable(n_failed, plan)
+    k = np.arange(len(hist))
+    mean = float(k @ hist) / used
+    if used > 1:
+        var = (float(k * k @ hist) - used * mean * mean) / (used - 1)
+        stderr = math.sqrt(max(var, 0.0) / used)
+    else:
+        stderr = 0.0
+    return Estimate(mean, stderr, (mean - Z95 * stderr, mean + Z95 * stderr),
+                    used, n_failed)
 
 
 def estimate_deviation_probability(plan: TrialPlan, delta: float) -> Estimate:
     """Frequency of |Xi - N r^2/(1+r^2)| >= delta * N, for delta > 0."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    counts, failed = zero_count_samples(plan)
+    law = _count_law(plan)
     mu = expected_zero_count(plan.degree, plan.radius)
-    event = np.abs(counts - mu) >= delta * plan.degree
-    return _frequency_estimate(event, failed, plan)
+    event = np.abs(np.arange(len(law) - 2) - mu) >= delta * plan.degree
+    return _frequency_estimate(int(law[:-2][event].sum()), int(law[-2]), plan)
 
 
 def estimate_hole_probability(plan: TrialPlan) -> Estimate:
-    """Frequency of zero-free B(0, r) on the counts of ``zero_count_samples``."""
-    counts, failed = zero_count_samples(plan)
-    return _frequency_estimate(counts == 0, failed, plan)
+    """Frequency of zero-free B(0, r): the k = 0 entry of the count law."""
+    law = _count_law(plan)
+    return _frequency_estimate(int(law[0]), int(law[-2]), plan)
 
 
 def _max_modulus_band(plan: TrialPlan, delta: float) -> tuple[float, float]:
@@ -520,7 +530,7 @@ def max_modulus_outlier_frequency(plan: TrialPlan, delta: float) -> Estimate:
     lo, hi = _max_modulus_band(plan, delta)
     log_max, _, failed = _plan_samples(plan, _block_log_max)
     outlier = (log_max < lo) | (log_max > hi)
-    return _frequency_estimate(outlier, failed, plan)
+    return _frequency_estimate(int(outlier[~failed].sum()), int(failed.sum()), plan)
 
 
 def max_modulus_outlier_probability(plan: TrialPlan, delta: float) -> Estimate:
@@ -546,14 +556,16 @@ def log_l1_outlier_frequency(plan: TrialPlan) -> Estimate:
     n, r = plan.degree, plan.radius
     _, mean_abs, _, failed = _plan_samples(plan, _block_circle_means)
     threshold = 5.0 * n * math.log(2.0) + 10.0 * _log_normalization(n, r)
-    return _frequency_estimate(mean_abs > threshold, failed, plan)
+    hits = int((mean_abs > threshold)[~failed].sum())
+    return _frequency_estimate(hits, int(failed.sum()), plan)
 
 
 def circle_average_lower_tail_frequency(plan: TrialPlan, delta: float) -> Estimate:
     """Frequency of circle-mean log|psi| below (N/2) log((1+r^2)(1-delta))."""
     threshold = _circle_tail_threshold(plan, delta)
     mean_log, _, _, failed = _plan_samples(plan, _block_circle_means)
-    return _frequency_estimate(mean_log < threshold, failed, plan)
+    hits = int((mean_log < threshold)[~failed].sum())
+    return _frequency_estimate(hits, int(failed.sum()), plan)
 
 
 def circle_average_lower_tail_probability(plan: TrialPlan, delta: float) -> Estimate:

@@ -295,14 +295,12 @@ def check_omega_dominance() -> CheckResult:
 
 def check_hole_deviation_consistency() -> CheckResult:
     """Hole frequency never exceeds the half-mean zero-count deviation
-    frequency on the same trials."""
+    frequency on the same trials: both are sums of one count law."""
     n, r = 4, 0.5
-    plan = mc.TrialPlan(n, r, 20000, VERIFY_SEED + 11)
-    counts, failed = mc.zero_count_samples(plan)
-    counts = counts[~failed]
+    hist = mc._count_law(mc.TrialPlan(n, r, 20000, VERIFY_SEED + 11))[:-2]
     mu = mc.expected_zero_count(n, r)
-    hole = float((counts == 0).mean())
-    dev = float((np.abs(counts - mu) >= mu / 2.0).mean())
+    hole = float(hist[0] / hist.sum())
+    dev = float(hist[np.abs(np.arange(n + 1) - mu) >= mu / 2.0].sum() / hist.sum())
     return CheckResult("hole-deviation-consistency", hole - dev, 0.0)
 
 
@@ -311,12 +309,9 @@ def check_reversal_symmetry_statistic() -> CheckResult:
     1/r within 3 pooled stderr (coefficient reversal swaps the events)."""
     n, r, trials = 2, 1.25, 20000
     e_hole = mc.estimate_hole_probability(mc.TrialPlan(n, r, trials, VERIFY_SEED + 12))
-    counts, failed = mc.zero_count_samples(
-        mc.TrialPlan(n, 1.0 / r, trials, VERIFY_SEED + 13)
-    )
-    counts = counts[~failed]
-    full = float((counts == n).mean())
-    se_full = math.sqrt(max(full * (1 - full), 1e-12) / len(counts))
+    hist = mc._count_law(mc.TrialPlan(n, 1.0 / r, trials, VERIFY_SEED + 13))[:-2]
+    full = float(hist[n] / hist.sum())
+    se_full = math.sqrt(max(full * (1 - full), 1e-12) / hist.sum())
     pooled = math.sqrt(e_hole.stderr**2 + se_full**2)
     gap = abs(e_hole.point - full)
     return CheckResult("reversal-symmetry-statistic", gap, 3.0 * pooled)

@@ -250,27 +250,14 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
     return b, shift
 
 
-def _eval_row_angles(coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """psi_hat at the P angles ``theta`` by Horner in e^{i theta}, from the
-    points' gathered ``(N+1, P)`` Fourier coefficients ``coefs``.  Each
-    step multiplies into a second buffer, as ``_row_angle_derivs`` does, so
-    no complex product runs in place on one element: no point depends on
-    the others."""
-    x = np.exp(1j * theta)
-    cur, nxt = np.zeros((2, len(theta)), dtype=complex)
-    for c in coefs[::-1]:
-        np.add(np.multiply(cur, x, nxt), c, nxt)
-        cur, nxt = nxt, cur
-    return cur
-
-
 def _row_angle_derivs(coefs: np.ndarray, theta: np.ndarray):
     """psi_hat and its first two theta-derivatives at the P angles
     ``theta`` by one Horner pass in x = e^{i theta}, from the points'
     gathered ``(N+1, P)`` Fourier coefficients ``coefs``.  The pass
     carries (p''/2, p', p) as one stack, multiplied by x and then given
     (p', p, c), so no complex product runs in place on one element, where
-    numpy rounds unlike on two or more: no point depends on the others."""
+    numpy rounds unlike on two or more: no point depends on the others.
+    The boundary maximum reads all three, the winding bisection the value."""
     x = np.exp(1j * theta)
     xs = np.repeat(x[None], 3, axis=0)
     cur, nxt = np.zeros((2, 4, len(theta)), dtype=complex)  # rows p''/2, p', p, c
@@ -686,7 +673,7 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
             break
         width *= 0.5
         t_mid = t_lo + width
-        v_mid = _eval_row_angles(np.take(bt, row, axis=1), 2.0 * np.pi * t_mid)
+        v_mid = _row_angle_derivs(np.take(bt, row, axis=1), 2.0 * np.pi * t_mid)[0]
         row, t_lo, v_lo, v_hi = (np.concatenate(pair) for pair in
                                  ((row, row), (t_lo, t_mid), (v_lo, v_mid), (v_mid, v_hi)))
         step, rough = _phase_steps(v_lo, v_hi, np.abs(v_lo), np.abs(v_hi))

@@ -59,11 +59,11 @@ class TestPlanAndEstimateTypes:
             mc.Estimate(0.5, 0.1, (0.6, 0.7), 10, 0)
 
     def test_deviation_delta_is_positive(self, monkeypatch):
-        # refused before any trial runs
-        def no_trials(plan):
-            raise AssertionError("trials ran")
+        # refused before any block runs
+        def no_blocks(plan, fn):
+            raise AssertionError("blocks ran")
 
-        monkeypatch.setattr(mc, "zero_count_samples", no_trials)
+        monkeypatch.setattr(mc, "_run_blocked", no_blocks)
         for delta in (0.0, -0.5, math.nan):
             with pytest.raises(ValueError, match="delta must be positive"):
                 mc.estimate_deviation_probability(mc.TrialPlan(4, 1.0, 100, 1), delta)
@@ -78,14 +78,9 @@ class TestPlanAndEstimateTypes:
 
     def test_reliability_policy(self):
         plan = mc.TrialPlan(2, 1.0, 1000, 0)
-        event = np.zeros(1000, dtype=bool)
-        failed = np.zeros(1000, dtype=bool)
-        failed[:11] = True  # 1.1% > 1% limit
         with pytest.raises(mc.ReliabilityError):
-            mc._frequency_estimate(event, failed, plan)
-        failed[:] = False
-        failed[:10] = True  # exactly 1%: allowed
-        est = mc._frequency_estimate(event, failed, plan)
+            mc._frequency_estimate(0, 11, plan)  # 1.1% > 1% limit
+        est = mc._frequency_estimate(0, 10, plan)  # exactly 1%: allowed
         assert est.trials_failed == 10
         assert est.trials_used + est.trials_failed == plan.trials
 
@@ -198,9 +193,25 @@ class TestHole:
         self._off_by_one_schur_cohn(monkeypatch)
         _, failed = mc.zero_count_samples(plan)
         assert np.array_equal(failed, np.arange(5000) % mc.CROSS_CHECK_EVERY == 0)
-        # and every one of those failures is a cross-check mismatch
+        # and every one of those failures is a cross-check mismatch, which
+        # the count law records
         _, _, mism = mc._run_blocked(plan, mc._block_counts)
         assert np.array_equal(mism, failed)
+        law = mc._count_law(plan)
+        assert law[-2] == law[-1] == 50
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_count_law_is_the_law_of_the_samples(self, workers):
+        # three full blocks and a partial one: the summed block laws are the
+        # histogram of the per-trial view, then its failed and mismatched
+        # totals, at any worker count
+        plan = mc.TrialPlan(6, 1.0, 3 * mc.BLOCK_TRIALS + 100, 21, workers)
+        law = mc._count_law(plan)
+        counts, failed = mc.zero_count_samples(plan)
+        _, failed_again, mism = mc._run_blocked(plan, mc._block_counts)
+        want = [*np.bincount(counts[~failed], minlength=7), failed_again.sum(), mism.sum()]
+        assert law.dtype == np.int64 and law.tolist() == want
+        assert law[:-1].sum() == plan.trials
 
     def test_root_check_skips_degrees_beyond_weight_range(self, monkeypatch):
         # the weights overflow from N = 2054: no row is trusted or iterated

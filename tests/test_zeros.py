@@ -548,13 +548,13 @@ class TestArgumentPrinciple:
 
     def _spy_bisection(self, monkeypatch):
         seen = []
-        horner = zeros._eval_row_angles
+        horner = zeros._row_angle_derivs
 
         def spy(coefs, theta):
             seen.append(np.array(theta))
             return horner(coefs, theta)
 
-        monkeypatch.setattr(zeros, "_eval_row_angles", spy)
+        monkeypatch.setattr(zeros, "_row_angle_derivs", spy)
         return seen
 
     def test_bisection_evaluates_each_point_once(self, monkeypatch):
@@ -1168,28 +1168,12 @@ class TestMaxModulus:
         dense = float(np.max(np.abs(acc)))
         assert mm.value == pytest.approx(dense, rel=1e-8)
 
-    def test_row_angles_any_block(self):
-        # a point's value does not depend on the other points of its block:
-        # the winding bisection's midpoints move between blocks of every size
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
-        row = rng.integers(0, 6, 18)
-        theta = rng.uniform(0.0, 2.0 * np.pi, 18)
-        coefs = np.take(np.ascontiguousarray(b.T), row, axis=1)
-        full = zeros._eval_row_angles(coefs, theta)
-        x = np.exp(1j * theta)
-        want = np.array([np.polyval(b[i, ::-1], xi) for i, xi in zip(row, x)])
-        assert np.allclose(full, want, rtol=1e-13, atol=0.0)
-        for size in (1, 2, 3, 5, 17):
-            for s in range(0, 18 - size + 1, size):
-                part = zeros._eval_row_angles(coefs[:, s : s + size], theta[s : s + size])
-                assert part.tobytes() == full[s : s + size].tobytes()
-
     def test_row_angle_derivs_any_block(self):
         # psi_hat and its two theta-derivatives at a point do not depend on
-        # the other points of its block, from one point up: the boundary
-        # maximum's brackets freeze one by one, and a one-row call at N = 1
-        # refines a single bracket
+        # the other points of its block, from one point up: the winding
+        # bisection's midpoints move between blocks of every size, the
+        # boundary maximum's brackets freeze one by one, and a one-row call
+        # at N = 1 refines a single bracket
         rng = np.random.default_rng(6)
         b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
         row = rng.integers(0, 6, 18)
