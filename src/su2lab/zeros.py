@@ -10,9 +10,11 @@ through Horner's N + 1 steps:
   array; numpy adds along an axis that is not its inner loop one term
   after another, so each sum keeps the order, and the bits, of a loop
   over j;
-- each Newton step p/p' takes one Horner pass of two ufunc calls per
-  coefficient, on the direct coefficients at z when |z| <= 1 and on the
-  reversed ones at 1/z otherwise, so no value overflows;
+- each Newton step p/p' takes one Horner pass (``_horner``, the one
+  evaluation off the FFT grids, which winding and the boundary maximum
+  share) of two ufunc calls per coefficient, on the direct coefficients
+  at z when |z| <= 1 and on the reversed ones at 1/z otherwise, so no
+  value overflows;
 - both work in chunks of at most ``_SWEEP_CHUNK`` complex elements, which
   bounds the memory of a sweep at any N.
 
@@ -26,7 +28,7 @@ suite cross-checks:
   Each row takes one FFT grid, and a derivative grid only where the
   Bernstein bound |psi_hat'| <= sum k |b_k| cannot rule out the Newton
   margin test; the rough intervals of the whole batch are then bisected
-  together, as one flat list;
+  together, as one flat list, one value-only Horner pass per round;
 - Schur-Cohn: run the Schur-Cohn recursion on the coefficients of
   psi(r z), N vectorized steps with no FFT and no roots.  A row counts
   only when every step's decisive gap clears ``SCHUR_COHN_MIN_GAP``,
@@ -95,7 +97,7 @@ _WINDING_SAMPLES = 16  # initial winding samples per unit of N + 1
 _MAX_REFINEMENTS = 20  # bisection rounds of the rough winding intervals
 _GRID_CHUNK = 1 << 15  # FFT-grid samples per chunk of winding, circle-mean or scan rows
 _PRECISION_FLOOR = 1e4 * np.finfo(float).eps  # share of sum |b_k| a winding sample must clear
-_SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum or Horner chunk, or bracket gather
+_SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum chunk or Horner span buffer
 _ABERTH_TOL = 1e-13  # a root freezes once its step is below this, relative to 1 + |z|
 _ABERTH_MAX_SWEEPS = 500
 _ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
@@ -250,23 +252,42 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
     return b, shift
 
 
-def _row_angle_derivs(coefs: np.ndarray, theta: np.ndarray):
-    """psi_hat and its first two theta-derivatives at the P angles
-    ``theta`` by one Horner pass in x = e^{i theta}, from the points'
-    gathered ``(N+1, P)`` Fourier coefficients ``coefs``.  The pass
-    carries (p''/2, p', p) as one stack, multiplied by x and then given
-    (p', p, c), so no complex product runs in place on one element, where
-    numpy rounds unlike on two or more: no point depends on the others.
-    The boundary maximum reads all three, the winding bisection the value."""
+def _horner(top: np.ndarray, cols: np.ndarray, x: np.ndarray, depth: int) -> np.ndarray:
+    """The ``depth`` Taylor rows (..., p''/2, p', p) at the points ``x`` of
+    the polynomials with coefficient columns ``top[:, cols]``, top
+    coefficient first.  Each step is two ufunc calls on whole slices of one
+    buffer, ``acc[t + 1] = acc[t] * x + coef[t]``: step t's rows, the
+    accumulators then the coefficient, lie right before step t + 1's.  The
+    buffer holds the steps that fit in ``_SWEEP_CHUNK`` elements; after each
+    span the accumulators move to its front and the next coefficients are
+    gathered in (by ``take``, faster than fancy indexing).  No product runs
+    in place, where numpy rounds one element unlike two or more, so a
+    point's bits do not depend on the others."""
+    n1 = len(top)
+    span = max(1, min(n1, _SWEEP_CHUNK // ((depth + 1) * max(len(x), 1)) - 1))
+    buf = np.empty((span + 1, depth + 1, len(x)), dtype=complex)
+    acc, coef = buf[:, :depth], buf[:, 1:]
+    # x spelled out to the factor's shape: numpy's complex product rounds
+    # differently on some broadcast layouts (a (1, 1) times a (1,) array),
+    # and a same-shape contiguous product never does
+    xs = np.repeat(x[None], depth, axis=0)
+    acc[0] = 0.0
+    for t0 in range(0, n1, span):
+        steps = min(span, n1 - t0)
+        buf[:steps, depth] = top[t0 : t0 + steps].take(cols, axis=1)
+        for a0, a1, c0 in zip(acc[:steps], acc[1:], coef):
+            np.multiply(a0, xs, a1)  # a positional out parses faster than out=
+            np.add(a1, c0, a1)
+        acc[0] = acc[steps]
+    return buf[0, :depth].copy()
+
+
+def _row_angle_derivs(top: np.ndarray, row: np.ndarray, theta: np.ndarray):
+    """psi_hat and its first two theta-derivatives at the angles ``theta``,
+    point i on the Fourier coefficients ``top[:, row[i]]`` (coefficient-major,
+    top first), from the depth-3 Horner rows in x = e^{i theta}."""
     x = np.exp(1j * theta)
-    xs = np.repeat(x[None], 3, axis=0)
-    cur, nxt = np.zeros((2, 4, len(theta)), dtype=complex)  # rows p''/2, p', p, c
-    for c in coefs[::-1]:
-        cur[3] = c
-        np.multiply(cur[:3], xs, nxt[:3])
-        np.add(nxt[:3], cur[1:], nxt[:3])
-        cur, nxt = nxt, cur
-    half_d2, d1, v = cur[:3]
+    half_d2, d1, v = _horner(top, row, x, 3)
     return v, 1j * x * d1, -x * (d1 + 2.0 * x * half_d2)
 
 
@@ -309,45 +330,17 @@ def _bini_start_points(w: np.ndarray) -> np.ndarray:
 
 def _folded_horner(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
     """Polynomial ``w[row[i]]`` and its derivative at point ``z[i]`` by one
-    Horner pass, without overflow at any |z|; ``az`` is |z|, and ``stack``
-    is ``np.stack((w[:, ::-1], w))`` of the monomial rows ``w``.
-
-    A point with |z| <= 1 runs the direct coefficients at x = z.  A point
-    with |z| > 1 runs the reversed ones at x = u = 1/z, which evaluates
-    q(u) = z^{-m} p(z) and q'(u).  Returns ``(val, der, x, rev)``, where
-    ``rev`` marks the reversed points.
-
-    Each Horner step is two ufunc calls on all points at once: the rows
-    (dp, p, c) of step t lie in one buffer right before those of step
-    t + 1, so ``acc[t + 1] = acc[t] * x + coef[t]``, with ``acc`` the
-    (dp, p) and ``coef`` the (p, c) rows, reads and writes whole slices.
-    The buffer holds as many steps as fit in ``_SWEEP_CHUNK`` elements;
-    after each span of steps, (dp, p) moves to its front and the next
-    span's coefficients are gathered in from ``stack``: the direct
-    coefficients, top first, and the reversed ones.
-    """
-    n1 = stack.shape[2]
-    points = len(z)
+    ``_horner`` pass, without overflow at any |z| = ``az[i]``; ``stack`` is
+    ``np.stack((w[:, ::-1].T, w.T), axis=2).reshape(m + 1, -1)``, whose
+    column 2j holds row j's coefficients top first and 2j + 1 those of its
+    reversal.  A point with |z| <= 1 runs the direct ones at x = z, any
+    other the reversed ones at x = u = 1/z, which gives q(u) = z^{-m} p(z)
+    and q'(u).  Returns ``(val, der, x, rev)``, ``rev`` marking the
+    reversed points."""
     rev = az > 1.0
     x = np.divide(1.0, z, out=z.copy(), where=rev)
-    span = max(1, min(n1, _SWEEP_CHUNK // (3 * max(points, 1)) - 1))
-    buf = np.empty((span + 1, 3, points), dtype=complex)
-    acc, coef = buf[:, :2], buf[:, 1:]
-    # x spelled out to the factor's shape: numpy's complex product rounds
-    # differently on some broadcast layouts (a (1, 1) times a (1,) array),
-    # and a same-shape contiguous product never does
-    xs = np.repeat(x[None], 2, axis=0)
-    # step t adds coefficient m - t directly, or t when reversed
-    flip = rev.astype(np.intp)
-    acc[0] = 0.0
-    for t0 in range(0, n1, span):
-        steps = min(span, n1 - t0)
-        buf[:steps, 2] = stack[flip, row, t0 : t0 + steps].T
-        for a0, a1, c0 in zip(acc[:steps], acc[1:], coef):
-            np.multiply(a0, xs, a1)  # a positional out parses faster than out=
-            np.add(a1, c0, a1)
-        acc[0] = acc[steps]
-    return buf[0, 1].copy(), buf[0, 0].copy(), x, rev
+    der, val = _horner(stack, 2 * row + rev, x, 2)
+    return val, der, x, rev
 
 
 def _newton_ratio(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
@@ -364,7 +357,7 @@ def _newton_ratio(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndar
     Returns ``(step, deriv_zero)``, the latter masking a vanishing
     denominator; only a call with one runs the masked division.
     """
-    m = stack.shape[2] - 1
+    m = len(stack) - 1
     val, der, x, rev = _folded_horner(stack, row, z, az)
     num = np.where(rev, z * val, val)
     denom = np.where(rev, m * val - x * der, der)
@@ -426,7 +419,7 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         roots = (-w[:, 0] / w[:, 1])[:, None]
         return roots, np.ones(rows, dtype=bool)
     z = _bini_start_points(w)
-    stack = np.stack((w[:, ::-1], w))
+    stack = np.stack((w[:, ::-1].T, w.T), axis=2).reshape(n1, -1)
     flat = z.reshape(-1)
     active = np.ones(rows * m, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -466,8 +459,8 @@ def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> 
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
-        val, _, _, rev = _folded_horner(np.stack((w[:, ::-1], w)), row, roots.ravel(),
-                                        az.ravel())
+        stack = np.stack((w[:, ::-1].T, w.T), axis=2).reshape(n + 1, -1)
+        val, _, _, rev = _folded_horner(stack, row, roots.ravel(), az.ravel())
         log_val = _log_abs(val).reshape(roots.shape)
         log_rev = n * _log_abs(az) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
@@ -556,7 +549,8 @@ def _recentered_disk(center: complex, r: float) -> tuple[complex, float]:
     d = 1.0 + r * r - mod * mod
     h = math.hypot(d, 2.0 * mod)
     t = 2.0 * mod / (d + h) if d >= 0 else (h - d) / (2.0 * mod)
-    rho = r * (1.0 + t * t) / ((1.0 + t * (mod - r)) * (1.0 + t * (mod + r)))
+    # one factor of the denominator at a time, so that far disks do not overflow
+    rho = r * ((1.0 + t * t) / (1.0 + t * (mod - r))) / (1.0 + t * (mod + r))
     return t * (center / mod), rho
 
 
@@ -572,7 +566,8 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
     :class:`ContourError`.  A zero within the margin but between samples
     can still certify (at N = 12, one 1e-11 from |z| = 1 half a grid
     step from a sample does); ROADMAP item 2's certificate would refuse
-    it.
+    it.  A disk whose rotation leaves double range (a center past about
+    1.3e154) raises ValueError.
     """
     _refuse_zero(poly)
     n = poly.degree
@@ -585,6 +580,8 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
         # a trigonometric polynomial of degree N on the circle: its row is
         # one FFT of next_pow2(N+1) samples
         a, r = _recentered_disk(center, r)
+        if not (np.isfinite(a) and math.isfinite(r) and r > 0.0):
+            raise ValueError(f"{disk} is too far from the origin to recenter")
         m = _next_pow2(n + 1)
         w = r * np.exp(2j * np.pi * np.arange(m) / m)
         u = 1.0 - np.conj(a) * w
@@ -661,7 +658,7 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
         total[sel] = step.sum(axis=1)
         parts.append((row + s, k / m0, vals[row, k], vals[row, k + 1]))
     span = tuple(np.concatenate(col) for col in zip(*parts))
-    bt = np.ascontiguousarray(b.T)
+    top = np.ascontiguousarray(b.T[::-1])
     points = np.full(rows, m0)
     width = 1.0 / m0
     for _ in range(_MAX_REFINEMENTS):
@@ -673,7 +670,7 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
             break
         width *= 0.5
         t_mid = t_lo + width
-        v_mid = _row_angle_derivs(np.take(bt, row, axis=1), 2.0 * np.pi * t_mid)[0]
+        v_mid = _horner(top, row, np.exp(1j * (2.0 * np.pi * t_mid)), 1)[0]
         row, t_lo, v_lo, v_hi = (np.concatenate(pair) for pair in
                                  ((row, row), (t_lo, t_mid), (v_lo, v_mid), (v_mid, v_hi)))
         step, rough = _phase_steps(v_lo, v_hi, np.abs(v_lo), np.abs(v_hi))
@@ -885,12 +882,11 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     ``argmax`` passes take each row's best three grid peaks, the first
     being the scan maximum.  Every finite peak theta_p is refined inside
     [theta_p - h, theta_p + h], h the grid step, by safeguarded Newton on
-    g = Re(conj(psi_hat) psi_hat'), over chunks of at most ``_SWEEP_CHUNK``
-    gathered coefficients of the flat bracket list: the sign of g shrinks
-    the bracket, the midpoint replaces a Newton point that leaves it or
-    has g' >= 0, and a point freezes at its last angle once its next step
-    is below ``_NEWTON_TOL`` (or after ``_NEWTON_ROUNDS``), so no row
-    depends on the others.  The best refined value replaces the scan's
+    g = Re(conj(psi_hat) psi_hat'), one Horner pass per round over the flat
+    list of live brackets: the sign of g shrinks the bracket, the midpoint
+    replaces a Newton point that leaves it or has g' >= 0, and a point
+    freezes at its last angle once its next step is below ``_NEWTON_TOL``
+    (or after ``_NEWTON_ROUNDS``), so no row depends on the others.  The best refined value replaces the scan's
     when at least as large, an exact tie going to the higher scan peak.
     """
     alpha = np.atleast_2d(alpha)
@@ -916,28 +912,25 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     row, slot = np.nonzero(peak > -np.inf)
     found = np.full((rows, 3), -np.inf)
     angle = np.zeros((rows, 3))
-    size = max(1, _SWEEP_CHUNK // (n + 1))
-    for s in range(0, len(row), size):
-        live = np.arange(s, min(s + size, len(row)))
-        coefs = np.ascontiguousarray(b[row[live]].T)
-        theta = 2.0 * np.pi * top[row[live], slot[live]] / m
-        lo, hi = theta - h, theta + h
-        for _ in range(_NEWTON_ROUNDS):
-            v, d1, d2 = _row_angle_derivs(coefs, theta)
-            at = row[live], slot[live]
-            found[at], angle[at] = _log_abs(v), theta
-            g = v.real * d1.real + v.imag * d1.imag
-            slope = d1.real * d1.real + d1.imag * d1.imag + v.real * d2.real + v.imag * d2.imag
-            lo = np.where(g > 0, theta, lo)
-            hi = np.where(g < 0, theta, hi)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                newton = theta - g / slope
-            nxt = np.where((slope < 0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-            go = np.abs(nxt - theta) >= _NEWTON_TOL
-            if not go.any():
-                break
-            live, theta, lo, hi = live[go], nxt[go], lo[go], hi[go]
-            coefs = coefs if go.all() else coefs[:, go]
+    coefs = np.ascontiguousarray(b.T[::-1])
+    live = np.arange(len(row))
+    theta = 2.0 * np.pi * top[row, slot] / m
+    lo, hi = theta - h, theta + h
+    for _ in range(_NEWTON_ROUNDS):
+        v, d1, d2 = _row_angle_derivs(coefs, row[live], theta)
+        at = row[live], slot[live]
+        found[at], angle[at] = _log_abs(v), theta
+        g = v.real * d1.real + v.imag * d1.imag
+        slope = d1.real * d1.real + d1.imag * d1.imag + v.real * d2.real + v.imag * d2.imag
+        lo = np.where(g > 0, theta, lo)
+        hi = np.where(g < 0, theta, hi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = theta - g / slope
+        nxt = np.where((slope < 0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        go = np.abs(nxt - theta) >= _NEWTON_TOL
+        if not go.any():
+            break
+        live, theta, lo, hi = live[go], nxt[go], lo[go], hi[go]
     pick = found.argmax(axis=1)
     refined = found[np.arange(rows), pick]
     out_theta = np.where(refined >= peak[:, 0], angle[np.arange(rows), pick],
@@ -967,6 +960,14 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
 # Poisson kernel machinery
 
 
+def _poisson(zeta: complex, z, r: float):
+    """(r^2 - |zeta|^2) / |z - zeta|^2, all three divided by r outside
+    [1e-150, 1e150], where r*r leaves double range."""
+    if not 1e-150 <= r <= 1e150:
+        zeta, z, r = zeta / r, z / r, 1.0
+    return (r * r - abs(zeta) ** 2) / abs(z - zeta) ** 2
+
+
 def poisson_kernel(zeta: complex, z: complex, r: float) -> float:
     """(r^2 - |zeta|^2) / |z - zeta|^2 for |zeta| < r, |z| = r."""
     _check_radius(r)
@@ -974,7 +975,7 @@ def poisson_kernel(zeta: complex, z: complex, r: float) -> float:
         raise ValueError("zeta must lie strictly inside the circle")
     if abs(abs(z) - r) > 1e-12 * r:
         raise ValueError("z must lie on the circle")
-    return (r * r - abs(zeta) ** 2) / abs(z - zeta) ** 2
+    return _poisson(zeta, z, r)
 
 
 def poisson_partition_deviation(m: int, kappa: float, r: float,
@@ -1021,10 +1022,8 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
     prev = None
     while m <= NODE_CAP:
         theta = 2.0 * np.pi * np.arange(m) / m
-        vals = np.fft.ifft(b, n=m, norm="forward")  # ifft * M, as M is a power of two
-        logs = _log_abs(vals) + corr
-        z = r * np.exp(1j * theta)
-        kern = (r * r - abs(zeta) ** 2) / np.abs(z - zeta) ** 2
+        logs = _log_abs(np.fft.ifft(b, n=m, norm="forward")) + corr  # ifft * M: M is 2^k
+        kern = _poisson(zeta, r * np.exp(1j * theta), r)
         cur = float(np.mean(kern * logs))
         if prev is not None and abs(cur - prev) < DEFAULT_QUADRATURE_TARGET:
             return cur

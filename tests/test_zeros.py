@@ -194,6 +194,40 @@ def _loop_residuals(alpha, degree, roots):
         return np.exp(logmag - (degree / 2.0) * np.log1p(az * az))
 
 
+def _loop_taylor_rows(top, col, x, depth):
+    """Reference for ``zeros._horner``: each point alone, its Taylor rows
+    (..., p''/2, p', p) updated one coefficient at a time on arrays of one
+    element, as numpy's array product rounds unlike its scalar one."""
+    out = np.empty((depth, len(x)), dtype=complex)
+    for i in range(len(x)):
+        xi = x[i : i + 1]
+        rows = [np.zeros(1, dtype=complex) for _ in range(depth)]
+        for c in top[:, col[i] : col[i] + 1]:
+            rows = [a * xi + b for a, b in zip(rows, rows[1:] + [c])]
+        out[:, i] = np.concatenate(rows)
+    return out
+
+
+class TestHorner:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1 << 17, 16])
+    def test_matches_point_loop_at_any_block(self, depth, chunk, monkeypatch):
+        # a 16-element buffer splits every depth's pass into spans of a few
+        # steps; a point's rows must not depend on its block, alone or not
+        monkeypatch.setattr(zeros, "_SWEEP_CHUNK", chunk)
+        rng = np.random.default_rng(depth)
+        for n1 in (1, 2, 11, 40):
+            top = rng.standard_normal((n1, 5)) + 1j * rng.standard_normal((n1, 5))
+            col = rng.integers(0, 5, 7)
+            x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+            x[0] = np.exp(0.3j)
+            want = _loop_taylor_rows(top, col, x, depth)
+            for size in (1, 2, 3, 7):
+                for s in range(0, 7, size):
+                    got = zeros._horner(top, col[s : s + size], x[s : s + size], depth)
+                    assert got.tobytes() == want[:, s : s + size].tobytes()
+
+
 def _assert_matches_loop(w):
     roots, conv = zeros._aberth_batch(w)
     want_roots, want_conv = _loop_aberth(w)
@@ -516,6 +550,20 @@ class TestArgumentPrinciple:
             assert abs(float((Decimal(rho) - want) / want)) <= 1e-15
             assert abs(a / abs(a) - center / abs(center)) <= 1e-15
 
+    def test_far_disks(self):
+        # rho is about 1/|c|^2: the product of its two denominator factors
+        # overflows from |c| = 1e77 on, and t itself past |c| = 1.3e154,
+        # where the disk is refused by name
+        for n in (12, 200):
+            p = model.sample_polynomial(n, RngSeed(1, 0))
+            for c in (1e100, -1e120j, 1e153 * np.exp(0.4j)):
+                a, rho = zeros._recentered_disk(c, 1.0)
+                assert rho == pytest.approx(abs(c) ** -2, rel=1e-12)
+                assert zeros.count_zeros_argument_principle(p, zeros.Disk(c, 1.0)).count == 0
+            for c in (1e154, 1e200j):
+                with pytest.raises(ValueError, match=r"Disk\(center="):
+                    zeros.count_zeros_argument_principle(p, zeros.Disk(c, 1.0))
+
     @pytest.mark.parametrize("center", [1e-8j, 0.3 - 0.4j, -1.0, 2.0 + 2.0j])
     def test_recentered_disk_maps_diameter_ends(self, center):
         for r in (0.1, 0.5, 1.0, 3.0, 10.0):
@@ -547,14 +595,16 @@ class TestArgumentPrinciple:
     NEAR_ROW = np.array([[-0.5 * Z0, 0.5 - Z0, 1.0]])
 
     def _spy_bisection(self, monkeypatch):
+        # the midpoints of each bisection round, in turns: the round's one
+        # Horner pass is the only one a winding count runs
         seen = []
-        horner = zeros._row_angle_derivs
+        horner = zeros._horner
 
-        def spy(coefs, theta):
-            seen.append(np.array(theta))
-            return horner(coefs, theta)
+        def spy(top, cols, x, depth):
+            seen.append(np.angle(x) / (2.0 * np.pi) % 1.0)
+            return horner(top, cols, x, depth)
 
-        monkeypatch.setattr(zeros, "_row_angle_derivs", spy)
+        monkeypatch.setattr(zeros, "_horner", spy)
         return seen
 
     def test_bisection_evaluates_each_point_once(self, monkeypatch):
@@ -563,7 +613,7 @@ class TestArgumentPrinciple:
         counts, ok = zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
         assert ok[0] and counts[0] == 1
         assert len(seen) > 10
-        turns = np.concatenate(seen) / (2.0 * np.pi)
+        turns = np.concatenate(seen)
         assert len(np.unique(turns)) == len(turns)
         assert not np.any(turns * 8 == np.round(turns * 8))
 
@@ -1178,15 +1228,15 @@ class TestMaxModulus:
         b = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
         row = rng.integers(0, 6, 18)
         theta = rng.uniform(0.0, 2.0 * np.pi, 18)
-        coefs = np.take(np.ascontiguousarray(b.T), row, axis=1)
-        full = zeros._row_angle_derivs(coefs, theta)
+        top = np.ascontiguousarray(b.T[::-1])
+        full = zeros._row_angle_derivs(top, row, theta)
         k = np.arange(11)
         for weight, got in zip((1.0, 1j * k, -k * k), full):
             want = (b[row] * weight * np.exp(1j * np.outer(theta, k))).sum(axis=1)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(b).sum())
         for size in (1, 2, 3, 5, 17):
             for s in range(0, 18 - size + 1, size):
-                part = zeros._row_angle_derivs(coefs[:, s : s + size], theta[s : s + size])
+                part = zeros._row_angle_derivs(top, row[s : s + size], theta[s : s + size])
                 for got, whole in zip(part, full):
                     assert got.tobytes() == whole[s : s + size].tobytes()
 
@@ -1301,7 +1351,7 @@ class TestMaxModulus:
 
     def test_chunks_keep_every_bit(self, monkeypatch):
         # a small _GRID_CHUNK splits the scan into chunks of a few rows, and a
-        # small _SWEEP_CHUNK the brackets into chunks of a few points
+        # small _SWEEP_CHUNK each round's Horner pass into spans of a few steps
         for n in (0, 2, 10, 40):
             alpha = _sample(80 + n, 300, n)
             want = zeros._batch_boundary_log_max(alpha, n, 1.0)
@@ -1402,6 +1452,20 @@ class TestPoissonKernel:
             vals = [zeros.poisson_kernel(zeta, r * np.exp(1j * t), r) for t in theta]
             assert min(vals) >= 1.0 / 3.0 - 1e-12
             assert max(vals) <= 3.0 + 1e-12
+
+    def test_beyond_square_range(self):
+        # r*r overflows above about 1.3e154 and underflows below 1.5e-162.
+        # The kernel does not depend on scale, and on circles this small or
+        # large log|psi| is nearly constant, so any Poisson average of it is
+        # the circle mean
+        zeta, z = 0.5 * np.exp(0.7j), np.exp(0.2j)
+        want = zeros.poisson_kernel(zeta, z, 1.0)
+        for r in (1e-300, 1e-170, 1e-150, 1e150, 2e150, 1e160, 1e300):
+            assert zeros.poisson_kernel(zeta * r, z * r, r) == pytest.approx(want, rel=1e-14)
+        p = model.sample_polynomial(12, RngSeed(1, 0))
+        for r in (1e-300, 1e-170, 1e160, 1e300):
+            assert zeros.poisson_log_average(p, 0.1 * r, r) == pytest.approx(
+                zeros.circle_log_integral(p, r), rel=1e-12, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
