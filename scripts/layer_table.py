@@ -13,7 +13,11 @@ a Markdown table:
 - Aberth, all rows: ``_aberth_batch`` on every row's monomial coefficients;
 - Aberth cross-check: ``_root_counts`` (Aberth and residuals) on every
   ``CROSS_CHECK_EVERY``-th row, the rows a count block recounts;
-- circle means: ``_batch_circle_log_means`` at target 1e-6;
+- circle means: ``_batch_circle_log_means`` at target 1e-6 with the log
+  sums only, the call ``_block_circle_means`` makes;
+- circle means with |log|: the same kernel with its |log| sums on, which
+  ``log_l1_outlier_frequency`` runs only on the trials its bounds leave
+  undecided;
 - boundary max: ``_batch_boundary_log_max``.
 
 The package is imported from this checkout's ``src/``, with the BLAS and
@@ -56,6 +60,8 @@ def layers(plan: mc.TrialPlan):
         ("Aberth, all rows", lambda: zeros._aberth_batch(w)),
         (f"Aberth cross-check ({len(check)} rows)", lambda: mc._root_counts(check, plan)),
         ("circle means (target 1e-6)",
+         lambda: zeros._batch_circle_log_means(alpha, n, RADIUS, 1e-6, absolute=False)),
+        ("circle means with abs log",
          lambda: zeros._batch_circle_log_means(alpha, n, RADIUS, 1e-6)),
         ("boundary max", lambda: zeros._batch_boundary_log_max(alpha, n, RADIUS)),
     ]

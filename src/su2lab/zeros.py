@@ -43,7 +43,9 @@ row through the range rule of ``_in_range``, by which every circle kernel
 and the off-center count get their Fourier rows; a row that underflows
 below the rule's band is rebuilt from logs.  The boundary maximum refines
 the best grid peaks of a uniform scan by safeguarded Newton on the
-derivative of |psi_hat|^2, one Horner pass per round.
+derivative of |psi_hat|^2, one Horner pass per round.  The circle means
+find the zeros near the circle by Newton from their first grid's lowest
+minima, in the same kind of pass, and divide them out of the trapezoid.
 
 Batch variants (leading underscore) operate on ``(trials, N+1)``
 coefficient blocks and are the engines behind the Monte Carlo layer; the
@@ -104,6 +106,9 @@ _ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
 _SCAN_PER_DEGREE = 8  # boundary-maximum scan angles per unit of N + 1
 _NEWTON_TOL = 1e-10  # a boundary-maximum angle freezes once its Newton step is below this
 _NEWTON_ROUNDS = 100  # cap on the safeguarded Newton rounds of one angle
+_NEAR_BAND = 0.1  # circle means divide out the zeros with ||w|/r - 1| below this
+_ZERO_NEWTON_TOL = 2.0**-40  # a near-circle zero freezes once its Newton step is below this, relative
+_ZERO_NEWTON_ROUNDS = 20  # cap on the Newton rounds of one near-circle zero
 
 # Schur-Cohn certification rule (see _batch_schur_cohn).  Calibration: the
 # recursion rerun in clongdouble on the same inputs, 3 x 8192 sampled rows
@@ -760,20 +765,99 @@ def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
 # circle averages of log |psi|
 
 
-def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
-                            target: float = DEFAULT_QUADRATURE_TARGET):
-    """Means over the circle of log|psi| and of |log|psi||, per row.
+def _three_peaks(v: np.ndarray):
+    """``(index, value)`` of the three largest local peaks of each row of
+    ``v``, best first: samples at least their two neighbours, the row read
+    as a circle; a row with fewer peaks has value -inf in the spare slots."""
+    is_peak = (v >= np.roll(v, 1, axis=1)) & (v >= np.roll(v, -1, axis=1))
+    masked = np.where(is_peak, v, -np.inf)
+    here = np.arange(len(masked))
+    top = np.empty((len(v), 3), dtype=np.intp)
+    peak = np.empty((len(v), 3))
+    for k in range(3):
+        top[:, k] = masked.argmax(axis=1)
+        peak[:, k] = masked[here, top[:, k]]
+        masked[here, top[:, k]] = -np.inf
+    return top, peak
 
-    Returns ``(mean_log, mean_abs_log, ok, gap)`` arrays.  Node counts
-    double until two successive estimates agree within ``target`` (for
-    both quantities) or the next doubling would pass ``NODE_CAP``; rows at
-    the cap report ``ok=False`` with their best estimate and their last
+
+def _near_circle_zeros(b: np.ndarray, low: np.ndarray, m0: int) -> np.ndarray:
+    """``(rows, 3)`` points u, |u| < 1, one per distinct zero x of
+    f(x) = sum_k b_k x^k with ``DEFAULT_BOUNDARY_MARGIN`` <= ||x| - 1| <
+    ``_NEAR_BAND``: u = x inside the unit circle, 1/x outside, 0 in a slot
+    with no such zero.
+
+    Slot k starts Newton at the grid angle 2 pi low[:, k] / m0 (-1: no
+    start), all points of all rows as one flat live list, one depth-2
+    ``_horner`` pass per round.  A point freezes once its step, applied,
+    is below ``_ZERO_NEWTON_TOL`` of |x| (full precision, since Newton
+    squares the error), and is dropped when it strays more than 1/2 from
+    the unit circle or has not frozen after ``_ZERO_NEWTON_ROUNDS``.  A
+    frozen point within 1e-8 of an earlier slot's is the same zero and is
+    dropped, so no zero is divided out twice."""
+    rows = len(b)
+    row, slot = np.nonzero(low >= 0)
+    x = np.exp(2j * np.pi * low[row, slot] / m0)
+    frozen = np.zeros(len(x), dtype=bool)
+    top = np.ascontiguousarray(b.T[::-1])
+    live = np.arange(len(x))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        for _ in range(_ZERO_NEWTON_ROUNDS):
+            d1, v = _horner(top, row[live], x[live], 2)
+            step = v / d1
+            xl = x[live] - step
+            x[live] = xl
+            ax = np.abs(xl)
+            done = np.abs(step) <= _ZERO_NEWTON_TOL * ax
+            frozen[live[done]] = True
+            live = live[~done & (np.abs(ax - 1.0) <= 0.5)]
+            if not len(live):
+                break
+        dist = np.abs(np.abs(x) - 1.0)
+        keep = frozen & (dist >= DEFAULT_BOUNDARY_MARGIN) & (dist < _NEAR_BAND)
+        zs = np.full((rows, 3), np.nan, dtype=complex)
+        zs[row[keep], slot[keep]] = x[keep]
+        for j in (1, 2):
+            for k in range(j):
+                zs[np.abs(zs[:, j] - zs[:, k]) <= 1e-8, j] = np.nan
+        u = np.where(np.abs(zs) < 1.0, zs, 1.0 / zs)
+    return np.where(np.isnan(zs), 0.0, u)
+
+
+def _log_one_minus(q: np.ndarray) -> np.ndarray:
+    """sum over the row's slots of log|1 - q|: 0 on a row of zeros."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(1.0 - q)).sum(axis=1)
+
+
+def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
+                            target: float = DEFAULT_QUADRATURE_TARGET,
+                            absolute: bool = True):
+    """Means over the circle of log|psi| and, when ``absolute``, of
+    |log|psi||, per row.
+
+    Returns ``(mean_log, mean_abs_log, ok, gap)``; ``mean_abs_log`` is
+    None unless ``absolute``.  Node counts M double until two successive
+    estimates agree within ``target`` (for both quantities when
+    ``absolute``) or the next doubling would pass ``NODE_CAP``; rows at the
+    cap report ``ok=False`` with their best estimate and their last
     doubling delta as ``gap`` (NaN only when the cap allowed no doubling).
     Each doubling reuses earlier samples: only the half-step midpoints are
     evaluated afresh, in chunks of at most ``_GRID_CHUNK`` samples so that
-    each chunk's elementwise passes stay in cache.  Samples are floored at
-    1e-300, so a zero on a node stays in every later grid and its row,
-    still finite, fails at the cap.
+    each chunk's elementwise passes stay in cache.
+
+    Zeros near the circle are divided out of the log means.  Over the M
+    nodes of a grid the trapezoid of log|x - xi| on the unit circle is
+    exact up to (1/M) log|1 - q|, with q = xi^M for |xi| < 1 and
+    xi^-M otherwise (Trefethen & Weideman, SIAM Rev. 56 (2014)).  The first
+    grid's pass takes each row's three lowest local minima, Newton runs
+    from them (``_near_circle_zeros``), and each M subtracts those terms of
+    the zeros found, q squared at every doubling, so the stop rule reads a
+    mean that a zero near the circle no longer slows.  A zero within
+    ``DEFAULT_BOUNDARY_MARGIN`` of the circle (relative) is left in, as are
+    the |log| sums' kinks: samples are floored at 1e-300, so a zero on or
+    next to a node stays in every later grid and its row, still finite,
+    fails at the cap.
     """
     alpha = np.atleast_2d(alpha)
     rows = alpha.shape[0]
@@ -781,12 +865,14 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     b, shift = _circle_fourier_coeffs(alpha, n, r)
     corr = _log_normalization(n, r) + shift * math.log(2.0)
     m0 = max(128, _next_pow2(8 * (n + 1)))
+    low = np.empty((rows, 3), dtype=np.intp)
 
     def _accumulate(sel_b: np.ndarray, sel_corr: np.ndarray, m: int, half: bool):
-        """Sums of (log + corr) and |log + corr| over M angles, half a step on if ``half``."""
+        """Sums of (log + corr) and |log + corr| over M angles, half a step on
+        if ``half``; the whole grid's pass also fills ``low``."""
         cnt = len(sel_b)
         s1 = np.empty(cnt)
-        s2 = np.empty(cnt)
+        s2 = np.empty(cnt) if absolute else None
         if half:
             sel_b = sel_b * np.exp(1j * np.pi * np.arange(n + 1) / m)
         row_step = max(1, _GRID_CHUNK // m)
@@ -794,26 +880,42 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
             # M is a power of two, so the unscaled inverse FFT equals ifft * M
             # bit for bit
             logs = _log_abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
+            if not half:
+                at, value = _three_peaks(-logs)
+                low[s : s + row_step] = np.where(value > -np.inf, at, -1)
             logs += sel_corr[s : s + row_step, None]
             s1[s : s + row_step] = logs.sum(axis=1)
-            s2[s : s + row_step] = np.abs(logs, out=logs).sum(axis=1)
+            if absolute:
+                s2[s : s + row_step] = np.abs(logs, out=logs).sum(axis=1)
         return s1, s2
 
     active = np.arange(rows)
     sum1, sum2 = _accumulate(b, corr, m0, half=False)
     m = m0
-    mean_log, mean_abs = sum1 / m, sum2 / m
-    gap = np.full(rows, np.nan)
-    while len(active) and 2 * m <= NODE_CAP:
-        a1, a2 = _accumulate(b[active], corr[active], m, half=True)
-        sum1[active] += a1
-        sum2[active] += a2
-        m *= 2
-        cur1, cur2 = sum1[active] / m, sum2[active] / m
-        gap[active] = np.maximum(np.abs(cur1 - mean_log[active]),
-                                 np.abs(cur2 - mean_abs[active]))
-        mean_log[active], mean_abs[active] = cur1, cur2
-        active = active[~(gap[active] < target)]
+    q = _near_circle_zeros(b, low, m0)
+    with np.errstate(under="ignore"):
+        for _ in range(m0.bit_length() - 1):
+            q = q * q
+        mean_log = (sum1 - _log_one_minus(q)) / m
+        mean_abs = sum2 / m if absolute else None
+        gap = np.full(rows, np.nan)
+        while len(active) and 2 * m <= NODE_CAP:
+            a1, a2 = _accumulate(b[active], corr[active], m, half=True)
+            sum1[active] += a1
+            m *= 2
+            qa = q[active]
+            qa = qa * qa
+            q[active] = qa
+            cur = (sum1[active] - _log_one_minus(qa)) / m
+            gap_a = np.abs(cur - mean_log[active])
+            mean_log[active] = cur
+            if absolute:
+                sum2[active] += a2
+                cur = sum2[active] / m
+                gap_a = np.maximum(gap_a, np.abs(cur - mean_abs[active]))
+                mean_abs[active] = cur
+            gap[active] = gap_a
+            active = active[~(gap_a < target)]
     ok = np.ones(rows, dtype=bool)
     ok[active] = False
     return mean_log, mean_abs, ok, gap
@@ -824,7 +926,7 @@ def _circle_mean(poly: SU2Polynomial, r: float, target: float, absolute: bool) -
     _check_radius(r)
     _refuse_zero(poly)
     mean_log, mean_abs, ok, gap = _batch_circle_log_means(
-        poly.coefficients[None], poly.degree, r, target
+        poly.coefficients[None], poly.degree, r, target, absolute
     )
     value = float((mean_abs if absolute else mean_log)[0])
     if not ok[0]:
@@ -878,8 +980,8 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
 def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     """log of max_{|z|=r} psi_hat plus the maximizing angles, batched.
 
-    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles in row chunks; three
-    ``argmax`` passes take each row's best three grid peaks, the first
+    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles in row chunks;
+    ``_three_peaks`` takes each row's best three grid peaks, the first
     being the scan maximum.  Every finite peak theta_p is refined inside
     [theta_p - h, theta_p + h], h the grid step, by safeguarded Newton on
     g = Re(conj(psi_hat) psi_hat'), one Horner pass per round over the flat
@@ -901,14 +1003,7 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     for s in range(0, rows, chunk):
         sel = slice(s, s + chunk)
         # not norm="forward": M need not be a power of two, where it rounds differently
-        logs = _log_abs(np.fft.ifft(b[sel], n=m, axis=1) * m)
-        is_peak = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
-        masked = np.where(is_peak, logs, -np.inf)
-        here = np.arange(len(masked))
-        for k in range(3):
-            top[sel, k] = masked.argmax(axis=1)
-            peak[sel, k] = masked[here, top[sel, k]]
-            masked[here, top[sel, k]] = -np.inf
+        top[sel], peak[sel] = _three_peaks(_log_abs(np.fft.ifft(b[sel], n=m, axis=1) * m))
     row, slot = np.nonzero(peak > -np.inf)
     found = np.full((rows, 3), -np.inf)
     angle = np.zeros((rows, 3))
@@ -985,6 +1080,9 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
     Places the m sources at the midpoints of equal arcs of the circle of
     radius kappa*r, each pushed radially outward by ``perturbation``, and
     returns max over the angle grid of |mean_j P(zeta_j, r e^{i theta}) - 1|.
+    The deviation does not depend on scale: outside r in [1e-150, 1e150],
+    where r*r leaves double range, everything is divided by r, as in
+    ``_poisson``.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -993,6 +1091,8 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
     _check_radius(r)
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")
+    if not 1e-150 <= r <= 1e150:
+        r, perturbation = 1.0, perturbation / r
     rho = kappa * r + perturbation
     if rho >= r:
         raise ValueError("perturbed sources must stay strictly inside the circle")

@@ -337,6 +337,40 @@ class TestConcentrationEstimators:
         pooled = math.hypot(est.stderr, small.stderr)
         assert est.point <= small.point + 2 * pooled
 
+    @pytest.mark.parametrize("degree", [10, 40])
+    def test_circle_means_agree_with_jensen(self, degree):
+        # Jensen's formula on converged Aberth roots; before zeros near the
+        # circle were divided out, row 2163 at N = 40 was off by 1.7e-4
+        plan = mc.TrialPlan(degree, 1.0, mc.BLOCK_TRIALS, 41)
+        mean_log, _, _, failed = mc._block_circle_means(plan, 0, mc.BLOCK_TRIALS)
+        alpha = mc._sample_block(plan, 0, mc.BLOCK_TRIALS)
+        roots, conv = zeros._aberth_batch(alpha * mc._weights(degree))
+        mods = np.abs(roots)
+        inside = np.log(np.minimum(mods, 1.0)).sum(axis=1)
+        want = np.log(np.abs(alpha[:, 0])) - inside
+        assert conv.all() and not failed.any()
+        assert np.abs(mean_log - want).max() <= 1e-6
+
+    def test_log_l1_undecided_trials_use_the_abs_kernel(self, monkeypatch):
+        # a threshold among the trials' |log| means leaves many undecided by
+        # the bounds; their hits must be the abs kernel's
+        plan = mc.TrialPlan(6, 1.0, 600, 19)
+        alpha = mc._sample_block(plan, 0, plan.trials)
+        _, mean_abs, ok, _ = zeros._batch_circle_log_means(
+            alpha, 6, 1.0, mc.TOLERANCES.quadrature_target)
+        threshold = float(np.median(mean_abs))
+        means = _spy(monkeypatch, "_batch_circle_log_means")
+        monkeypatch.setattr(mc, "_log_l1_threshold", lambda plan: threshold)
+        mc._plan_samples.cache_clear()
+        try:
+            est = mc.log_l1_outlier_frequency(plan)
+        finally:
+            mc._plan_samples.cache_clear()
+        assert len(means) == 2 and means[0] == plan.trials and 0 < means[1] < plan.trials
+        want = mc._frequency_estimate(int((mean_abs > threshold)[ok].sum()),
+                                      int((~ok).sum()), plan)
+        assert est == want
+
     def test_parameter_validation(self):
         plan = mc.TrialPlan(4, 1.0, 10, 0)
         with pytest.raises(ValueError):

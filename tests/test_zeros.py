@@ -979,6 +979,40 @@ class TestCircleLogIntegral:
             for got, want in zip(chunked, alone):
                 assert got[i : i + 1].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_near_circle_zeros_keep_every_bit(self, monkeypatch, absolute):
+        # two zeros 1e-6 and 1e-5 off the circle, 1e-3 rad apart: the Newton
+        # starts and the zeros divided out must not see the batch or the chunk
+        n = 10
+        binom = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
+        rng = np.random.default_rng(22)
+        rows = (rng.standard_normal((24, n + 1))
+                + 1j * rng.standard_normal((24, n + 1))) / math.sqrt(2)
+        for i in (3, 11, 12, 20):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            pair = [-(1 - 1e-6) * np.exp(1j * angle), 1.0], \
+                [-(1 + 1e-5) * np.exp(1j * (angle + 1e-3)), 1.0]
+            rows[i] = np.convolve(np.convolve(rows[i, : n - 1], pair[0]), pair[1]) \
+                / np.sqrt(binom)
+        whole = zeros._batch_circle_log_means(rows, n, 1.0, absolute=absolute)
+        monkeypatch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
+        chunked = zeros._batch_circle_log_means(rows, n, 1.0, absolute=absolute)
+        outputs = [k for k, out in enumerate(whole) if out is not None]
+        assert len(outputs) == (4 if absolute else 3)
+        for k in outputs:
+            assert chunked[k].tobytes() == whole[k].tobytes()
+        for i in range(len(rows)):
+            alone = zeros._batch_circle_log_means(rows[i : i + 1], n, 1.0, absolute=absolute)
+            for k in outputs:
+                assert chunked[k][i : i + 1].tobytes() == alone[k].tobytes()
+
+    @pytest.mark.parametrize("seed", [46, 107])
+    def test_near_circle_zero_converges(self, seed):
+        # these N = 200 rows ran to the node cap and were refused before their
+        # zeros near the circle were divided out
+        poly = model.sample_polynomial(200, RngSeed(seed, 0))
+        assert zeros.jensen_residual(poly, 1.0) <= 1e-10
+
     def test_abs_log_integral_constant(self):
         # |log| of a unit constant is 0, below any outlier threshold
         assert zeros.circle_abs_log_integral(SU2Polynomial(0, [1.0]), 1.0) == \
@@ -1494,6 +1528,15 @@ class TestPoissonPartition:
     def test_geometry_violation(self):
         with pytest.raises(ValueError):
             zeros.poisson_partition_deviation(4, 0.9, 1.0, 0.2)
+
+    def test_beyond_square_range(self):
+        # r*r overflows above about 1.3e154 and underflows below 1.5e-162,
+        # where the kernel once read nan; the deviation does not depend on scale
+        want = zeros.poisson_partition_deviation(4, 0.5, 1.0)
+        for r in (1e160, 1e-170):
+            assert zeros.poisson_partition_deviation(4, 0.5, r) == want
+        assert zeros.poisson_partition_deviation(4, 0.5, 1e160, 1e159) == \
+            zeros.poisson_partition_deviation(4, 0.5, 1.0, 0.1)
 
 
 class TestRadiusRule:
