@@ -14,7 +14,8 @@
 # --workers 1 and 2; the off-center counts (or "refused") of
 # `count_zeros_argument_principle` on Disk(0.3+0.2j, 0.7) for the N = 200
 # polynomials of seeds 0-199; and the counts (or "x", refused) of
-# `_batch_winding` on 2,400 constructed rows at N in {8, 30, 60, 100} and
+# `_batch_winding` on the Fourier rows of 2,400 constructed polynomials at
+# N in {8, 30, 60, 100} and
 # r in {0.5, 1, 2}, each with 1-3 zeros 1e-13 to 1e-3 from |z| = r and
 # 1e-4 to 1e-2 rad apart.  One more pins the one-row circle means:
 # `circle_log_integral` and `circle_abs_log_integral` at r = 1 of the
@@ -22,9 +23,11 @@
 # the best estimate and the gap.  One more pins the boundary maximum:
 # `max_modulus_boundary` at r = 1 of the same polynomials (log value and
 # argmax, as float.hex); the sha256 of both outputs of
-# `_batch_boundary_log_max` on 4096-row blocks at N in {1, 2, 3, 10, 40,
-# 100} and r in {0.5, 1, 2}; and its outputs, as float.hex, on the rows
-# 1 + z^N and 1 + z^(N/2) + z^N, whose peaks tie.  Two of the
+# `_batch_boundary_log_max` (log max |psi| and the angles) on the Fourier
+# rows of 4096-row blocks at N in {1, 2, 3, 10, 40, 100} and r in
+# {0.5, 1, 2}; and its outputs, as float.hex, on the rows 1 + z^N and
+# 1 + z^(N/2) + z^N, whose peaks tie, read at log scale 0 (log max
+# |psi_hat|).  Two of the
 # estimator outputs pin degree 0, which runs the same counting cascade as
 # every other degree: `hole --grid 0,1` and `mean-zeros -N 0` at r = 1,
 # 9000 trials, seed 8, as JSON.  The last ten pin the record shapes and the
@@ -127,7 +130,7 @@ for n in (8, 30, 60, 100):
                 w = np.convolve(w, [-(r + dist) * np.exp(1j * angle), 1.0])
                 angle += rng.choice((-1, 1)) * 10 ** rng.uniform(-4, -2)
             rows.append(w * np.exp(-model._log_weights(n)))
-        counts, ok = zeros._batch_winding(np.array(rows), n, r)
+        counts, ok = zeros._batch_winding(zeros._circle_fourier_coeffs(np.array(rows), n, r)[0], r)
         print(n, r, "refused", int((~ok).sum()), *(c if good else "x" for c, good in zip(counts, ok)))
 PY
 PYTHONPATH="$root/src" python3 - > "$out/circle_means_N200.txt" <<'PY'
@@ -158,7 +161,7 @@ for seed in range(200):
 for n in (1, 2, 3, 10, 40, 100):
     alpha = gaussian_matrix(12, np.arange(4096, dtype=np.uint64), n + 1)
     for r in (0.5, 1.0, 2.0):
-        log_max, theta = zeros._batch_boundary_log_max(alpha, n, r)
+        log_max, theta = zeros._batch_boundary_log_max(*zeros._circle_fourier_coeffs(alpha, n, r))
         print(n, r, hashlib.sha256(log_max.tobytes()).hexdigest(),
               hashlib.sha256(theta.tobytes()).hexdigest())
 for n in (2, 4, 10, 40, 100, 200):
@@ -166,7 +169,8 @@ for n in (2, 4, 10, 40, 100, 200):
     tied[:, 0] = tied[:, n] = 1.0
     tied[1, n // 2] += 1.0
     for r in (0.5, 1.0, 2.0):
-        log_max, theta = zeros._batch_boundary_log_max(tied, n, r)
+        b, _ = zeros._circle_fourier_coeffs(tied, n, r)
+        log_max, theta = zeros._batch_boundary_log_max(b, np.zeros(len(b)))
         print(n, r, *(float(v).hex() for v in (*log_max, *theta)))
 PY
 for n in 12 50 200; do

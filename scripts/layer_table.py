@@ -8,6 +8,9 @@ layer is timed on it three times and the best wall is printed, in ms, as
 a Markdown table:
 
 - sampling: ``_sample_block``;
+- Fourier rows: ``_circle_fourier_coeffs``, the rows and log scale that
+  the four circle kernels below read, built once for the block and not
+  counted in their times;
 - Schur-Cohn: ``_batch_schur_cohn`` (a dash above its degree cap);
 - winding: ``_batch_winding`` on every row;
 - Aberth, all rows: ``_aberth_batch`` on every row's monomial coefficients;
@@ -50,20 +53,22 @@ def layers(plan: mc.TrialPlan):
     None where the layer does not run at this degree."""
     n = plan.degree
     alpha = mc._sample_block(plan, 0, BLOCK)
+    b, log_scale = zeros._circle_fourier_coeffs(alpha, n, RADIUS)
     w = alpha * model._weights(n)
     check = alpha[:: mc.CROSS_CHECK_EVERY]
     return [
         ("sampling", lambda: mc._sample_block(plan, 0, BLOCK)),
-        ("Schur-Cohn", (lambda: zeros._batch_schur_cohn(alpha, n, RADIUS))
+        ("Fourier rows", lambda: zeros._circle_fourier_coeffs(alpha, n, RADIUS)),
+        ("Schur-Cohn", (lambda: zeros._batch_schur_cohn(b, RADIUS))
          if n <= zeros.SCHUR_COHN_MAX_DEGREE else None),
-        ("winding", lambda: zeros._batch_winding(alpha, n, RADIUS)),
+        ("winding", lambda: zeros._batch_winding(b, RADIUS)),
         ("Aberth, all rows", lambda: zeros._aberth_batch(w)),
         (f"Aberth cross-check ({len(check)} rows)", lambda: mc._root_counts(check, plan)),
         ("circle means (target 1e-6)",
-         lambda: zeros._batch_circle_log_means(alpha, n, RADIUS, 1e-6, absolute=False)),
+         lambda: zeros._batch_circle_log_means(b, log_scale, 1e-6, absolute=False)),
         ("circle means with abs log",
-         lambda: zeros._batch_circle_log_means(alpha, n, RADIUS, 1e-6)),
-        ("boundary max", lambda: zeros._batch_boundary_log_max(alpha, n, RADIUS)),
+         lambda: zeros._batch_circle_log_means(b, log_scale, 1e-6)),
+        ("boundary max", lambda: zeros._batch_boundary_log_max(b, log_scale)),
     ]
 
 

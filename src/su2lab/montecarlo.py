@@ -269,8 +269,9 @@ def _root_counts(alpha: np.ndarray, plan: TrialPlan):
     with np.errstate(over="ignore"):
         w = alpha * w
     fit = np.flatnonzero(np.isfinite(w).all(axis=1))
-    roots, conv = _aberth_batch(w[fit])
-    res = _normalized_residuals(alpha[fit], plan.degree, roots).max(axis=1, initial=0.0)
+    w = w[fit]
+    roots, conv = _aberth_batch(w)
+    res = _normalized_residuals(w, roots).max(axis=1, initial=0.0)
     trusted[fit] = conv & (res <= TOLERANCES.root_residual)
     counts[fit] = (np.abs(roots) < plan.radius).sum(axis=1)
     return counts, trusted
@@ -286,14 +287,15 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     ``CROSS_CHECK_EVERY``-th trial is recounted by winding and, below the
     degree where the weights overflow, by the root oracle; a trustworthy
     disagreement fails the trial and marks it a mismatch."""
-    n, r, margin = plan.degree, plan.radius, TOLERANCES.boundary_margin
+    r, margin = plan.radius, TOLERANCES.boundary_margin
     alpha = _sample_block(plan, start, stop)
-    counts, ok = _batch_schur_cohn(alpha, n, r, margin)
+    b, _ = _circle_fourier_coeffs(alpha, plan.degree, r)
+    counts, ok = _batch_schur_cohn(b, r, margin)
     sampled = np.arange(start, stop) % CROSS_CHECK_EVERY == 0
     redo = np.nonzero(~ok | sampled)[0]
     mism = np.zeros(len(counts), dtype=bool)
     if len(redo):
-        wcounts, wok = _batch_winding(alpha[redo], n, r, margin)
+        wcounts, wok = _batch_winding(b[redo], r, margin)
         fallback = ~ok[redo]
         counts[redo[fallback]] = wcounts[fallback]
         ok[redo[fallback]] = wok[fallback]
@@ -327,24 +329,21 @@ def _log_norm(alpha: np.ndarray) -> np.ndarray:
 
 
 def _block_log_max(plan: TrialPlan, start: int, stop: int):
-    n = plan.degree
     alpha = _sample_block(plan, start, stop)
-    log_hat, _ = _batch_boundary_log_max(alpha, n, plan.radius)
-    log_max = log_hat + _log_normalization(n, plan.radius)
+    b, log_scale = _circle_fourier_coeffs(alpha, plan.degree, plan.radius)
+    log_max, _ = _batch_boundary_log_max(b, log_scale)
     return log_max, _log_norm(alpha), np.zeros(len(log_max), dtype=bool)
 
 
 def _block_circle_means(plan: TrialPlan, start: int, stop: int):
     """``(mean log|psi|, log R, log_max_bound, failed)`` per trial, the mean
     from the log sums alone; ``log_max_bound`` is log sum_k |b_k| plus the
-    row's log correction, which bounds log max |psi| over the circle."""
-    n, r = plan.degree, plan.radius
+    row's log scale, which bounds log max |psi| over the circle."""
     alpha = _sample_block(plan, start, stop)
-    mean_log, _, ok, _ = _batch_circle_log_means(
-        alpha, n, r, TOLERANCES.quadrature_target, absolute=False
-    )
-    b, shift = _circle_fourier_coeffs(alpha, n, r)
-    bound = np.log(np.abs(b).sum(axis=1)) + _log_normalization(n, r) + shift * math.log(2.0)
+    b, log_scale = _circle_fourier_coeffs(alpha, plan.degree, plan.radius)
+    mean_log, _, ok, _ = _batch_circle_log_means(b, log_scale, TOLERANCES.quadrature_target,
+                                                 absolute=False)
+    bound = np.log(np.abs(b).sum(axis=1)) + log_scale
     return mean_log, _log_norm(alpha), bound, ~ok
 
 
@@ -586,7 +585,8 @@ def log_l1_outlier_frequency(plan: TrialPlan) -> Estimate:
     for s in range(0, len(undecided), BLOCK_TRIALS):
         trials = undecided[s : s + BLOCK_TRIALS]
         alpha = gaussian_matrix(plan.master_seed, trials.astype(np.uint64), n + 1)
-        _, mean_abs, ok, _ = _batch_circle_log_means(alpha, n, r, TOLERANCES.quadrature_target)
+        _, mean_abs, ok, _ = _batch_circle_log_means(*_circle_fourier_coeffs(alpha, n, r),
+                                                     TOLERANCES.quadrature_target)
         hit[trials] = mean_abs > threshold
         failed[trials] = ~ok
     return _frequency_estimate(int(hit[~failed].sum()), int(failed.sum()), plan)

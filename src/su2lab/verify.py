@@ -170,7 +170,8 @@ def check_oracle_equivalence() -> CheckResult:
             by_winding = zeros.count_zeros_argument_principle(p, zeros.Disk(0.0, r))
         except zeros.ContourError:
             continue
-        by_schur, certified = zeros._batch_schur_cohn(p.coefficients[None], n, r)
+        b, _ = zeros._circle_fourier_coeffs(p.coefficients[None], n, r)
+        by_schur, certified = zeros._batch_schur_cohn(b, r)
         if by_roots.count != by_winding.count or (
                 certified[0] and by_schur[0] != by_roots.count):
             mismatches += 1

@@ -38,19 +38,23 @@ suite cross-checks:
 
 All boundary evaluations use the spherically normalized values
 ``psi(z)/(1+|z|^2)^(N/2)``; the positive normalization never changes a
-phase or a zero.  Their magnitudes stay in double range for any finite
-row through the range rule of ``_in_range``, by which every circle kernel
-and the off-center count get their Fourier rows; a row that underflows
-below the rule's band is rebuilt from logs.  The boundary maximum refines
-the best grid peaks of a uniform scan by safeguarded Newton on the
-derivative of |psi_hat|^2, one Horner pass per round.  The circle means
+phase or a zero.  The four circle kernels (Schur-Cohn, winding, circle
+means, boundary maximum) read the Fourier rows of those values, which
+``_circle_fourier_coeffs`` builds once per block, with the one log scale
+that the log kernels add back; none takes coefficients.  Their magnitudes
+stay in double range for any finite row through the range rule of
+``_in_range``, by which every circle row and the off-center count's moved
+row are made; a row that underflows below the rule's band is rebuilt from
+logs.  The boundary maximum refines the best grid peaks of a uniform scan
+by safeguarded Newton on the derivative of |psi_hat|^2, one Horner pass
+per round.  The circle means
 find the zeros near the circle by Newton from their first grid's lowest
 minima, in the same kind of pass, and divide them out of the trapezoid.
 
-Batch variants (leading underscore) operate on ``(trials, N+1)``
-coefficient blocks and are the engines behind the Monte Carlo layer; the
-public single-polynomial operations run through the same code with a
-one-row batch.
+Batch variants (leading underscore) operate on ``(trials, N+1)`` blocks of
+rows and are the engines behind the Monte Carlo layer; the public
+single-polynomial operations run through the same code with a one-row
+batch, winding at any disk center included.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .model import (
     _log1p_square,
     _log_normalization,
     _log_weights,
-    _weights,
     evaluate_normalized,
 )
 
@@ -230,31 +233,36 @@ def _in_range(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
-    """Fourier coefficients of theta -> psi_hat(r e^{i theta}), as the
-    ``(b, shift)`` of ``_in_range``.
+    """The Fourier rows of psi on |z| = r, which every circle kernel reads:
+    ``(b, log_scale)`` with
 
-    ``alpha`` is ``(..., N+1)``; so is ``b``.  Entry j equals 2^-shift
-    ``alpha_j sqrt(C(N,j)) r^j / (1+r^2)^(N/2)``, its scale assembled in
-    log space.  A row whose product has its largest part below 2^-400,
+        log|psi(r e^{i theta})| = log|sum_k b_k e^{i k theta}| + log_scale.
+
+    ``alpha`` is ``(..., N+1)``; so is ``b``, and ``log_scale`` has its
+    leading shape.  Entry j equals 2^-shift ``alpha_j sqrt(C(N,j)) r^j /
+    (1+r^2)^(N/2)``, its scale assembled in log space, with shift that of
+    the range rule ``_in_range``; ``log_scale`` is (N/2) log(1+r^2) +
+    shift log 2.  A row whose product has its largest part below 2^-400,
     or underflows to zero while alpha does not, has lost bits to
     underflow: it is rebuilt from log|alpha_j| plus the log scale, at
     shift e with its largest entry in [1/2, 1) (up to rounding).
     """
     n = degree
     j = np.arange(n + 1)
-    log_scale = _log_weights(n) + j * math.log(r) - _log_normalization(n, r)
-    b, shift = _in_range(alpha * np.exp(log_scale))
+    log_norm = _log_normalization(n, r)
+    log_entry = _log_weights(n) + j * math.log(r) - log_norm
+    b, shift = _in_range(alpha * np.exp(log_entry))
     low = (shift < 0) | (~b.any(axis=-1) & alpha.any(axis=-1))
     if low.any():
         a = alpha[low]
         mag = np.abs(a)
         with np.errstate(divide="ignore"):
-            logs = np.log(mag) + log_scale
+            logs = np.log(mag) + log_entry
         e = np.floor(logs.max(axis=-1) / math.log(2.0)) + 1.0
         unit = np.divide(a, mag, out=np.zeros_like(a), where=mag > 0)
         b[low] = unit * np.exp(logs - e[:, None] * math.log(2.0))
         shift[low] = e
-    return b, shift
+    return b, log_norm + shift * math.log(2.0)
 
 
 def _horner(top: np.ndarray, cols: np.ndarray, x: np.ndarray, depth: int) -> np.ndarray:
@@ -456,10 +464,11 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat.reshape(rows, m), converged
 
 
-def _normalized_residuals(alpha: np.ndarray, degree: int, roots: np.ndarray) -> np.ndarray:
-    """|psi_hat| at candidate roots, batched and overflow-safe."""
-    n = degree
-    w = np.atleast_2d(alpha) * _weights(n)
+def _normalized_residuals(w: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """|psi_hat| at candidate roots, batched and overflow-safe; ``w`` holds
+    the monomial rows, as for ``_aberth_batch``."""
+    w = np.atleast_2d(w)
+    n = w.shape[1] - 1
     roots = np.atleast_2d(roots)
     az = np.abs(roots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -561,7 +570,7 @@ def _recentered_disk(center: complex, r: float) -> tuple[complex, float]:
 
 def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount:
     """Winding number of psi around the disk boundary, as one row of
-    ``_winding_rows``.
+    ``_batch_winding``.
 
     Off the origin the row is that of psi moved by the rotation of
     ``_recentered_disk``, on |w| = rho, and the margin grows by the
@@ -594,31 +603,23 @@ def count_zeros_argument_principle(poly: SU2Polynomial, disk: Disk) -> ZeroCount
         vals = evaluate_normalized(poly, (w + a) / u) * np.exp(1j * n * np.angle(u))
         b, _ = _in_range((np.fft.fft(vals) / m)[None, : n + 1])
         margin *= (1.0 + abs(a) * r) ** 2 / (1.0 + abs(a) ** 2)
-    counts, ok = _winding_rows(b, r, margin, _next_pow2(_WINDING_SAMPLES * (n + 1)))
+    counts, ok = _batch_winding(b, r, margin)
     if not ok[0]:
         raise ContourError(f"zero within the margin {DEFAULT_BOUNDARY_MARGIN} of the contour")
     return ZeroCount(int(counts[0]), "argument_principle")
 
 
-def _batch_winding(alpha: np.ndarray, degree: int, r: float,
-                   boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
-    """Winding numbers of a coefficient batch around |z| = r: ``(counts,
-    ok)`` under the rules of ``_winding_rows``."""
-    b, _ = _circle_fourier_coeffs(np.atleast_2d(alpha), degree, r)
-    return _winding_rows(b, r, boundary_margin, _next_pow2(_WINDING_SAMPLES * (degree + 1)))
-
-
-def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
-    """``(counts, ok)`` for the Fourier rows ``b`` of boundary values on
-    |z| = r, from ``m0`` samples (a power of two).  A row fails when a
-    Newton step |psi|/|psi'| at one of the ``m0`` samples puts a zero
-    within ``boundary_margin`` of the contour, or a sample lies within
-    ``_PRECISION_FLOOR`` of sum |b_k|; a zero that close to the contour
-    but between samples need not be refused.
-    The derivative grid of that step is taken only for rows with a sample
-    below 2 margin D / r, D = sum k |b_k|: |psi'| <= D / r on the circle
-    (Bernstein), so on other rows every step is at least twice the margin.
-    A chunk pays for a rare row only when it holds one: it takes the
+def _batch_winding(b: np.ndarray, r: float, boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
+    """Winding numbers ``(counts, ok)`` of the Fourier rows ``b`` of
+    boundary values on |z| = r, from m0 = next_pow2(``_WINDING_SAMPLES``
+    (N + 1)) samples.  A row fails when a Newton step |psi|/|psi'| at one
+    of the m0 samples puts a zero within ``boundary_margin`` of the
+    contour, or a sample lies within ``_PRECISION_FLOOR`` of sum |b_k|; a
+    zero that close to the contour but between samples need not be
+    refused.  The derivative grid of that step is taken only for rows with
+    a sample below 2 margin D / r, D = sum k |b_k|: |psi'| <= D / r on the
+    circle (Bernstein), so on other rows every step is at least twice the
+    margin.  A chunk pays for a rare row only when it holds one: it takes the
     derivative grid only for a row in that gate, and the ``TINY_SAMPLE``
     test only for a sample below it, which passes the floor only on a row
     below the range band of ``_in_range``.
@@ -634,6 +635,7 @@ def _winding_rows(b: np.ndarray, r: float, boundary_margin: float, m0: int):
     rows, n1 = b.shape
     if not rows:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    m0 = _next_pow2(_WINDING_SAMPLES * n1)
     abs_b = np.abs(b)
     gate = (2.0 * boundary_margin / r) * (abs_b @ np.arange(n1))
     ok = np.empty(rows, dtype=bool)
@@ -724,12 +726,13 @@ def _schur_cohn_steps(b: np.ndarray):
     return trail.T, lead.T, log_floor
 
 
-def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
+def _batch_schur_cohn(b: np.ndarray, r: float,
                       boundary_margin: float = DEFAULT_BOUNDARY_MARGIN):
     """Zero counts in B(0, r) by the Schur-Cohn recursion, batched.
 
-    Runs on f(z) = psi_hat(r z): N vectorized steps, O(N^2) per row, no
-    FFT and no roots.  On |z| = 1, |f*| = |f|, so by Rouche count(f) =
+    Runs on the Fourier rows ``b`` of psi on |z| = r, the coefficients of
+    f(z) = psi_hat(r z) up to scale: N vectorized steps, O(N^2) per row,
+    no FFT and no roots.  On |z| = 1, |f*| = |f|, so by Rouche count(f) =
     count(F) when |a_0| > |a_d| and d - count(F) otherwise.  Returns
     ``(counts, certified)``; counts are meaningful only on certified rows.
     A row is certified when N <= ``SCHUR_COHN_MAX_DEGREE``, every step's
@@ -737,18 +740,16 @@ def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
     the recursion's floor on |f| over the circle proves no zero lies within
     ``boundary_margin`` of the contour.
     """
-    alpha = np.atleast_2d(alpha)
-    rows = alpha.shape[0]
-    if degree > SCHUR_COHN_MAX_DEGREE:
+    rows, n1 = b.shape
+    if n1 - 1 > SCHUR_COHN_MAX_DEGREE:
         return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
-    b, _ = _circle_fourier_coeffs(alpha, degree, r)
     trail, lead, log_floor = _schur_cohn_steps(b)
     gap = trail - lead
     # a zero w of f with ||w| - 1| <= h forces |f(w / |w|)| <= h max|f'|
     # <= h sum_k k |b_k| (1 + h)^(k-1); the floor must clear twice that.
     # A NaN floor (F = 0) or a -inf one (a null row) never does.
     h = boundary_margin / r
-    k = np.arange(1, degree + 1)
+    k = np.arange(1, n1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         log_slope = np.log(2.0 * h * (np.abs(b[:, 1:]) @ (k * (1.0 + h) ** (k - 1))))
         certified = (np.abs(gap) >= SCHUR_COHN_MIN_GAP).all(axis=1)
@@ -757,7 +758,7 @@ def _batch_schur_cohn(alpha: np.ndarray, degree: int, r: float,
     # count = sum over flipping steps of +-d, the sign alternating per flip
     earlier = np.cumsum(flips, axis=1) - flips
     sign = 1 - 2 * (earlier & 1)
-    counts = (flips * sign * np.arange(degree, 0, -1)).sum(axis=1).astype(np.int64)
+    counts = (flips * sign * np.arange(n1 - 1, 0, -1)).sum(axis=1).astype(np.int64)
     return counts, certified
 
 
@@ -830,11 +831,12 @@ def _log_one_minus(q: np.ndarray) -> np.ndarray:
         return np.log(np.abs(1.0 - q)).sum(axis=1)
 
 
-def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
+def _batch_circle_log_means(b: np.ndarray, log_scale: np.ndarray,
                             target: float = DEFAULT_QUADRATURE_TARGET,
                             absolute: bool = True):
     """Means over the circle of log|psi| and, when ``absolute``, of
-    |log|psi||, per row.
+    |log|psi||, per row of the Fourier rows ``(b, log_scale)`` of
+    ``_circle_fourier_coeffs``.
 
     Returns ``(mean_log, mean_abs_log, ok, gap)``; ``mean_abs_log`` is
     None unless ``absolute``.  Node counts M double until two successive
@@ -859,22 +861,18 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
     next to a node stays in every later grid and its row, still finite,
     fails at the cap.
     """
-    alpha = np.atleast_2d(alpha)
-    rows = alpha.shape[0]
-    n = degree
-    b, shift = _circle_fourier_coeffs(alpha, n, r)
-    corr = _log_normalization(n, r) + shift * math.log(2.0)
-    m0 = max(128, _next_pow2(8 * (n + 1)))
+    rows, n1 = b.shape
+    m0 = max(128, _next_pow2(8 * n1))
     low = np.empty((rows, 3), dtype=np.intp)
 
-    def _accumulate(sel_b: np.ndarray, sel_corr: np.ndarray, m: int, half: bool):
-        """Sums of (log + corr) and |log + corr| over M angles, half a step on
-        if ``half``; the whole grid's pass also fills ``low``."""
+    def _accumulate(sel_b: np.ndarray, sel_scale: np.ndarray, m: int, half: bool):
+        """Sums of log|psi| and |log|psi|| over M angles, half a step on if
+        ``half``; the whole grid's pass also fills ``low``."""
         cnt = len(sel_b)
         s1 = np.empty(cnt)
         s2 = np.empty(cnt) if absolute else None
         if half:
-            sel_b = sel_b * np.exp(1j * np.pi * np.arange(n + 1) / m)
+            sel_b = sel_b * np.exp(1j * np.pi * np.arange(n1) / m)
         row_step = max(1, _GRID_CHUNK // m)
         for s in range(0, cnt, row_step):
             # M is a power of two, so the unscaled inverse FFT equals ifft * M
@@ -883,14 +881,14 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
             if not half:
                 at, value = _three_peaks(-logs)
                 low[s : s + row_step] = np.where(value > -np.inf, at, -1)
-            logs += sel_corr[s : s + row_step, None]
+            logs += sel_scale[s : s + row_step, None]
             s1[s : s + row_step] = logs.sum(axis=1)
             if absolute:
                 s2[s : s + row_step] = np.abs(logs, out=logs).sum(axis=1)
         return s1, s2
 
     active = np.arange(rows)
-    sum1, sum2 = _accumulate(b, corr, m0, half=False)
+    sum1, sum2 = _accumulate(b, log_scale, m0, half=False)
     m = m0
     q = _near_circle_zeros(b, low, m0)
     with np.errstate(under="ignore"):
@@ -900,7 +898,7 @@ def _batch_circle_log_means(alpha: np.ndarray, degree: int, r: float,
         mean_abs = sum2 / m if absolute else None
         gap = np.full(rows, np.nan)
         while len(active) and 2 * m <= NODE_CAP:
-            a1, a2 = _accumulate(b[active], corr[active], m, half=True)
+            a1, a2 = _accumulate(b[active], log_scale[active], m, half=True)
             sum1[active] += a1
             m *= 2
             qa = q[active]
@@ -925,9 +923,8 @@ def _circle_mean(poly: SU2Polynomial, r: float, target: float, absolute: bool) -
     """One-row circle mean of log|psi|, or of |log|psi|| when ``absolute``."""
     _check_radius(r)
     _refuse_zero(poly)
-    mean_log, mean_abs, ok, gap = _batch_circle_log_means(
-        poly.coefficients[None], poly.degree, r, target, absolute
-    )
+    b, log_scale = _circle_fourier_coeffs(poly.coefficients[None], poly.degree, r)
+    mean_log, mean_abs, ok, gap = _batch_circle_log_means(b, log_scale, target, absolute)
     value = float((mean_abs if absolute else mean_log)[0])
     if not ok[0]:
         raise QuadratureError("circle average did not converge at the node cap",
@@ -977,8 +974,9 @@ def jensen_residual(poly: SU2Polynomial, r: float) -> float:
 # boundary maximum
 
 
-def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
-    """log of max_{|z|=r} psi_hat plus the maximizing angles, batched.
+def _batch_boundary_log_max(b: np.ndarray, log_scale: np.ndarray):
+    """log max_{|z|=r} |psi| plus the maximizing angles, per row of the
+    Fourier rows ``(b, log_scale)`` of ``_circle_fourier_coeffs``.
 
     Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles in row chunks;
     ``_three_peaks`` takes each row's best three grid peaks, the first
@@ -988,14 +986,13 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     list of live brackets: the sign of g shrinks the bracket, the midpoint
     replaces a Newton point that leaves it or has g' >= 0, and a point
     freezes at its last angle once its next step is below ``_NEWTON_TOL``
-    (or after ``_NEWTON_ROUNDS``), so no row depends on the others.  The best refined value replaces the scan's
-    when at least as large, an exact tie going to the higher scan peak.
+    (or after ``_NEWTON_ROUNDS``), so no row depends on the others.  The
+    best refined value replaces the scan's when at least as large, an
+    exact tie going to the higher scan peak; ``log_scale`` is added once,
+    at the end.
     """
-    alpha = np.atleast_2d(alpha)
-    rows = alpha.shape[0]
-    n = degree
-    b, shift = _circle_fourier_coeffs(alpha, n, r)
-    m = _SCAN_PER_DEGREE * (n + 1)
+    rows, n1 = b.shape
+    m = _SCAN_PER_DEGREE * n1
     h = 2.0 * np.pi / m
     top = np.empty((rows, 3), dtype=np.intp)
     peak = np.empty((rows, 3))
@@ -1030,7 +1027,7 @@ def _batch_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     refined = found[np.arange(rows), pick]
     out_theta = np.where(refined >= peak[:, 0], angle[np.arange(rows), pick],
                          2.0 * np.pi * top[:, 0] / m)
-    return np.maximum(refined, peak[:, 0]) + shift * math.log(2.0), out_theta
+    return np.maximum(refined, peak[:, 0]) + log_scale, out_theta
 
 
 def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
@@ -1041,9 +1038,9 @@ def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:
     """
     _check_radius(r)
     _refuse_zero(poly)
-    n = poly.degree
-    log_hat, theta = _batch_boundary_log_max(poly.coefficients[None], n, r)
-    log_value = float(log_hat[0]) + _log_normalization(n, r)
+    log_max, theta = _batch_boundary_log_max(
+        *_circle_fourier_coeffs(poly.coefficients[None], poly.degree, r))
+    log_value = float(log_max[0])
     try:
         value = math.exp(log_value)
     except OverflowError:
@@ -1116,13 +1113,12 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
         raise ValueError("zeta must lie strictly inside the circle")
     _refuse_zero(poly)
     n = poly.degree
-    b, shift = _circle_fourier_coeffs(poly.coefficients, n, r)
-    corr = _log_normalization(n, r) + shift * math.log(2.0)
+    b, log_scale = _circle_fourier_coeffs(poly.coefficients, n, r)
     m = max(128, _next_pow2(8 * (n + 1)))
     prev = None
     while m <= NODE_CAP:
         theta = 2.0 * np.pi * np.arange(m) / m
-        logs = _log_abs(np.fft.ifft(b, n=m, norm="forward")) + corr  # ifft * M: M is 2^k
+        logs = _log_abs(np.fft.ifft(b, n=m, norm="forward")) + log_scale  # ifft * M: M is 2^k
         kern = _poisson(zeta, r * np.exp(1j * theta), r)
         cur = float(np.mean(kern * logs))
         if prev is not None and abs(cur - prev) < DEFAULT_QUADRATURE_TARGET:

@@ -184,7 +184,8 @@ def test_criterion_7_cross_oracle_counts():
         except zeros.ContourError:
             continue
         # third oracle where it certifies (N <= SCHUR_COHN_MAX_DEGREE)
-        by_schur, certified = zeros._batch_schur_cohn(p.coefficients[None], n, r)
+        b, _ = zeros._circle_fourier_coeffs(p.coefficients[None], n, r)
+        by_schur, certified = zeros._batch_schur_cohn(b, r)
         if by_phase.count != by_roots.count or (
                 certified[0] and by_schur[0] != by_roots.count):
             mismatches += 1

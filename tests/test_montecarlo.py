@@ -154,19 +154,41 @@ class TestHole:
         # indicators
         plan = mc.TrialPlan(degree, r, 4096, 11)
         fast = mc._block_counts(plan, 0, 4096)
-        monkeypatch.setattr(mc, "_batch_schur_cohn", lambda a, n, radius, margin: (
-            np.zeros(len(a), dtype=np.int64), np.zeros(len(a), dtype=bool)))
+        monkeypatch.setattr(mc, "_batch_schur_cohn", lambda b, radius, margin: (
+            np.zeros(len(b), dtype=np.int64), np.zeros(len(b), dtype=bool)))
         slow = mc._block_counts(plan, 0, 4096)
         for got, want in zip(fast, slow):
             assert np.array_equal(got, want)
         assert not fast[2].any()
 
+    def test_each_block_builds_its_rows_once(self, monkeypatch):
+        # the count block hands its Fourier rows to Schur-Cohn and the
+        # redone ones to winding; the circle-mean block reads its means and
+        # its bound from one build.  Both bindings are watched, so a kernel
+        # that built rows again would show
+        calls, build = [], zeros._circle_fourier_coeffs
+
+        def spy(alpha, *args):
+            calls.append(len(alpha))
+            return build(alpha, *args)
+
+        for module in (zeros, mc):
+            monkeypatch.setattr(module, "_circle_fourier_coeffs", spy)
+        winding = _spy(monkeypatch, "_batch_winding")
+        plan = mc.TrialPlan(8, 1.0, 1000, 12)
+        mc._block_counts(plan, 0, 1000)
+        assert calls == [1000]
+        assert len(winding) == 1 and winding[0] >= 1000 // mc.CROSS_CHECK_EVERY
+        calls.clear()
+        mc._block_circle_means(plan, 0, 1000)
+        assert calls == [1000]
+
     @staticmethod
     def _off_by_one_schur_cohn(monkeypatch):
         real = mc._batch_schur_cohn
 
-        def off_by_one(alpha, n, r, margin):
-            counts, certified = real(alpha, n, r, margin)
+        def off_by_one(b, r, margin):
+            counts, certified = real(b, r, margin)
             return counts + 1, certified
 
         monkeypatch.setattr(mc, "_batch_schur_cohn", off_by_one)
@@ -357,7 +379,7 @@ class TestConcentrationEstimators:
         plan = mc.TrialPlan(6, 1.0, 600, 19)
         alpha = mc._sample_block(plan, 0, plan.trials)
         _, mean_abs, ok, _ = zeros._batch_circle_log_means(
-            alpha, 6, 1.0, mc.TOLERANCES.quadrature_target)
+            *zeros._circle_fourier_coeffs(alpha, 6, 1.0), mc.TOLERANCES.quadrature_target)
         threshold = float(np.median(mean_abs))
         means = _spy(monkeypatch, "_batch_circle_log_means")
         monkeypatch.setattr(mc, "_log_l1_threshold", lambda plan: threshold)
@@ -537,9 +559,9 @@ def _spy(monkeypatch, name):
     the rows of each call."""
     calls, kernel = [], getattr(mc, name)
 
-    def spy(alpha, *args, **kwargs):
-        calls.append(len(alpha))
-        return kernel(alpha, *args, **kwargs)
+    def spy(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return kernel(rows, *args, **kwargs)
 
     monkeypatch.setattr(mc, name, spy)
     return calls

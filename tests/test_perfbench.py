@@ -37,5 +37,5 @@ def test_layer_table_runs(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("Per 32-row block")
     rows = [line for line in lines if line.startswith("| ") and "Layer" not in line]
-    assert len(rows) == 8
+    assert len(rows) == 9
     assert all(cell.strip() for row in rows for cell in row.split("|")[1:-1])

@@ -24,6 +24,12 @@ def _circle_grid(b: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
+def _rows(alpha, degree: int, r: float):
+    """The Fourier rows ``(b, log_scale)`` that the circle kernels read, of
+    a block of coefficient rows."""
+    return zeros._circle_fourier_coeffs(np.atleast_2d(alpha), degree, r)
+
+
 ONE_ROW_CALLS = {
     "max_modulus_boundary": lambda p: zeros.max_modulus_boundary(p, 1.0),
     "poisson_log_average": lambda p: zeros.poisson_log_average(p, 0.2, 1.0),
@@ -245,11 +251,12 @@ class TestAberthBatch:
         # 2048 rows make arrays large enough for numpy to reuse temporaries
         alpha = gaussian_matrix(31, np.arange(rows, dtype=np.uint64), degree + 1)
         roots = _assert_matches_loop(alpha * np.exp(model._log_weights(degree)))
-        assert np.array_equal(zeros._normalized_residuals(alpha, degree, roots),
+        w = alpha * model._weights(degree)
+        assert np.array_equal(zeros._normalized_residuals(w, roots),
                               _loop_residuals(alpha, degree, roots))
         for k in range(min(degree, 4)):  # one root alone: the smallest layout
             one = roots[:1, k : k + 1]
-            assert np.array_equal(zeros._normalized_residuals(alpha[:1], degree, one),
+            assert np.array_equal(zeros._normalized_residuals(w[:1], one),
                                   _loop_residuals(alpha[:1], degree, one))
 
     def test_start_points_match_loop_hull(self):
@@ -308,13 +315,15 @@ class TestAberthBatch:
         for degree, rows in [(12, 5), (50, 2)]:
             alpha = gaussian_matrix(37, np.arange(rows, dtype=np.uint64), degree + 1)
             roots = _assert_matches_loop(alpha * np.exp(model._log_weights(degree)))
-            assert np.array_equal(zeros._normalized_residuals(alpha, degree, roots),
+            w = alpha * model._weights(degree)
+            assert np.array_equal(zeros._normalized_residuals(w, roots),
                                   _loop_residuals(alpha, degree, roots))
 
     def test_empty_batches(self):
         roots, conv = zeros._aberth_batch(np.zeros((0, 5), dtype=complex))
         assert roots.shape == (0, 4) and conv.shape == (0,)
-        res = zeros._normalized_residuals(np.ones((1, 5)), 4, np.zeros((1, 0), dtype=complex))
+        res = zeros._normalized_residuals(np.ones((1, 5)) * model._weights(4),
+                                         np.zeros((1, 0), dtype=complex))
         assert res.shape == (1, 0)
 
     def test_residuals_beyond_square_overflow(self):
@@ -322,7 +331,7 @@ class TestAberthBatch:
         # normalized value, about |alpha_N| = 4, not 0
         p = SU2Polynomial(3, [1, 2, 3, 4])
         pts = np.array([[2 + 1j, 1e149, 1e160, -1e200j, 1e300]])
-        res = zeros._normalized_residuals(p.coefficients[None], 3, pts)
+        res = zeros._normalized_residuals(p.weighted_coefficients()[None], pts)
         want = np.abs(model.evaluate_normalized(p, pts[0]))
         np.testing.assert_allclose(res[0], want, rtol=1e-12)
         np.testing.assert_allclose(res[0, 2:], 4.0, rtol=1e-12)
@@ -374,7 +383,7 @@ class TestAberthBatch:
         monkeypatch.setattr(zeros, "_bini_start_points", at_zero(bini))
         monkeypatch.setitem(globals(), "_loop_bini", at_zero(loop_bini))
         roots = _assert_matches_loop(w)
-        residuals = zeros._normalized_residuals(w * np.exp(-model._log_weights(n)), n, roots)
+        residuals = zeros._normalized_residuals(w, roots)
         assert residuals.max() <= 1e-8
 
     @pytest.mark.parametrize("degree,rows", [(10, 48), (50, 12)])
@@ -385,7 +394,7 @@ class TestAberthBatch:
         w = alpha * np.exp(model._log_weights(degree))
         roots, conv = zeros._aberth_batch(w)
         assert conv.all()
-        assert zeros._normalized_residuals(alpha, degree, roots).max() <= 1e-8
+        assert zeros._normalized_residuals(alpha * model._weights(degree), roots).max() <= 1e-8
         for i in range(rows):
             one_roots, one_conv = zeros._aberth_batch(w[i : i + 1])
             assert np.array_equal(one_roots[0], roots[i])
@@ -472,7 +481,7 @@ class TestArgumentPrinciple:
             n = int(rng.integers(1, 51))
             p = random_poly(rng, n)
             r = (0.5, 1.0, 2.0)[i % 3]
-            counts, ok = zeros._batch_winding(p.coefficients[None], n, r)
+            counts, ok = zeros._batch_winding(_rows(p.coefficients, n, r)[0], r)
             if ok[0]:
                 got = zeros.count_zeros_argument_principle(p, zeros.Disk(0, r))
                 assert got.count == counts[0]
@@ -575,13 +584,13 @@ class TestArgumentPrinciple:
 
     def test_off_center_count_is_one_winding_call(self, monkeypatch):
         calls = []
-        rows = zeros._winding_rows
+        winding = zeros._batch_winding
 
         def spy(*args):
             calls.append(args[0].shape)
-            return rows(*args)
+            return winding(*args)
 
-        monkeypatch.setattr(zeros, "_winding_rows", spy)
+        monkeypatch.setattr(zeros, "_batch_winding", spy)
         p = model.sample_polynomial(200, RngSeed(3, 0))
         for disk in (zeros.Disk(0.3 + 0.2j, 0.7), zeros.Disk(0, 0.7)):
             calls.clear()
@@ -589,8 +598,8 @@ class TestArgumentPrinciple:
             assert calls == [(1, 201)]
 
     # the row of (z - 1.0001 e^{0.06 i pi})(z + 0.5) on the unit circle: its
-    # zero 1e-4 outside, between two of 8 start angles, forces a dozen
-    # bisection rounds
+    # zero 1e-4 outside, between two of 8 start angles (2 samples per
+    # coefficient, in the tests that use it), forces a dozen bisection rounds
     Z0 = 1.0001 * np.exp(0.06j * np.pi)
     NEAR_ROW = np.array([[-0.5 * Z0, 0.5 - Z0, 1.0]])
 
@@ -609,8 +618,9 @@ class TestArgumentPrinciple:
 
     def test_bisection_evaluates_each_point_once(self, monkeypatch):
         # each round evaluates only its new midpoints, never a start angle
+        monkeypatch.setattr(zeros, "_WINDING_SAMPLES", 2)
         seen = self._spy_bisection(monkeypatch)
-        counts, ok = zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
+        counts, ok = zeros._batch_winding(self.NEAR_ROW, 1.0, 1e-9)
         assert ok[0] and counts[0] == 1
         assert len(seen) > 10
         turns = np.concatenate(seen)
@@ -620,15 +630,16 @@ class TestArgumentPrinciple:
     def test_bisection_stops_at_node_cap(self, monkeypatch):
         # the row needs 8 start points plus its midpoints; one point fewer
         # fails it, and a null row fails at any cap
+        monkeypatch.setattr(zeros, "_WINDING_SAMPLES", 2)
         seen = self._spy_bisection(monkeypatch)
-        zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
+        zeros._batch_winding(self.NEAR_ROW, 1.0, 1e-9)
         needed = 8 + sum(len(t) for t in seen)
         for cap, certified in ((needed, True), (needed - 1, False)):
             monkeypatch.setattr(zeros, "NODE_CAP", cap)
-            counts, ok = zeros._winding_rows(self.NEAR_ROW, 1.0, 1e-9, 8)
+            counts, ok = zeros._batch_winding(self.NEAR_ROW, 1.0, 1e-9)
             assert ok[0] == certified
             assert counts[0] == (1 if certified else 0)
-        _, ok = zeros._winding_rows(np.zeros((1, 5), dtype=complex), 1.0, 1e-9, 64)
+        _, ok = zeros._batch_winding(np.zeros((1, 5), dtype=complex), 1.0, 1e-9)
         assert not ok[0]
 
     def test_bisection_fails_a_row_left_rough(self, monkeypatch):
@@ -637,12 +648,13 @@ class TestArgumentPrinciple:
         # total without them would certify a wrong count
         z1, z2 = 0.9999 * np.exp(0.06j * np.pi), 0.9999 * np.exp(1.1j * np.pi)
         row = np.array([[z1 * z2, -(z1 + z2), 1.0]])
+        monkeypatch.setattr(zeros, "_WINDING_SAMPLES", 2)
         seen = self._spy_bisection(monkeypatch)
-        counts, ok = zeros._winding_rows(row, 1.0, 1e-9, 8)
+        counts, ok = zeros._batch_winding(row, 1.0, 1e-9)
         assert ok[0] and counts[0] == 2
         for rounds in range(1, len(seen)):
             monkeypatch.setattr(zeros, "_MAX_REFINEMENTS", rounds)
-            counts, ok = zeros._winding_rows(row, 1.0, 1e-9, 8)
+            counts, ok = zeros._batch_winding(row, 1.0, 1e-9)
             assert not ok[0] and counts[0] == 0
 
     def test_mixed_batch_bisects_each_row_as_alone(self, monkeypatch):
@@ -661,16 +673,17 @@ class TestArgumentPrinciple:
                 rows.append(_alpha_with_zero_at(rng, n, (1.0 + eps) * np.exp(1j * angle)))
                 rows.extend(random_poly(rng, n).coefficients for _ in range(3))
             alpha = np.array(rows)
-            whole = zeros._batch_winding(alpha, n, 1.0)
+            b = _rows(alpha, n, 1.0)[0]
+            whole = zeros._batch_winding(b, 1.0)
             with monkeypatch.context() as patch:
                 seen = self._spy_bisection(patch)
                 patch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
-                counts, ok = zeros._batch_winding(alpha, n, 1.0)
+                counts, ok = zeros._batch_winding(b, 1.0)
                 assert 10 < len(seen) <= zeros._MAX_REFINEMENTS
                 assert np.array_equal(counts, whole[0]) and np.array_equal(ok, whole[1])
                 assert ok.tolist() == [i != 16 for i in range(len(alpha))]
                 for i, a in enumerate(alpha):
-                    one, one_ok = zeros._batch_winding(a[None], n, 1.0)
+                    one, one_ok = zeros._batch_winding(_rows(a, n, 1.0)[0], 1.0)
                     assert one_ok[0] == ok[i] and one[0] == counts[i]
             for a, count in zip(alpha[ok], counts[ok]):
                 roots = zeros.find_all_roots(SU2Polynomial(n, a))
@@ -697,7 +710,7 @@ class TestArgumentPrinciple:
                 dmag = np.abs(_circle_grid(b * (1j * np.arange(n + 1)), m0))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     newton = (r * mag / dmag < margin).any(axis=1)
-                _, ok = zeros._batch_winding(alpha, n, r)
+                _, ok = zeros._batch_winding(b, r)
                 assert not (ok & newton).any(), (n, r)
                 within += newton.sum()
         assert within >= 50
@@ -725,22 +738,25 @@ class TestArgumentPrinciple:
         assert (low < zeros.TINY_SAMPLE).tolist() == [i == 1 for i in range(8)]
         assert (low < gate).tolist() == [i == 6 for i in range(8)]
         monkeypatch.setattr(zeros, "_GRID_CHUNK", 4 * m0)
-        counts, ok = zeros._winding_rows(b, r, margin, m0)
+        counts, ok = zeros._batch_winding(b, r, margin)
         # the tiny row's intervals stay rough, and the Newton step refuses
         # row 6; z itself counts 1
         assert ok.tolist() == [i not in (1, 6) for i in range(8)]
-        one, one_ok = zeros._winding_rows(b[1:2] * 2.0**980, r, margin, m0)
+        one, one_ok = zeros._batch_winding(b[1:2] * 2.0**980, r, margin)
         assert one_ok[0] and one[0] == 1
         for i in (1, 6):
-            one = zeros._winding_rows(b[i : i + 1], r, margin, m0)
+            one = zeros._batch_winding(b[i : i + 1], r, margin)
             assert (counts[i], ok[i]) == (one[0][0], one[1][0])
         rest = [0, 2, 3, 4, 5, 7]
-        want = zeros._winding_rows(b[rest], r, margin, m0)
+        want = zeros._batch_winding(b[rest], r, margin)
         assert np.array_equal(counts[rest], want[0]) and np.array_equal(ok[rest], want[1])
 
     @pytest.mark.parametrize("kernel", [getattr(zeros, name) for name in EMPTY_BATCH_DTYPES])
     def test_empty_batch(self, kernel):
-        out = kernel(np.zeros((0, 13), dtype=complex), 12, 1.0)
+        b, log_scale = _rows(np.zeros((0, 13), dtype=complex), 12, 1.0)
+        # the counts read the radius, the log kernels the log scale
+        counting = kernel in (zeros._batch_winding, zeros._batch_schur_cohn)
+        out = kernel(b, 1.0 if counting else log_scale)
         assert [(a.shape, a.dtype) for a in out] == [
             ((0,), np.dtype(t)) for t in EMPTY_BATCH_DTYPES[kernel.__name__]]
 
@@ -784,36 +800,37 @@ class TestSchurCohn:
         # counts do not depend on the margin; the gap rule alone
         # (boundary_margin = 0) certifies them on the whole grid
         alpha = _sample(300 + degree, 16384, degree)
-        counts, certified = zeros._batch_schur_cohn(alpha, degree, r)
-        _, gap_ok = zeros._batch_schur_cohn(alpha, degree, r, boundary_margin=0.0)
+        b = _rows(alpha, degree, r)[0]
+        counts, certified = zeros._batch_schur_cohn(b, r)
+        _, gap_ok = zeros._batch_schur_cohn(b, r, boundary_margin=0.0)
         assert not (certified & ~gap_ok).any()
         assert gap_ok.mean() > 0.99
         if (degree, r) in FLOOR_CLEARS:
             assert certified.mean() > 0.99
-        wcounts, wok = zeros._batch_winding(alpha, degree, r)
+        wcounts, wok = zeros._batch_winding(b, r)
         both = gap_ok & wok
         assert wok.all()
         assert np.array_equal(counts[both], wcounts[both])
         sub = alpha[:1024]
         roots, conv = zeros._aberth_batch(sub * np.exp(model._log_weights(degree)))
-        res = zeros._normalized_residuals(sub, degree, roots).max(axis=1)
+        res = zeros._normalized_residuals(sub * model._weights(degree), roots).max(axis=1)
         trusted = conv & (res <= 1e-8) & gap_ok[:1024]
         assert trusted.mean() > 0.95
         rcounts = (np.abs(roots) < r).sum(axis=1)
         assert np.array_equal(counts[:1024][trusted], rcounts[trusted])
 
     def test_degree_zero(self):
-        counts, certified = zeros._batch_schur_cohn(np.array([[2.0 + 1j], [0.0]]), 0, 0.7)
+        counts, certified = zeros._batch_schur_cohn(_rows([[2.0 + 1j], [0.0]], 0, 0.7)[0], 0.7)
         assert counts.tolist() == [0, 0]
         assert certified.tolist() == [True, False]
 
     def test_degree_one(self):
         # psi = a0 + a1 z has its zero at -a0/a1
         alpha = np.array([[1.0, 4.0], [1.0, 1.0], [3.0, -1j], [1.0, 3.0]])
-        counts, certified = zeros._batch_schur_cohn(alpha, 1, 0.5)
+        counts, certified = zeros._batch_schur_cohn(_rows(alpha, 1, 0.5)[0], 0.5)
         assert certified.all()
         assert counts.tolist() == [1, 0, 0, 1]
-        counts, certified = zeros._batch_schur_cohn(alpha, 1, 4.0)
+        counts, certified = zeros._batch_schur_cohn(_rows(alpha, 1, 4.0)[0], 4.0)
         assert certified.all()
         assert counts.tolist() == [1, 1, 1, 1]
 
@@ -825,22 +842,23 @@ class TestSchurCohn:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for margin in (zeros.DEFAULT_BOUNDARY_MARGIN, 0.0):
-                _, certified = zeros._batch_schur_cohn(np.array(rows), degree, r, margin)
+                _, certified = zeros._batch_schur_cohn(_rows(rows, degree, r)[0], r, margin)
                 assert not certified.any()
 
     def test_gap_rule(self):
         # at N = 32, r = 1 about 1 % of rows have a step gap below the
         # threshold; exactly those are refused
         alpha = _sample(77, 4096, 32)
-        _, certified = zeros._batch_schur_cohn(alpha, 32, 1.0, boundary_margin=0.0)
-        trail, lead, _ = zeros._schur_cohn_steps(zeros._circle_fourier_coeffs(alpha, 32, 1.0)[0])
+        b = _rows(alpha, 32, 1.0)[0]
+        _, certified = zeros._batch_schur_cohn(b, 1.0, boundary_margin=0.0)
+        trail, lead, _ = zeros._schur_cohn_steps(b)
         small = (np.abs(trail - lead) < zeros.SCHUR_COHN_MIN_GAP).any(axis=1)
         assert small.sum() >= 10
         assert np.array_equal(certified, ~small)
 
     def test_degree_above_cap_is_uncertified(self):
         n = zeros.SCHUR_COHN_MAX_DEGREE + 1
-        counts, certified = zeros._batch_schur_cohn(_sample(5, 64, n), n, 0.5)
+        counts, certified = zeros._batch_schur_cohn(_rows(_sample(5, 64, n), n, 0.5)[0], 0.5)
         assert not certified.any()
         assert counts.shape == (64,)
 
@@ -850,7 +868,7 @@ class TestSchurCohn:
         alpha = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.25]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts, certified = zeros._batch_schur_cohn(alpha, 2, 1.0)
+            counts, certified = zeros._batch_schur_cohn(_rows(alpha, 2, 1.0)[0], 1.0)
         assert certified.tolist() == [False, False, True]
         assert counts[2] == 0  # zeros of 1 + z^2/4 at +-2i
 
@@ -872,11 +890,12 @@ class TestSchurCohn:
         rng = np.random.default_rng(degree)
         rows = np.array([_alpha_with_zero_at(rng, degree, r * (1 + 1e-4) * np.exp(1j * t))
                          for t in rng.uniform(0, 2 * np.pi, 32)])
-        counts, certified = zeros._batch_schur_cohn(rows, degree, r)
-        wcounts, wok = zeros._batch_winding(rows, degree, r)
+        b = _rows(rows, degree, r)[0]
+        counts, certified = zeros._batch_schur_cohn(b, r)
+        wcounts, wok = zeros._batch_winding(b, r)
         assert certified.mean() > 0.9
         assert np.array_equal(counts[certified & wok], wcounts[certified & wok])
-        _, certified = zeros._batch_schur_cohn(rows, degree, r, boundary_margin=1e-3 * r)
+        _, certified = zeros._batch_schur_cohn(b, r, boundary_margin=1e-3 * r)
         assert not certified.any()
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
@@ -930,9 +949,7 @@ class TestCircleLogIntegral:
             zeros.circle_log_integral(p, 1.0)
         assert math.isfinite(err.value.gap)
         assert err.value.gap >= zeros.DEFAULT_QUADRATURE_TARGET
-        _, _, ok, gap = zeros._batch_circle_log_means(
-            np.array([[1 + 1e-12, 1], [1.0, 0.0]]), 1, 1.0
-        )
+        _, _, ok, gap = zeros._batch_circle_log_means(*_rows([[1 + 1e-12, 1], [1.0, 0.0]], 1, 1.0))
         assert ok.tolist() == [False, True]
         assert np.isfinite(gap).all()
 
@@ -948,10 +965,10 @@ class TestCircleLogIntegral:
         rng = np.random.default_rng(12)
         rows = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / math.sqrt(2)
         rows = np.insert(rows, 2, on_node.coefficients, axis=0)
-        batch = zeros._batch_circle_log_means(rows, 1, 1.0)
+        batch = zeros._batch_circle_log_means(*_rows(rows, 1, 1.0))
         assert batch[2].tolist() == [True, True, False, True, True]
         for i in (0, 1, 3, 4):
-            alone = zeros._batch_circle_log_means(rows[i : i + 1], 1, 1.0)
+            alone = zeros._batch_circle_log_means(*_rows(rows[i : i + 1], 1, 1.0))
             for got, want in zip(batch, alone):
                 assert got[i : i + 1].tobytes() == want.tobytes()
 
@@ -968,14 +985,14 @@ class TestCircleLogIntegral:
             # the node theta = pi of every grid
             w = np.convolve(rows[i, :n], [-root, 1.0])
             rows[i] = w / np.sqrt(binom)
-        whole = zeros._batch_circle_log_means(rows, n, 1.0)
+        whole = zeros._batch_circle_log_means(*_rows(rows, n, 1.0))
         monkeypatch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
-        chunked = zeros._batch_circle_log_means(rows, n, 1.0)
+        chunked = zeros._batch_circle_log_means(*_rows(rows, n, 1.0))
         assert not chunked[2][[5, 17]].any()
         for got, want in zip(chunked, whole):
             assert got.tobytes() == want.tobytes()
         for i in range(len(rows)):
-            alone = zeros._batch_circle_log_means(rows[i : i + 1], n, 1.0)
+            alone = zeros._batch_circle_log_means(*_rows(rows[i : i + 1], n, 1.0))
             for got, want in zip(chunked, alone):
                 assert got[i : i + 1].tobytes() == want.tobytes()
 
@@ -994,15 +1011,16 @@ class TestCircleLogIntegral:
                 [-(1 + 1e-5) * np.exp(1j * (angle + 1e-3)), 1.0]
             rows[i] = np.convolve(np.convolve(rows[i, : n - 1], pair[0]), pair[1]) \
                 / np.sqrt(binom)
-        whole = zeros._batch_circle_log_means(rows, n, 1.0, absolute=absolute)
+        whole = zeros._batch_circle_log_means(*_rows(rows, n, 1.0), absolute=absolute)
         monkeypatch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
-        chunked = zeros._batch_circle_log_means(rows, n, 1.0, absolute=absolute)
+        chunked = zeros._batch_circle_log_means(*_rows(rows, n, 1.0), absolute=absolute)
         outputs = [k for k, out in enumerate(whole) if out is not None]
         assert len(outputs) == (4 if absolute else 3)
         for k in outputs:
             assert chunked[k].tobytes() == whole[k].tobytes()
         for i in range(len(rows)):
-            alone = zeros._batch_circle_log_means(rows[i : i + 1], n, 1.0, absolute=absolute)
+            alone = zeros._batch_circle_log_means(*_rows(rows[i : i + 1], n, 1.0),
+                                                  absolute=absolute)
             for k in outputs:
                 assert chunked[k][i : i + 1].tobytes() == alone[k].tobytes()
 
@@ -1193,6 +1211,13 @@ def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     return out_log, out_theta
 
 
+def _hat_log_max(alpha, degree: int, r: float):
+    """The boundary-maximum kernel at log scale 0: log max |psi_hat| and
+    the angles, which the grid and reference tests compare."""
+    b, _ = _rows(alpha, degree, r)
+    return zeros._batch_boundary_log_max(b, np.zeros(len(b)))
+
+
 def _assert_matches_loop_max(alpha, degree, r, single=True):
     """The kernel's log maximum is the reference's within 1e-13, and the
     reference's objective at the kernel's angle reaches it within 1e-13.
@@ -1200,7 +1225,7 @@ def _assert_matches_loop_max(alpha, degree, r, single=True):
     angles also name the same point within 1e-6, the resolution of
     golden-section search on a log value: its angles sit up to 2e-7 from
     the stationary point, where Newton's sit within 1e-10."""
-    got_log, got_theta = zeros._batch_boundary_log_max(alpha, degree, r)
+    got_log, got_theta = _hat_log_max(alpha, degree, r)
     want_log, want_theta = _loop_boundary_log_max(alpha, degree, r)
     assert np.abs(got_log - want_log).max(initial=0.0) <= 1e-13
     if len(got_log):
@@ -1323,7 +1348,7 @@ class TestMaxModulus:
         # Horner value of some rows rounds below the FFT scan's: those rows
         # keep the scan value, so the maximum is never below a scan sample
         alpha = np.abs(_sample(90, 500, 10)).astype(complex)
-        log_max, theta = zeros._batch_boundary_log_max(alpha, 10, 1.0)
+        log_max, theta = _hat_log_max(alpha, 10, 1.0)
         b = zeros._circle_fourier_coeffs(alpha, 10, 1.0)[0]
         scan = np.log(np.abs(_circle_grid(b, zeros._SCAN_PER_DEGREE * 11)))
         horner = _loop_log_abs(b, np.zeros((1, 500)))[0]
@@ -1340,7 +1365,7 @@ class TestMaxModulus:
     @pytest.mark.parametrize("n", sorted(LATER_PEAK_ROWS))
     def test_later_peak_wins(self, n):
         alpha = _sample(12, 4096, n)[self.LATER_PEAK_ROWS[n]]
-        log_max, theta = zeros._batch_boundary_log_max(alpha, n, 1.0)
+        log_max, theta = _hat_log_max(alpha, n, 1.0)
         b = zeros._circle_fourier_coeffs(alpha, n, 1.0)[0]
         m = zeros._SCAN_PER_DEGREE * (n + 1)
         first = 2.0 * np.pi * np.abs(_circle_grid(b, m)).argmax(axis=1) / m
@@ -1355,7 +1380,7 @@ class TestMaxModulus:
     def test_dense_envelope(self, n, r):
         # the maximum is at least every sample of a grid 16 times finer than the scan
         alpha = _sample(60 + n, 64, n)
-        log_max, _ = zeros._batch_boundary_log_max(alpha, n, r)
+        log_max, _ = _hat_log_max(alpha, n, r)
         b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
         dense = np.log(np.abs(_circle_grid(b, 16 * zeros._SCAN_PER_DEGREE * (n + 1))))
         assert (log_max >= dense.max(axis=1) - 1e-13).all()
@@ -1365,7 +1390,7 @@ class TestMaxModulus:
         # |psi_hat|^2 has zero second derivative, where Newton converges only
         # linearly (five fixed rounds miss by 8.5e-14)
         alpha = np.array([2.0, 4.0 * math.sqrt(2.0), -1.0]) * np.exp(0.0123j * np.arange(3))
-        log_max, theta = zeros._batch_boundary_log_max(alpha[None], 2, 1.0)
+        log_max, theta = _hat_log_max(alpha, 2, 1.0)
         assert abs(log_max[0] - math.log(4.5)) <= 1e-13
         assert abs(np.angle(np.exp(1j * (theta[0] + 0.0123)))) <= 1e-3
 
@@ -1374,7 +1399,7 @@ class TestMaxModulus:
         # long double moves it by less than 1e-9
         for n, r in ((3, 0.5), (10, 1.0), (40, 2.0), (200, 1.0)):
             alpha = _sample(70 + n, 32, n)
-            _, theta = zeros._batch_boundary_log_max(alpha, n, r)
+            _, theta = zeros._batch_boundary_log_max(*_rows(alpha, n, r))
             b = zeros._circle_fourier_coeffs(alpha, n, r)[0].astype(np.clongdouble)
             k = np.arange(n + 1, dtype=np.longdouble)
             x = np.exp(1j * np.outer(theta.astype(np.longdouble), k))
@@ -1388,11 +1413,11 @@ class TestMaxModulus:
         # small _SWEEP_CHUNK each round's Horner pass into spans of a few steps
         for n in (0, 2, 10, 40):
             alpha = _sample(80 + n, 300, n)
-            want = zeros._batch_boundary_log_max(alpha, n, 1.0)
+            want = zeros._batch_boundary_log_max(*_rows(alpha, n, 1.0))
             with monkeypatch.context() as patch:
                 patch.setattr(zeros, "_GRID_CHUNK", 1 << 9)
                 patch.setattr(zeros, "_SWEEP_CHUNK", 1 << 9)
-                got = zeros._batch_boundary_log_max(alpha, n, 1.0)
+                got = zeros._batch_boundary_log_max(*_rows(alpha, n, 1.0))
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
 
@@ -1403,9 +1428,9 @@ class TestMaxModulus:
         rng = np.random.default_rng(30 + n)
         rows = (rng.standard_normal((9, n + 1))
                 + 1j * rng.standard_normal((9, n + 1))) / math.sqrt(2)
-        log_max, theta = zeros._batch_boundary_log_max(rows, n, 1.0)
+        log_max, theta = zeros._batch_boundary_log_max(*_rows(rows, n, 1.0))
         for i in range(len(rows)):
-            one_log, one_theta = zeros._batch_boundary_log_max(rows[i : i + 1], n, 1.0)
+            one_log, one_theta = zeros._batch_boundary_log_max(*_rows(rows[i : i + 1], n, 1.0))
             assert log_max[i : i + 1].tobytes() == one_log.tobytes()
             assert theta[i : i + 1].tobytes() == one_theta.tobytes()
 
@@ -1447,7 +1472,7 @@ class TestMaxModulus:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            zeros._batch_boundary_log_max(alpha, 200, 1.0)
+            zeros._batch_boundary_log_max(*_rows(alpha, 200, 1.0))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1598,6 +1623,12 @@ def _scaled_rows(alpha, c):
     return alpha / top * 1.7e308, math.log(1.7e308) - np.log(top[..., 0])
 
 
+def _unshifted(alpha, n, r):
+    """Whether the range rule leaves every Fourier row as it is: a log
+    scale of (N/2) log(1+r^2) alone, with no shift log 2 added."""
+    return (_rows(alpha, n, r)[1] == model._log_normalization(n, r)).all()
+
+
 @pytest.mark.filterwarnings("error")
 class TestRangeRule:
     """A finite row far outside double's comfortable range gives the
@@ -1619,8 +1650,8 @@ class TestRangeRule:
             kernels.append(zeros._batch_schur_cohn)
         for r in (0.5, 1.0, 2.0):
             for kernel in kernels:
-                counts, ok = kernel(alpha, n, r)
-                got, got_ok = kernel(big, n, r)
+                counts, ok = kernel(_rows(alpha, n, r)[0], r)
+                got, got_ok = kernel(_rows(big, n, r)[0], r)
                 assert ok.any() and np.array_equal(got_ok, ok), (kernel.__name__, r)
                 assert np.array_equal(got[ok], counts[ok]), (kernel.__name__, r)
 
@@ -1647,10 +1678,10 @@ class TestRangeRule:
         for n in (0, 1, 10, 200, 2000):
             alpha = _sample(9, 512, n)
             for r in (0.05, 0.5, 1.0, 2.0, 20.0):
-                assert not zeros._circle_fourier_coeffs(alpha, n, r)[1].any(), (n, r)
+                assert _unshifted(alpha, n, r), (n, r)
         for n in (2, 4, 10, 40, 100, 200):
             for r in (0.5, 1.0, 2.0):
-                assert not zeros._circle_fourier_coeffs(_tied_rows(n), n, r)[1].any()
+                assert _unshifted(_tied_rows(n), n, r)
         # the generator of the near-contour winding rows, as the identity
         # outputs write it; their largest parts go down to about 2^-48
         rng = np.random.default_rng(11)
@@ -1666,7 +1697,7 @@ class TestRangeRule:
                         w = np.convolve(w, [-(r + dist) * np.exp(1j * angle), 1.0])
                         angle += rng.choice((-1, 1)) * 10 ** rng.uniform(-4, -2)
                     rows.append(w * np.exp(-model._log_weights(n)))
-                assert not zeros._circle_fourier_coeffs(np.array(rows), n, r)[1].any()
+                assert _unshifted(np.array(rows), n, r)
 
     def test_rows_below_the_band_rebuild_from_logs(self):
         # the product alpha_j * scale_j of 1e-300 z^200 at r = 0.5 underflows
