@@ -18,9 +18,9 @@ a Markdown table:
   ``CROSS_CHECK_EVERY``-th row, the rows a count block recounts;
 - circle means: ``_batch_circle_log_means`` at target 1e-6 with the log
   sums only, the call ``_block_circle_means`` makes;
-- circle means with |log|: the same kernel with its |log| sums on, which
-  ``log_l1_outlier_frequency`` runs only on the trials its bounds leave
-  undecided;
+- circle means with |log|: the same kernel with its |log| sums on, the
+  rerun that ``_block_circle_means`` makes on the rows its log-L1 bounds
+  leave undecided (timed here on every row);
 - boundary max: ``_batch_boundary_log_max``.
 
 The package is imported from this checkout's ``src/``, with the BLAS and

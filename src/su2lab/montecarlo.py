@@ -37,11 +37,9 @@ The boundary-maximum and circle-mean blocks (``_block_log_max``,
 through ``_plan_samples``: an ``lru_cache`` of one entry in total, keyed
 by ``(plan, block function)``, whose arrays are read-only.  The whole plan
 is the key, ``workers`` included.  A hit runs no kernel, so, as with pool
-workers, a kernel or a ``TOLERANCES`` patched after the held run is not
-reached: a test that monkeypatches either must clear the cache with
-``_plan_samples.cache_clear()`` or use a fresh plan.  Outside the cache,
-``log_l1_outlier_frequency`` runs the circle-mean kernel again on the
-trials its bounds leave undecided, which are usually none.
+workers, a kernel, a ``TOLERANCES`` or a ``_log_l1_threshold`` patched
+after the held run is not reached: a test that monkeypatches one must
+clear the cache with ``_plan_samples.cache_clear()`` or use a fresh plan.
 """
 
 from __future__ import annotations
@@ -329,22 +327,38 @@ def _log_norm(alpha: np.ndarray) -> np.ndarray:
 
 
 def _block_log_max(plan: TrialPlan, start: int, stop: int):
+    """``(log max|psi|, log R)`` per trial; the boundary maximum fails none."""
     alpha = _sample_block(plan, start, stop)
     b, log_scale = _circle_fourier_coeffs(alpha, plan.degree, plan.radius)
     log_max, _ = _batch_boundary_log_max(b, log_scale)
-    return log_max, _log_norm(alpha), np.zeros(len(log_max), dtype=bool)
+    return log_max, _log_norm(alpha)
 
 
 def _block_circle_means(plan: TrialPlan, start: int, stop: int):
-    """``(mean log|psi|, log R, log_max_bound, failed)`` per trial, the mean
-    from the log sums alone; ``log_max_bound`` is log sum_k |b_k| plus the
-    row's log scale, which bounds log max |psi| over the circle."""
+    """``(mean log|psi|, log R, log-L1 hit, log-L1 failed, failed)`` per
+    trial: the mean from the log sums alone, failed at the node cap, and
+    the event of ``log_l1_outlier_frequency``, mean |log|psi|| above
+    ``_log_l1_threshold``.
+
+    With g = log|psi| on the circle and U = log sum_k |b_k| plus the row's
+    log scale, a bound on max g, |mean g| <= mean |g| <= 2 max(U, 0) - mean g,
+    since |g| = 2 max(g, 0) - g.  Most trials are decided by these bounds
+    from the log mean alone.  The rest rerun the kernel on their rows with
+    the |log| sums on, and fail the event if it does."""
     alpha = _sample_block(plan, start, stop)
     b, log_scale = _circle_fourier_coeffs(alpha, plan.degree, plan.radius)
-    mean_log, _, ok, _ = _batch_circle_log_means(b, log_scale, TOLERANCES.quadrature_target,
-                                                 absolute=False)
+    target = TOLERANCES.quadrature_target
+    mean_log, _, ok, _ = _batch_circle_log_means(b, log_scale, target, absolute=False)
+    threshold = _log_l1_threshold(plan)
+    hit = np.abs(mean_log) > threshold
     bound = np.log(np.abs(b).sum(axis=1)) + log_scale
-    return mean_log, _log_norm(alpha), bound, ~ok
+    l1_failed = ~ok
+    und = np.flatnonzero(ok & ~hit & (2.0 * np.maximum(bound, 0.0) - mean_log > threshold))
+    if len(und):
+        _, mean_abs, und_ok, _ = _batch_circle_log_means(b[und], log_scale[und], target)
+        hit[und] = mean_abs > threshold
+        l1_failed[und] = ~und_ok
+    return mean_log, _log_norm(alpha), hit, l1_failed, ~ok
 
 
 @functools.lru_cache(maxsize=1)
@@ -390,15 +404,13 @@ def _frequency_estimate(hits: int, n_failed: int, plan: TrialPlan) -> Estimate:
     return Estimate(*_wilson(hits, used), used, n_failed)
 
 
-def _probability_estimate(probs: np.ndarray, failed: np.ndarray,
-                          plan: TrialPlan) -> Estimate:
-    """Mean of per-trial conditional probabilities, normal interval in [0, 1].
+def _probability_estimate(kept: np.ndarray, n_failed: int, plan: TrialPlan) -> Estimate:
+    """Mean of the conditional probabilities ``kept`` of the trials that did
+    not fail, with a normal interval in [0, 1].
 
     The spread is taken relative to the largest value so that squares of
     probabilities far below 1e-154 do not underflow."""
-    n_failed = int(failed.sum())
     used = _usable(n_failed, plan)
-    kept = probs[~failed]
     point = float(kept.mean())
     scale = float(kept.max())
     if used > 1 and scale > 0.0:
@@ -539,9 +551,9 @@ def max_modulus_outlier_frequency(plan: TrialPlan, delta: float) -> Estimate:
 
     compared in log space (delta = 1 disables the lower side)."""
     lo, hi = _max_modulus_band(plan, delta)
-    log_max, _, failed = _plan_samples(plan, _block_log_max)
+    log_max, _ = _plan_samples(plan, _block_log_max)
     outlier = (log_max < lo) | (log_max > hi)
-    return _frequency_estimate(int(outlier[~failed].sum()), int(failed.sum()), plan)
+    return _frequency_estimate(int(outlier.sum()), 0, plan)
 
 
 def max_modulus_outlier_probability(plan: TrialPlan, delta: float) -> Estimate:
@@ -553,13 +565,13 @@ def max_modulus_outlier_probability(plan: TrialPlan, delta: float) -> Estimate:
     ``R^2 > exp(2(hi - m))``, so the trial contributes
     ``P_{N+1}(exp(2(lo - m))) + Q_{N+1}(exp(2(hi - m)))``."""
     lo, hi = _max_modulus_band(plan, delta)
-    log_max, log_r, failed = _plan_samples(plan, _block_log_max)
+    log_max, log_r = _plan_samples(plan, _block_log_max)
     m = log_max - log_r
     k = plan.degree + 1
     _, probs = _gamma_tails(k, 2.0 * (hi - m))
     if delta < 1:
         probs = probs + _gamma_tails(k, 2.0 * (lo - m))[0]
-    return _probability_estimate(probs, failed, plan)
+    return _probability_estimate(probs, 0, plan)
 
 
 def _log_l1_threshold(plan: TrialPlan) -> float:
@@ -568,34 +580,16 @@ def _log_l1_threshold(plan: TrialPlan) -> float:
 
 
 def log_l1_outlier_frequency(plan: TrialPlan) -> Estimate:
-    """Frequency of circle-mean |log|psi|| exceeding 5 N log(2(1+r^2)).
-
-    With g = log|psi| on the circle and U the trial's bound on max g (see
-    ``_block_circle_means``), |mean g| <= mean |g| <= 2 max(U, 0) - mean g,
-    since |g| = 2 max(g, 0) - g.  Most trials are decided by these bounds
-    from the log means alone; the rest get their |log| means from the
-    circle-mean kernel with its |log| sums on, and fail if it does."""
-    n, r = plan.degree, plan.radius
-    mean_log, _, bound, failed = _plan_samples(plan, _block_circle_means)
-    threshold = _log_l1_threshold(plan)
-    hit = np.abs(mean_log) > threshold
-    undecided = np.flatnonzero(~failed & ~hit
-                               & (2.0 * np.maximum(bound, 0.0) - mean_log > threshold))
-    failed = failed.copy()
-    for s in range(0, len(undecided), BLOCK_TRIALS):
-        trials = undecided[s : s + BLOCK_TRIALS]
-        alpha = gaussian_matrix(plan.master_seed, trials.astype(np.uint64), n + 1)
-        _, mean_abs, ok, _ = _batch_circle_log_means(*_circle_fourier_coeffs(alpha, n, r),
-                                                     TOLERANCES.quadrature_target)
-        hit[trials] = mean_abs > threshold
-        failed[trials] = ~ok
+    """Frequency of circle-mean |log|psi|| exceeding 5 N log(2(1+r^2)), as
+    ``_block_circle_means`` decides it per trial."""
+    _, _, hit, failed, _ = _plan_samples(plan, _block_circle_means)
     return _frequency_estimate(int(hit[~failed].sum()), int(failed.sum()), plan)
 
 
 def circle_average_lower_tail_frequency(plan: TrialPlan, delta: float) -> Estimate:
     """Frequency of circle-mean log|psi| below (N/2) log((1+r^2)(1-delta))."""
     threshold = _circle_tail_threshold(plan, delta)
-    mean_log, _, _, failed = _plan_samples(plan, _block_circle_means)
+    mean_log, *_, failed = _plan_samples(plan, _block_circle_means)
     hits = int((mean_log < threshold)[~failed].sum())
     return _frequency_estimate(hits, int(failed.sum()), plan)
 
@@ -608,9 +602,9 @@ def circle_average_lower_tail_probability(plan: TrialPlan, delta: float) -> Esti
     direction, so it falls below the threshold ``t`` exactly when
     ``R^2 < exp(2(t - m))``: the trial contributes ``P_{N+1}`` there."""
     threshold = _circle_tail_threshold(plan, delta)
-    mean_log, log_r, _, failed = _plan_samples(plan, _block_circle_means)
+    mean_log, log_r, *_, failed = _plan_samples(plan, _block_circle_means)
     probs, _ = _gamma_tails(plan.degree + 1, 2.0 * (threshold - (mean_log - log_r)))
-    return _probability_estimate(probs, failed, plan)
+    return _probability_estimate(probs[~failed], int(failed.sum()), plan)
 
 
 def _log1mexp(t: float) -> float:

@@ -70,6 +70,7 @@ from .model import (
     _log1p_square,
     _log_normalization,
     _log_weights,
+    _weights,
     evaluate_normalized,
 )
 
@@ -494,22 +495,23 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     are treated as zero; the lost roots are reported as ``degree_deficit``
     rather than as meaningless huge locations.  Exact zeros at the low end
     are split off as exact origin roots before iterating.  Roots do not
-    depend on scale: a row whose monomial coefficients overflow runs
-    divided by 2^e, every part below 1/2, and its residuals are scaled
-    back by 2^e; past N = 2053 the weights themselves refuse.
+    depend on scale: a row with a monomial coefficient whose modulus
+    overflows runs divided by 2^e, every part below 1/2, and its residuals
+    are scaled back by 2^e; past N = 2053 the weights themselves refuse.
     """
     _refuse_zero(poly)
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
     e = 0
-    try:
-        w = poly.weighted_coefficients()
-    except OverflowError:
+    with np.errstate(over="ignore"):
+        w = poly.coefficients * _weights(n)
+        overflows = not np.isfinite(np.abs(w)).all()
+    if overflows:
         parts = poly.coefficients.view(float)
         e = int(np.frexp(np.abs(parts).max())[1]) + 1
         poly = SU2Polynomial(n, np.ldexp(parts, -e).view(complex))
-        w = poly.weighted_coefficients()
+        w = poly.coefficients * _weights(n)
     amags = np.abs(poly.coefficients)
     top = amags.max()
     # effective degree from the orthonormal-basis coefficients: the weighted

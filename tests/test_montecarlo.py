@@ -163,9 +163,15 @@ class TestHole:
 
     def test_each_block_builds_its_rows_once(self, monkeypatch):
         # the count block hands its Fourier rows to Schur-Cohn and the
-        # redone ones to winding; the circle-mean block reads its means and
-        # its bound from one build.  Both bindings are watched, so a kernel
-        # that built rows again would show
+        # redone ones to winding; the circle-mean block reads its means, its
+        # bound and its undecided log-L1 rows from one build.  Both bindings
+        # are watched, so a kernel that built rows again would show
+        plan = mc.TrialPlan(8, 1.0, 1000, 12)
+        l1_plan = mc.TrialPlan(6, 1.0, 600, 20)
+        alpha = mc._sample_block(l1_plan, 0, l1_plan.trials)
+        _, mean_abs, _, _ = zeros._batch_circle_log_means(
+            *zeros._circle_fourier_coeffs(alpha, 6, 1.0), mc.TOLERANCES.quadrature_target)
+        threshold = float(np.median(mean_abs))
         calls, build = [], zeros._circle_fourier_coeffs
 
         def spy(alpha, *args):
@@ -175,13 +181,31 @@ class TestHole:
         for module in (zeros, mc):
             monkeypatch.setattr(module, "_circle_fourier_coeffs", spy)
         winding = _spy(monkeypatch, "_batch_winding")
-        plan = mc.TrialPlan(8, 1.0, 1000, 12)
         mc._block_counts(plan, 0, 1000)
         assert calls == [1000]
         assert len(winding) == 1 and winding[0] >= 1000 // mc.CROSS_CHECK_EVERY
         calls.clear()
         mc._block_circle_means(plan, 0, 1000)
         assert calls == [1000]
+        # a threshold among the |log| means leaves trials undecided: the
+        # estimator samples and builds its plan once all the same
+        calls.clear()
+        sampled, sample = [], mc.gaussian_matrix
+
+        def sample_spy(seed, trials, *args):
+            sampled.append(len(trials))
+            return sample(seed, trials, *args)
+
+        monkeypatch.setattr(mc, "gaussian_matrix", sample_spy)
+        means = _spy(monkeypatch, "_batch_circle_log_means")
+        monkeypatch.setattr(mc, "_log_l1_threshold", lambda plan: threshold)
+        mc._plan_samples.cache_clear()
+        try:
+            mc.log_l1_outlier_frequency(l1_plan)
+        finally:
+            mc._plan_samples.cache_clear()
+        assert calls == [600] and sampled == [600]
+        assert len(means) == 2 and 0 < means[1] < 600
 
     @staticmethod
     def _off_by_one_schur_cohn(monkeypatch):
@@ -364,7 +388,7 @@ class TestConcentrationEstimators:
         # Jensen's formula on converged Aberth roots; before zeros near the
         # circle were divided out, row 2163 at N = 40 was off by 1.7e-4
         plan = mc.TrialPlan(degree, 1.0, mc.BLOCK_TRIALS, 41)
-        mean_log, _, _, failed = mc._block_circle_means(plan, 0, mc.BLOCK_TRIALS)
+        mean_log, *_, failed = mc._block_circle_means(plan, 0, mc.BLOCK_TRIALS)
         alpha = mc._sample_block(plan, 0, mc.BLOCK_TRIALS)
         roots, conv = zeros._aberth_batch(alpha * mc._weights(degree))
         mods = np.abs(roots)
@@ -373,10 +397,12 @@ class TestConcentrationEstimators:
         assert conv.all() and not failed.any()
         assert np.abs(mean_log - want).max() <= 1e-6
 
-    def test_log_l1_undecided_trials_use_the_abs_kernel(self, monkeypatch):
+    @pytest.mark.parametrize("trials", [600, mc.BLOCK_TRIALS + 300])
+    def test_log_l1_undecided_trials_use_the_abs_kernel(self, trials, monkeypatch):
         # a threshold among the trials' |log| means leaves many undecided by
-        # the bounds; their hits must be the abs kernel's
-        plan = mc.TrialPlan(6, 1.0, 600, 19)
+        # the bounds; their hits must be the abs kernel's.  Each block reruns
+        # its own undecided rows
+        plan = mc.TrialPlan(6, 1.0, trials, 19)
         alpha = mc._sample_block(plan, 0, plan.trials)
         _, mean_abs, ok, _ = zeros._batch_circle_log_means(
             *zeros._circle_fourier_coeffs(alpha, 6, 1.0), mc.TOLERANCES.quadrature_target)
@@ -388,7 +414,10 @@ class TestConcentrationEstimators:
             est = mc.log_l1_outlier_frequency(plan)
         finally:
             mc._plan_samples.cache_clear()
-        assert len(means) == 2 and means[0] == plan.trials and 0 < means[1] < plan.trials
+        blocks = [min(mc.BLOCK_TRIALS, trials - s) for s in range(0, trials, mc.BLOCK_TRIALS)]
+        assert means[::2] == blocks
+        assert len(means) == 2 * len(blocks)
+        assert all(0 < rerun < block for rerun, block in zip(means[1::2], blocks))
         want = mc._frequency_estimate(int((mean_abs > threshold)[ok].sum()),
                                       int((~ok).sum()), plan)
         assert est == want
@@ -478,11 +507,11 @@ class TestConditionalEstimators:
         failed = np.zeros(1000, dtype=bool)
         failed[:11] = True  # 1.1% > 1% limit
         with pytest.raises(mc.ReliabilityError):
-            mc._probability_estimate(probs, failed, plan)
+            mc._probability_estimate(probs[~failed], int(failed.sum()), plan)
         failed[:] = False
         failed[:10] = True  # exactly 1%: allowed
         probs[10] = 3e-200
-        est = mc._probability_estimate(probs, failed, plan)
+        est = mc._probability_estimate(probs[~failed], int(failed.sum()), plan)
         assert est.trials_failed == 10 and est.trials_used == 990
         # spread of values whose squares underflow is still resolved
         assert est.stderr == pytest.approx(2e-200 / 990, rel=1e-6)

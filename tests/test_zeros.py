@@ -1721,3 +1721,19 @@ class TestRangeRule:
         assert match_max_distance(got.locations, want.locations) <= 1e-12
         assert np.log(got.residuals.max()) - log_c <= np.log(want.residuals.max()) + 1.0
         assert zeros.jensen_residual(q, 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [[1, 1, 1.5e308 + 1.5e308j], [1, 0.9e308 + 0.9e308j, 1]],
+                             ids=["modulus", "weighted-modulus"])
+    def test_roots_of_rows_whose_moduli_overflow(self, alpha):
+        # every part is finite and so is every weighted part, but a modulus
+        # overflows: of the coefficient itself, or only once weighted by
+        # sqrt(2).  Unrescaled, the first row gave the roots [0, -0] and the
+        # second divided inf by inf
+        q = SU2Polynomial(2, alpha)
+        want = zeros.find_all_roots(SU2Polynomial(2, q.coefficients / 4))
+        got = zeros.find_all_roots(q)
+        assert got.degree_deficit == want.degree_deficit
+        scale = np.abs(want.locations).max()
+        assert scale > 0 and match_max_distance(got.locations, want.locations) <= 1e-12 * scale
+        assert np.isfinite(got.residuals).all()
+        assert np.log(got.residuals.max()) - math.log(4) <= np.log(want.residuals.max()) + 1.0
