@@ -77,6 +77,12 @@ def _check_radius(r: float) -> None:
         raise ValueError("radius must be positive and finite")
 
 
+def _check_finite(values, name: str) -> None:
+    """Refuse points or values of which one is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def _log_normalization(degree: int, r: float) -> float:
     """(N/2) log(1 + r^2), the log of the spherical normalization at |z| = r;
     above r = 1e150, where r*r overflows, as (N/2)(2 log r + log1p(r^-2))."""
@@ -159,6 +165,7 @@ def evaluate(poly: SU2Polynomial, z: complex) -> complex:
     Guarded: refuses inputs whose individual terms would leave double
     range; use :func:`evaluate_normalized` for those.
     """
+    _check_finite(z, "point")
     n = poly.degree
     if n > EVALUATE_MAX_DEGREE:
         raise OverflowError(
@@ -191,6 +198,7 @@ def evaluate_normalized(poly: SU2Polynomial, z):
     """
     scalar = np.isscalar(z) or np.asarray(z).shape == ()
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    _check_finite(zs, "points")
     n = poly.degree
     j = np.arange(n + 1)
     logw = poly.log_weights()

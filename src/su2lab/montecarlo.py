@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_radius, _log_normalization, _weights, log_binomial
+from .model import _check_finite, _check_radius, _log_normalization, _weights, log_binomial
 from .rng import RngSeed, gaussian_matrix
 from .zeros import (
     DEFAULT_BOUNDARY_MARGIN,
@@ -235,16 +235,14 @@ def _run_blocked(plan: TrialPlan, fn):
 
     The block partition depends only on the trial count, never on the
     worker count, and results are concatenated in block order, so the
-    output is a pure function of the plan.  Several blocks at
-    ``workers > 1`` go to the shared pool, sized
-    ``min(workers, blocks)``.
+    output is a pure function of the plan.  The blocks go to the shared
+    pool, sized ``min(workers, blocks, default_workers())``, unless that
+    size is 1, when they run in this process.
     """
     starts = range(0, plan.trials, BLOCK_TRIALS)
     blocks = ([plan] * len(starts), starts, [*starts[1:], plan.trials])
-    if plan.workers == 1 or len(starts) == 1:
-        parts = list(map(fn, *blocks))
-    else:
-        parts = _map_blocks(min(plan.workers, len(starts)), fn, *blocks)
+    size = min(plan.workers, len(starts), default_workers())
+    parts = list(map(fn, *blocks)) if size == 1 else _map_blocks(size, fn, *blocks)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -644,6 +642,7 @@ def omega_lower_bound(degree: int, radius: float) -> float:
 def fit_decay_exponent(points) -> DecayFit:
     """Least squares of log-probability against N^2; c_hat is -slope."""
     pts = [(float(n), float(lp)) for n, lp in points]
+    _check_finite(pts, "points")
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit")
     ns = np.array([p[0] for p in pts])

@@ -45,11 +45,12 @@ that the log kernels add back; none takes coefficients.  Their magnitudes
 stay in double range for any finite row through the range rule of
 ``_in_range``, by which every circle row and the off-center count's moved
 row are made; a row that underflows below the rule's band is rebuilt from
-logs.  The boundary maximum refines the best grid peaks of a uniform scan
+logs.  The circle means and the boundary maximum sample one first grid,
+of ``_circle_nodes`` angles.  The boundary maximum refines its best peaks
 by safeguarded Newton on the derivative of |psi_hat|^2, one Horner pass
-per round.  The circle means
-find the zeros near the circle by Newton from their first grid's lowest
-minima, in the same kind of pass, and divide them out of the trapezoid.
+per round.  The circle means find the zeros near the circle by Newton
+from its lowest minima, in the same kind of pass, and divide them out of
+the trapezoid.
 
 Batch variants (leading underscore) operate on ``(trials, N+1)`` blocks of
 rows and are the engines behind the Monte Carlo layer; the public
@@ -66,6 +67,7 @@ import numpy as np
 
 from .model import (
     SU2Polynomial,
+    _check_finite,
     _check_radius,
     _log1p_square,
     _log_normalization,
@@ -107,7 +109,6 @@ _SWEEP_CHUNK = 1 << 17  # complex elements per Aberth pairwise-sum chunk or Horn
 _ABERTH_TOL = 1e-13  # a root freezes once its step is below this, relative to 1 + |z|
 _ABERTH_MAX_SWEEPS = 500
 _ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
-_SCAN_PER_DEGREE = 8  # boundary-maximum scan angles per unit of N + 1
 _NEWTON_TOL = 1e-10  # a boundary-maximum angle freezes once its Newton step is below this
 _NEWTON_ROUNDS = 100  # cap on the safeguarded Newton rounds of one angle
 _NEAR_BAND = 0.1  # circle means divide out the zeros with ||w|/r - 1| below this
@@ -208,6 +209,14 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _circle_nodes(n1: int) -> int:
+    """Nodes of the first circle grid of a row of ``n1`` Fourier entries,
+    which the circle means, the boundary scan and the Poisson average all
+    start from: max(128, next_pow2(8 n1)), a power of two, so the unscaled
+    inverse FFT (``norm="forward"``) equals ifft * M bit for bit."""
+    return max(128, _next_pow2(8 * n1))
+
+
 def _log_abs(v: np.ndarray) -> np.ndarray:
     """log|v| with |v| floored at 1e-300, so a zero gives a finite log."""
     mag = np.abs(v)
@@ -256,9 +265,14 @@ def _circle_fourier_coeffs(alpha: np.ndarray, degree: int, r: float):
     low = (shift < 0) | (~b.any(axis=-1) & alpha.any(axis=-1))
     if low.any():
         a = alpha[low]
+        # an entry whose largest part is subnormal is scaled by 2^-e_a into
+        # the normal range: its modulus keeps its bits and 1/|a| stays finite
+        big = np.maximum(np.abs(a.real), np.abs(a.imag))
+        e_a = np.where(big < np.finfo(float).tiny, np.frexp(big)[1], 0)
+        a = np.ldexp(a.real, -e_a) + 1j * np.ldexp(a.imag, -e_a)
         mag = np.abs(a)
         with np.errstate(divide="ignore"):
-            logs = np.log(mag) + log_entry
+            logs = np.log(mag) + e_a * math.log(2.0) + log_entry
         e = np.floor(logs.max(axis=-1) / math.log(2.0)) + 1.0
         unit = np.divide(a, mag, out=np.zeros_like(a), where=mag > 0)
         b[low] = unit * np.exp(logs - e[:, None] * math.log(2.0))
@@ -342,25 +356,11 @@ def _bini_start_points(w: np.ndarray) -> np.ndarray:
     return radii * unit
 
 
-def _folded_horner(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
-    """Polynomial ``w[row[i]]`` and its derivative at point ``z[i]`` by one
-    ``_horner`` pass, without overflow at any |z| = ``az[i]``; ``stack`` is
-    ``np.stack((w[:, ::-1].T, w.T), axis=2).reshape(m + 1, -1)``, whose
-    column 2j holds row j's coefficients top first and 2j + 1 those of its
-    reversal.  A point with |z| <= 1 runs the direct ones at x = z, any
-    other the reversed ones at x = u = 1/z, which gives q(u) = z^{-m} p(z)
-    and q'(u).  Returns ``(val, der, x, rev)``, ``rev`` marking the
-    reversed points."""
-    rev = az > 1.0
-    x = np.divide(1.0, z, out=z.copy(), where=rev)
-    der, val = _horner(stack, 2 * row + rev, x, 2)
-    return val, der, x, rev
-
-
 def _newton_ratio(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndarray):
     """Newton step p(z)/p'(z) of polynomial ``w[row[i]]`` at point
     ``z[i]``, evaluated without overflow at any |z|; ``az`` is |z| and
-    ``stack`` is as in ``_folded_horner``.
+    ``stack``'s column 2j holds row j's coefficients top first, 2j + 1
+    those of its reversal.
 
     For |z| <= 1 this is direct Horner; for |z| > 1 the polynomial is
     folded through its reversal q(u) = z^{-m} p(z) at u = 1/z, where the
@@ -372,7 +372,9 @@ def _newton_ratio(stack: np.ndarray, row: np.ndarray, z: np.ndarray, az: np.ndar
     denominator; only a call with one runs the masked division.
     """
     m = len(stack) - 1
-    val, der, x, rev = _folded_horner(stack, row, z, az)
+    rev = az > 1.0
+    x = np.divide(1.0, z, out=z.copy(), where=rev)
+    der, val = _horner(stack, 2 * row + rev, x, 2)
     num = np.where(rev, z * val, val)
     denom = np.where(rev, m * val - x * der, der)
     deriv_zero = denom == 0
@@ -467,7 +469,8 @@ def _aberth_batch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalized_residuals(w: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """|psi_hat| at candidate roots, batched and overflow-safe; ``w`` holds
-    the monomial rows, as for ``_aberth_batch``."""
+    the monomial rows, as for ``_aberth_batch``.  A root with |z| > 1 runs
+    the reversed row at 1/z, as in ``_newton_ratio``."""
     w = np.atleast_2d(w)
     n = w.shape[1] - 1
     roots = np.atleast_2d(roots)
@@ -475,8 +478,9 @@ def _normalized_residuals(w: np.ndarray, roots: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         row = np.repeat(np.arange(w.shape[0]), roots.shape[1])
         stack = np.stack((w[:, ::-1].T, w.T), axis=2).reshape(n + 1, -1)
-        val, _, _, rev = _folded_horner(stack, row, roots.ravel(), az.ravel())
-        log_val = _log_abs(val).reshape(roots.shape)
+        z, rev = roots.ravel(), az.ravel() > 1.0
+        x = np.divide(1.0, z, out=z.copy(), where=rev)
+        log_val = _log_abs(_horner(stack, 2 * row + rev, x, 1)[0]).reshape(roots.shape)
         log_rev = n * _log_abs(az) + log_val
         logmag = np.where(rev.reshape(roots.shape), log_rev, log_val)
         return np.exp(logmag - (n / 2.0) * _log1p_square(az))
@@ -496,8 +500,9 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     rather than as meaningless huge locations.  Exact zeros at the low end
     are split off as exact origin roots before iterating.  Roots do not
     depend on scale: a row with a monomial coefficient whose modulus
-    overflows runs divided by 2^e, every part below 1/2, and its residuals
-    are scaled back by 2^e; past N = 2053 the weights themselves refuse.
+    overflows, or whose largest one is subnormal, runs divided by 2^e,
+    every part below 1/2, and its residuals are scaled back by 2^e; past
+    N = 2053 the weights themselves refuse.
     """
     _refuse_zero(poly)
     n = poly.degree
@@ -506,8 +511,8 @@ def find_all_roots(poly: SU2Polynomial) -> ZeroSet:
     e = 0
     with np.errstate(over="ignore"):
         w = poly.coefficients * _weights(n)
-        overflows = not np.isfinite(np.abs(w)).all()
-    if overflows:
+        wmax = np.abs(w).max()
+    if not np.finfo(float).tiny <= wmax < math.inf:
         parts = poly.coefficients.view(float)
         e = int(np.frexp(np.abs(parts).max())[1]) + 1
         poly = SU2Polynomial(n, np.ldexp(parts, -e).view(complex))
@@ -864,7 +869,7 @@ def _batch_circle_log_means(b: np.ndarray, log_scale: np.ndarray,
     fails at the cap.
     """
     rows, n1 = b.shape
-    m0 = max(128, _next_pow2(8 * n1))
+    m0 = _circle_nodes(n1)
     low = np.empty((rows, 3), dtype=np.intp)
 
     def _accumulate(sel_b: np.ndarray, sel_scale: np.ndarray, m: int, half: bool):
@@ -877,8 +882,6 @@ def _batch_circle_log_means(b: np.ndarray, log_scale: np.ndarray,
             sel_b = sel_b * np.exp(1j * np.pi * np.arange(n1) / m)
         row_step = max(1, _GRID_CHUNK // m)
         for s in range(0, cnt, row_step):
-            # M is a power of two, so the unscaled inverse FFT equals ifft * M
-            # bit for bit
             logs = _log_abs(np.fft.ifft(sel_b[s : s + row_step], n=m, axis=1, norm="forward"))
             if not half:
                 at, value = _three_peaks(-logs)
@@ -924,6 +927,8 @@ def _batch_circle_log_means(b: np.ndarray, log_scale: np.ndarray,
 def _circle_mean(poly: SU2Polynomial, r: float, target: float, absolute: bool) -> float:
     """One-row circle mean of log|psi|, or of |log|psi|| when ``absolute``."""
     _check_radius(r)
+    if not 0 < target < math.inf:
+        raise ValueError("quadrature target must be positive and finite")
     _refuse_zero(poly)
     b, log_scale = _circle_fourier_coeffs(poly.coefficients[None], poly.degree, r)
     mean_log, mean_abs, ok, gap = _batch_circle_log_means(b, log_scale, target, absolute)
@@ -980,7 +985,8 @@ def _batch_boundary_log_max(b: np.ndarray, log_scale: np.ndarray):
     """log max_{|z|=r} |psi| plus the maximizing angles, per row of the
     Fourier rows ``(b, log_scale)`` of ``_circle_fourier_coeffs``.
 
-    Scans ``_SCAN_PER_DEGREE*(N+1)`` uniform angles in row chunks;
+    Scans the first grid of the circle means, ``_circle_nodes(N + 1)``
+    uniform angles, in row chunks;
     ``_three_peaks`` takes each row's best three grid peaks, the first
     being the scan maximum.  Every finite peak theta_p is refined inside
     [theta_p - h, theta_p + h], h the grid step, by safeguarded Newton on
@@ -994,15 +1000,15 @@ def _batch_boundary_log_max(b: np.ndarray, log_scale: np.ndarray):
     at the end.
     """
     rows, n1 = b.shape
-    m = _SCAN_PER_DEGREE * n1
+    m = _circle_nodes(n1)
     h = 2.0 * np.pi / m
     top = np.empty((rows, 3), dtype=np.intp)
     peak = np.empty((rows, 3))
     chunk = max(1, _GRID_CHUNK // m)
     for s in range(0, rows, chunk):
         sel = slice(s, s + chunk)
-        # not norm="forward": M need not be a power of two, where it rounds differently
-        top[sel], peak[sel] = _three_peaks(_log_abs(np.fft.ifft(b[sel], n=m, axis=1) * m))
+        vals = np.fft.ifft(b[sel], n=m, axis=1, norm="forward")
+        top[sel], peak[sel] = _three_peaks(_log_abs(vals))
     row, slot = np.nonzero(peak > -np.inf)
     found = np.full((rows, 3), -np.inf)
     angle = np.zeros((rows, 3))
@@ -1065,6 +1071,7 @@ def _poisson(zeta: complex, z, r: float):
 def poisson_kernel(zeta: complex, z: complex, r: float) -> float:
     """(r^2 - |zeta|^2) / |z - zeta|^2 for |zeta| < r, |z| = r."""
     _check_radius(r)
+    _check_finite([zeta, z], "zeta and z")
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
     if abs(abs(z) - r) > 1e-12 * r:
@@ -1088,8 +1095,8 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
     if not 0 <= kappa < 1:
         raise ValueError("kappa must lie in [0, 1)")
     _check_radius(r)
-    if perturbation < 0:
-        raise ValueError("perturbation must be nonnegative")
+    if not 0 <= perturbation < math.inf:
+        raise ValueError("perturbation must be nonnegative and finite")
     if not 1e-150 <= r <= 1e150:
         r, perturbation = 1.0, perturbation / r
     rho = kappa * r + perturbation
@@ -1111,16 +1118,17 @@ def poisson_log_average(poly: SU2Polynomial, zeta: complex, r: float) -> float:
     """Mean of P_r(zeta, .) log|psi| over the circle, by node doubling to
     ``DEFAULT_QUADRATURE_TARGET`` within ``NODE_CAP`` nodes."""
     _check_radius(r)
+    _check_finite(zeta, "zeta")
     if abs(zeta) >= r:
         raise ValueError("zeta must lie strictly inside the circle")
     _refuse_zero(poly)
     n = poly.degree
     b, log_scale = _circle_fourier_coeffs(poly.coefficients, n, r)
-    m = max(128, _next_pow2(8 * (n + 1)))
+    m = _circle_nodes(n + 1)
     prev = None
     while m <= NODE_CAP:
         theta = 2.0 * np.pi * np.arange(m) / m
-        logs = _log_abs(np.fft.ifft(b, n=m, norm="forward")) + log_scale  # ifft * M: M is 2^k
+        logs = _log_abs(np.fft.ifft(b, n=m, norm="forward")) + log_scale
         kern = _poisson(zeta, r * np.exp(1j * theta), r)
         cur = float(np.mean(kern * logs))
         if prev is not None and abs(cur - prev) < DEFAULT_QUADRATURE_TARGET:

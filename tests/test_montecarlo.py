@@ -773,7 +773,8 @@ class TestWorkerPool:
         assert first == self.estimate(1)
         assert second == self.estimate(1, degree=3)
 
-    def test_new_size_replaces_pool(self):
+    def test_new_size_replaces_pool(self, monkeypatch):
+        monkeypatch.setattr(mc, "default_workers", lambda: 3)  # the pool is capped at the CPUs
         self.estimate(2)
         old_pool, old = mc._pool, multiprocessing.active_children()
         got = self.estimate(3, blocks=3)
@@ -784,6 +785,20 @@ class TestWorkerPool:
         assert len(new) == 3
         assert not new & {p.pid for p in old}
         assert got == self.estimate(1, blocks=3)
+
+    def test_pool_is_capped_at_the_cpus(self, monkeypatch):
+        # no process starts: the fake pool records its size and maps in place
+        sizes = []
+
+        def fake_map(size, fn, *iterables):
+            sizes.append(size)
+            return list(map(fn, *iterables))
+
+        monkeypatch.setattr(mc, "default_workers", lambda: 3)
+        monkeypatch.setattr(mc, "_map_blocks", fake_map)
+        got = self.estimate(5000, blocks=4, degree=1)
+        assert sizes == [3] and mc._pool is None
+        assert got == self.estimate(1, blocks=4, degree=1)
 
     def test_killed_worker_is_replaced(self):
         self.estimate(2)

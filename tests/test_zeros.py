@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import match_max_distance
-from su2lab import model, zeros
+from su2lab import model, montecarlo, zeros
 from su2lab.model import SU2Polynomial
 from su2lab.rng import RngSeed, gaussian_matrix
 
@@ -46,6 +46,36 @@ ONE_ROW_CALLS = {
 def test_zero_polynomial_is_refused(call, degree):
     with pytest.raises(ValueError, match="polynomial is identically zero"):
         call(SU2Polynomial(degree, [0] * (degree + 1)))
+
+
+NON_FINITE_POLY = SU2Polynomial(3, [1.0, 0.5 - 0.2j, 0.3j, 0.7])
+NON_FINITE_CALLS = {
+    "evaluate": lambda: model.evaluate(NON_FINITE_POLY, math.nan),
+    "evaluate-inf": lambda: model.evaluate(NON_FINITE_POLY, complex(math.inf, 0.0)),
+    "evaluate_normalized": lambda: model.evaluate_normalized(NON_FINITE_POLY, math.nan),
+    "evaluate_normalized-array":
+        lambda: model.evaluate_normalized(NON_FINITE_POLY, np.array([0.5, math.inf])),
+    "eq2_identity_residual":
+        lambda: model.eq2_identity_residual(NON_FINITE_POLY, 0.3, [math.nan, 0.5]),
+    "poisson_kernel-zeta": lambda: zeros.poisson_kernel(math.nan, 1.0, 1.0),
+    "poisson_kernel-z": lambda: zeros.poisson_kernel(0.2, complex(1.0, math.nan), 1.0),
+    "poisson_log_average": lambda: zeros.poisson_log_average(NON_FINITE_POLY, math.nan, 1.0),
+    "poisson_partition_deviation":
+        lambda: zeros.poisson_partition_deviation(4, 0.5, 1.0, perturbation=math.nan),
+    "circle_log_integral-zero": lambda: zeros.circle_log_integral(NON_FINITE_POLY, 1.0, 0.0),
+    "circle_log_integral-nan": lambda: zeros.circle_log_integral(NON_FINITE_POLY, 1.0, math.nan),
+    "circle_abs_log_integral":
+        lambda: zeros.circle_abs_log_integral(NON_FINITE_POLY, 1.0, math.nan),
+    "fit_decay_exponent":
+        lambda: montecarlo.fit_decay_exponent([(2, -1.0), (4, math.nan), (6, -9.0)]),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_point_or_target_is_refused(call):
+    # each returned a value, NaN or not, or doubled its nodes up to the cap
+    with pytest.raises(ValueError, match="must be"):
+        call()
 
 
 class TestFindAllRoots:
@@ -1188,7 +1218,7 @@ def _loop_boundary_log_max(alpha: np.ndarray, degree: int, r: float):
     alpha = np.atleast_2d(alpha)
     n = degree
     b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
-    m = zeros._SCAN_PER_DEGREE * (n + 1)
+    m = zeros._circle_nodes(n + 1)
     vals = np.abs(_circle_grid(b, m))
     np.maximum(vals, 1e-300, out=vals)
     logs = np.log(vals)
@@ -1315,7 +1345,7 @@ class TestMaxModulus:
         # three grid peaks, and its -inf slots get no bracket
         alpha = _sample(3, 64, n)
         b = zeros._circle_fourier_coeffs(alpha, n, 1.0)[0]
-        logs = np.log(np.abs(_circle_grid(b, 8 * (n + 1))))
+        logs = np.log(np.abs(_circle_grid(b, zeros._circle_nodes(n + 1))))
         peaks = (logs >= np.roll(logs, 1, axis=1)) & (logs >= np.roll(logs, -1, axis=1))
         assert peaks.sum(axis=1).max() < 3
         for r in (0.5, 1.0, 2.0):
@@ -1350,24 +1380,23 @@ class TestMaxModulus:
         alpha = np.abs(_sample(90, 500, 10)).astype(complex)
         log_max, theta = _hat_log_max(alpha, 10, 1.0)
         b = zeros._circle_fourier_coeffs(alpha, 10, 1.0)[0]
-        scan = np.log(np.abs(_circle_grid(b, zeros._SCAN_PER_DEGREE * 11)))
+        scan = np.log(np.abs(_circle_grid(b, zeros._circle_nodes(11))))
         horner = _loop_log_abs(b, np.zeros((1, 500)))[0]
         below = horner < scan[:, 0]
         assert below.sum() > 10
         assert (log_max == scan.max(axis=1))[below].all()
         assert (theta[below] == 0.0).all()
 
-    # rows of gaussian_matrix(12, arange(4096), N + 1) whose maximum at r = 1
+    # rows of gaussian_matrix(12, arange(16384), N + 1) whose maximum at r = 1
     # comes from a grid peak other than the scan's first
-    LATER_PEAK_ROWS = {3: [60, 114, 1512, 1959, 2197, 2301, 2814, 3283, 3443, 4007],
-                       10: [2485], 40: [30, 4075]}
+    LATER_PEAK_ROWS = {3: [2285], 10: [7696, 8506, 9211, 11685, 16378], 40: [9592]}
 
     @pytest.mark.parametrize("n", sorted(LATER_PEAK_ROWS))
     def test_later_peak_wins(self, n):
-        alpha = _sample(12, 4096, n)[self.LATER_PEAK_ROWS[n]]
+        alpha = _sample(12, 16384, n)[self.LATER_PEAK_ROWS[n]]
         log_max, theta = _hat_log_max(alpha, n, 1.0)
         b = zeros._circle_fourier_coeffs(alpha, n, 1.0)[0]
-        m = zeros._SCAN_PER_DEGREE * (n + 1)
+        m = zeros._circle_nodes(n + 1)
         first = 2.0 * np.pi * np.abs(_circle_grid(b, m)).argmax(axis=1) / m
         assert (np.abs(np.angle(np.exp(1j * (theta - first)))) > 2.0 * np.pi / m).all()
         want, _ = _loop_boundary_log_max(alpha, n, 1.0)
@@ -1376,14 +1405,25 @@ class TestMaxModulus:
         assert (log_max >= dense.max(axis=1) - 1e-13).all()
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 200])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 100, 200])
     def test_dense_envelope(self, n, r):
         # the maximum is at least every sample of a grid 16 times finer than the scan
         alpha = _sample(60 + n, 64, n)
         log_max, _ = _hat_log_max(alpha, n, r)
         b = zeros._circle_fourier_coeffs(alpha, n, r)[0]
-        dense = np.log(np.abs(_circle_grid(b, 16 * zeros._SCAN_PER_DEGREE * (n + 1))))
+        dense = np.log(np.abs(_circle_grid(b, 16 * zeros._circle_nodes(n + 1))))
         assert (log_max >= dense.max(axis=1) - 1e-13).all()
+
+    def test_scan_samples_the_circle_mean_grid(self, monkeypatch):
+        # the boundary scan and the circle means' first grid read one grid rule
+        b, log_scale = _rows(_sample(5, 4, 10), 10, 1.0)
+        log_abs = zeros._log_abs
+        monkeypatch.setattr(zeros, "_circle_nodes", lambda n1: 256)
+        for kernel in (zeros._batch_boundary_log_max, zeros._batch_circle_log_means):
+            shapes = []
+            monkeypatch.setattr(zeros, "_log_abs", lambda v: shapes.append(v.shape) or log_abs(v))
+            kernel(b, log_scale)
+            assert shapes[0] == (4, 256), kernel.__name__
 
     def test_quartic_maximum(self):
         # psi_hat = 1 + 4x - x^2/2 turned off the grid: at its maximum 4.5,
@@ -1708,6 +1748,30 @@ class TestRangeRule:
             assert zeros.circle_log_integral(p, r) == pytest.approx(want, rel=1e-12, abs=0)
             assert zeros.max_modulus_boundary(p, r).log_value == pytest.approx(want, rel=1e-12, abs=0)
             assert zeros.count_zeros_argument_principle(p, zeros.Disk(0, r)).count == p.degree
+
+    def test_subnormal_rows_as_scaled(self):
+        # an entry of this row is subnormal, so 1/|a| overflows: the rebuild
+        # from logs and the Aberth rows' normalization divided by it.  The row
+        # is compared with itself times 2^1000, not with the Gaussian row:
+        # subnormal entries carry fewer bits
+        p = SU2Polynomial(3, np.array([1, 0.5 - 0.2j, 0.3j, 0.7]) * 5e-320)
+        parts = p.coefficients.view(float)
+        q = SU2Polynomial(3, np.ldexp(parts, 1000).view(complex))
+        log_c = -1000 * math.log(2.0)
+        for value in (lambda x: zeros.circle_log_integral(x, 1.0),
+                      lambda x: zeros.max_modulus_boundary(x, 1.0).log_value,
+                      lambda x: zeros.poisson_log_average(x, 0.2 - 0.1j, 1.0)):
+            assert value(p) == pytest.approx(value(q) + log_c, rel=1e-12, abs=0)
+        b, log_scale = _rows(q.coefficients, 3, 1.0)
+        logs = np.log(np.abs(_circle_grid(b, 1 << 18))) + log_scale[:, None] + log_c
+        want = float(np.abs(logs).mean())
+        assert zeros.circle_abs_log_integral(p, 1.0) == pytest.approx(want, rel=1e-12, abs=0)
+        disk = zeros.Disk(0, 1.0)
+        assert zeros.count_zeros_argument_principle(p, disk).count == \
+            zeros.count_zeros_argument_principle(q, disk).count == 1
+        want = zeros.find_all_roots(q).locations
+        assert match_max_distance(zeros.find_all_roots(p).locations, want) <= 1e-12
+        assert zeros.jensen_residual(p, 1.0) <= 1e-9
 
     @pytest.mark.parametrize("n, c", [(200, 1e300), (12, None), (50, None), (200, None)],
                              ids=["200-1e300", "12-max", "50-max", "200-max"])
