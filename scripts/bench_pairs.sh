@@ -4,9 +4,11 @@
 #
 #     scripts/bench_pairs.sh REV WORKLOAD [PAIRS]     # PAIRS defaults to 10
 #
-# `git archive REV src` is unpacked into a temporary checkout, next to
-# copies of this working tree's perfbench/ and BENCHMARK.json, so both
-# sides run the same benchmark.  Pair k runs each side once with
+# Both sides run from temporary checkouts built alike: `git archive REV
+# src` is unpacked into one, and a copy of the working tree's src/
+# (without __pycache__) into the other, each next to copies of this
+# working tree's perfbench/ and BENCHMARK.json, so both sides run the same
+# benchmark from the same kind of directory.  Pair k runs each side once with
 # `--seed k --seconds 20`; odd pairs run REV first, even pairs the working
 # tree first.  For every end-to-end metric of BENCHMARK.json the script
 # prints each side's median and quartiles, and the number of pairs the
@@ -18,7 +20,7 @@
 # `setup_s`: perfbench normalizes its walls by a reference speed measured
 # between ops, which the allocator state an op leaves can move.  The exit
 # status is non-zero if a run is not `correct` or has failed ops.  The
-# temporary checkout is removed on exit.
+# temporary checkouts are removed on exit.
 set -eu
 
 usage() {
@@ -38,10 +40,13 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-mkdir -p "$tmp/old" "$tmp/runs"
+mkdir -p "$tmp/old" "$tmp/new" "$tmp/runs"
 git -C "$root" archive -o "$tmp/src.tar" "$rev" src
 tar -x -f "$tmp/src.tar" -C "$tmp/old"
-cp -R "$root/perfbench" "$root/BENCHMARK.json" "$tmp/old/"
+tar -c -f - --exclude=__pycache__ -C "$root" src | tar -x -f - -C "$tmp/new"
+for side in old new; do
+    cp -R "$root/perfbench" "$root/BENCHMARK.json" "$tmp/$side/"
+done
 
 run() {  # run SIDE DIR SEED
     echo "pair $3: $1" >&2
@@ -53,16 +58,16 @@ k=1
 while [ "$k" -le "$pairs" ]; do
     if [ $((k % 2)) -eq 1 ]; then
         run old "$tmp/old" "$k"
-        run new "$root" "$k"
+        run new "$tmp/new" "$k"
     else
-        run new "$root" "$k"
+        run new "$tmp/new" "$k"
         run old "$tmp/old" "$k"
     fi
     k=$((k + 1))
 done
 
 python3 - "$root/BENCHMARK.json" "$tmp/runs" "$pairs" "$rev" "$workload" \
-    "$tmp/old" "$root" <<'PY'
+    "$tmp/old" "$tmp/new" <<'PY'
 import json
 import statistics
 import sys

@@ -14,8 +14,10 @@ a Markdown table:
 - Schur-Cohn: ``_batch_schur_cohn`` (a dash above its degree cap);
 - winding: ``_batch_winding`` on every row;
 - Aberth, all rows: ``_aberth_batch`` on every row's monomial coefficients;
-- Aberth cross-check: ``_root_counts`` (Aberth and residuals) on every
-  ``CROSS_CHECK_EVERY``-th row, the rows a count block recounts;
+- Aberth recount: ``_root_counts`` (Aberth and residuals) on the rows a
+  count block recounts by roots, the sampled rows that Schur-Cohn left to
+  winding and winding certified; the label gives their number per degree
+  (a dash where there are none);
 - circle means: ``_batch_circle_log_means`` at target 1e-6 with the log
   sums only, the call ``_block_circle_means`` makes;
 - circle means with |log|: the same kernel with its |log| sums on, the
@@ -48,14 +50,31 @@ SEED = 7
 REPEAT = 3
 
 
-def layers(plan: mc.TrialPlan):
-    """``(name, call)`` per layer on the plan's first block; ``call`` is
-    None where the layer does not run at this degree."""
+def recounted(plan: mc.TrialPlan):
+    """The rows that ``_block_counts`` hands to ``_root_counts`` on the
+    plan's first block."""
+    rows, root_counts = [], mc._root_counts
+
+    def spy(alpha, plan):
+        rows.append(alpha)
+        return root_counts(alpha, plan)
+
+    mc._root_counts = spy
+    try:
+        mc._block_counts(plan, 0, BLOCK)
+    finally:
+        mc._root_counts = root_counts
+    return rows[0] if rows else mc._sample_block(plan, 0, 0)
+
+
+def layers(plan: mc.TrialPlan, recount):
+    """``(name, call)`` per layer on the plan's first block, ``recount``
+    the rows its count block recounts by roots; ``call`` is None where the
+    layer does not run at this degree."""
     n = plan.degree
     alpha = mc._sample_block(plan, 0, BLOCK)
     b, log_scale = zeros._circle_fourier_coeffs(alpha, n, RADIUS)
     w = alpha * model._weights(n)
-    check = alpha[:: mc.CROSS_CHECK_EVERY]
     return [
         ("sampling", lambda: mc._sample_block(plan, 0, BLOCK)),
         ("Fourier rows", lambda: zeros._circle_fourier_coeffs(alpha, n, RADIUS)),
@@ -63,7 +82,7 @@ def layers(plan: mc.TrialPlan):
          if n <= zeros.SCHUR_COHN_MAX_DEGREE else None),
         ("winding", lambda: zeros._batch_winding(b, RADIUS)),
         ("Aberth, all rows", lambda: zeros._aberth_batch(w)),
-        (f"Aberth cross-check ({len(check)} rows)", lambda: mc._root_counts(check, plan)),
+        ("Aberth recount", (lambda: mc._root_counts(recount, plan)) if len(recount) else None),
         ("circle means (target 1e-6)",
          lambda: zeros._batch_circle_log_means(b, log_scale, 1e-6, absolute=False)),
         ("circle means with abs log",
@@ -88,11 +107,15 @@ def fmt(ms: float | None) -> str:
 
 
 def main() -> None:
-    columns = []
+    columns, recounts = [], []
     for n in DEGREES:
-        rows = layers(mc.TrialPlan(n, RADIUS, BLOCK, SEED))
+        plan = mc.TrialPlan(n, RADIUS, BLOCK, SEED)
+        recount = recounted(plan)
+        recounts.append(str(len(recount)))
+        rows = layers(plan, recount)
         columns.append([(name, None if call is None else best_ms(call)) for name, call in rows])
     names = [name for name, _ in columns[0]]
+    names[names.index("Aberth recount")] = f"Aberth recount ({' / '.join(recounts)} rows)"
     width = max(len(name) for name in names)
     print(f"Per {BLOCK}-row block of TrialPlan(N, {RADIUS:g}, {BLOCK}, {SEED}), "
           f"in ms, best of {REPEAT}:\n")

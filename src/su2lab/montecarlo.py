@@ -20,9 +20,13 @@ any worker count or schedule.  Numerical rejects (contour singularities,
 quadrature caps, cross-check mismatches) are excluded from estimates but counted
 and reported; above 1% the estimate is refused outright, since such failures
 correlate with near-boundary zeros and silent dropping would bias hole
-statistics.  Count blocks reduce to the count law inside the block (the
-histogram of certified counts, then the failed and mismatched totals), which
-the hole, deviation and mean estimators read: none holds a per-trial count.
+statistics.  A count block counts each trial by Schur-Cohn where it
+certifies and by winding elsewhere, and recounts every
+``CROSS_CHECK_EVERY``-th trial once, by the kernel that did not count it: a
+Schur-Cohn count by winding, a winding count by Aberth roots.  Count blocks
+reduce to the count law inside the block (the histogram of certified
+counts, then the failed and mismatched totals), which the hole, deviation
+and mean estimators read: none holds a per-trial count.
 
 Blocks run in one worker pool per process.  It starts on the first
 estimate that splits across workers, serves later estimates of the same
@@ -92,7 +96,7 @@ __all__ = [
 Z95 = 1.959963984540054
 BLOCK_TRIALS = 4096
 MAX_FAILED_FRACTION = 0.01
-CROSS_CHECK_EVERY = 100  # zero-count trials re-counted through winding and roots
+CROSS_CHECK_EVERY = 100  # sampled trials, recounted by the kernel that did not count them
 
 
 class ReliabilityError(RuntimeError):
@@ -280,23 +284,25 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     The Schur-Cohn counter counts the rows it certifies.  Rows it cannot
     certify (including any it cannot prove clear of the boundary margin)
     are counted by winding, under its margin and failure rules.  Every
-    ``CROSS_CHECK_EVERY``-th trial is recounted by winding and, below the
-    degree where the weights overflow, by the root oracle; a trustworthy
-    disagreement fails the trial and marks it a mismatch."""
+    ``CROSS_CHECK_EVERY``-th trial is recounted once, by the kernel that
+    did not count it: a Schur-Cohn count by winding, and a winding count,
+    below the degree where the weights overflow, by the root oracle.  A
+    trustworthy disagreement fails the trial and marks it a mismatch."""
     r, margin = plan.radius, TOLERANCES.boundary_margin
     alpha = _sample_block(plan, start, stop)
     b, _ = _circle_fourier_coeffs(alpha, plan.degree, r)
-    counts, ok = _batch_schur_cohn(b, r, margin)
+    counts, certified = _batch_schur_cohn(b, r, margin)
+    ok = certified.copy()
     sampled = np.arange(start, stop) % CROSS_CHECK_EVERY == 0
-    redo = np.nonzero(~ok | sampled)[0]
+    redo = np.nonzero(~certified | sampled)[0]
     mism = np.zeros(len(counts), dtype=bool)
     if len(redo):
         wcounts, wok = _batch_winding(b[redo], r, margin)
-        fallback = ~ok[redo]
+        fallback = ~certified[redo]
         counts[redo[fallback]] = wcounts[fallback]
         ok[redo[fallback]] = wok[fallback]
         mism[redo[~fallback & wok & (wcounts != counts[redo])]] = True
-    check = np.nonzero(sampled & ok)[0]
+    check = np.nonzero(sampled & ok & ~certified)[0]
     if len(check):
         rcounts, trusted = _root_counts(alpha[check], plan)
         mism[check[trusted & (rcounts != counts[check])]] = True
@@ -486,8 +492,9 @@ def expected_zero_count(degree: int, radius: float) -> float:
 def zero_count_samples(plan: TrialPlan):
     """Per-trial zero counts in B(0, r), ``(counts, failed)`` aligned with
     trial index: the per-trial view of the trials whose law the count
-    estimators read (Schur-Cohn where it certifies, winding elsewhere,
-    sampled trials recounted by winding and roots)."""
+    estimators read (Schur-Cohn where it certifies, winding elsewhere;
+    a sampled trial is recounted by winding if Schur-Cohn counted it, by
+    roots if winding did)."""
     counts, failed, _ = _run_blocked(plan, _block_counts)
     return counts, failed
 

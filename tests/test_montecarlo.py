@@ -148,14 +148,18 @@ class TestHole:
         dev = float((np.abs(kept - mu) >= mu / 2).mean())
         assert hole <= dev
 
+    @staticmethod
+    def _certify_none(monkeypatch):
+        monkeypatch.setattr(mc, "_batch_schur_cohn", lambda b, radius, margin: (
+            np.zeros(len(b), dtype=np.int64), np.zeros(len(b), dtype=bool)))
+
     @pytest.mark.parametrize("degree,r", [(8, 0.5), (24, 1.0), (40, 0.5)])
     def test_schur_cohn_path_matches_winding_path(self, degree, r, monkeypatch):
         # the same block counted by winding alone: identical counts and
         # indicators
         plan = mc.TrialPlan(degree, r, 4096, 11)
         fast = mc._block_counts(plan, 0, 4096)
-        monkeypatch.setattr(mc, "_batch_schur_cohn", lambda b, radius, margin: (
-            np.zeros(len(b), dtype=np.int64), np.zeros(len(b), dtype=bool)))
+        self._certify_none(monkeypatch)
         slow = mc._block_counts(plan, 0, 4096)
         for got, want in zip(fast, slow):
             assert np.array_equal(got, want)
@@ -219,7 +223,7 @@ class TestHole:
 
     def test_cross_check_flags_disagreement(self, monkeypatch):
         # a counter that is always off by one is caught on every sampled
-        # trial, by winding and by roots, and only there
+        # trial, by winding, and only there
         plan = mc.TrialPlan(6, 0.5, 1000, 12)
         honest, _, _ = mc._block_counts(plan, 0, 1000)
         self._off_by_one_schur_cohn(monkeypatch)
@@ -231,6 +235,70 @@ class TestHole:
         hole = mc.estimate_hole_probability(plan)
         assert hole.point == 0.0  # every count is at least 1
         assert hole.trials_failed == sampled.sum()
+
+    def test_certified_counts_skip_the_root_recount(self, monkeypatch):
+        # Schur-Cohn certifies every row of this block, so winding alone
+        # recounts the sampled trials and Aberth runs on none
+        plan = mc.TrialPlan(6, 0.5, 1000, 12)
+        alpha = mc._sample_block(plan, 0, 1000)
+        b, _ = zeros._circle_fourier_coeffs(alpha, 6, 0.5)
+        _, certified = zeros._batch_schur_cohn(b, 0.5, mc.TOLERANCES.boundary_margin)
+        assert certified.all()
+        calls = _spy(monkeypatch, "_root_counts")
+        winding = _spy(monkeypatch, "_batch_winding")
+        _, failed, _ = mc._block_counts(plan, 0, 1000)
+        assert calls == [] and winding == [1000 // mc.CROSS_CHECK_EVERY]
+        assert not failed.any()
+
+    @pytest.mark.parametrize("certify_none", [True, False])
+    def test_winding_counts_get_the_root_recount(self, certify_none, monkeypatch):
+        # the root oracle recounts exactly the sampled trials that winding
+        # counted and certified: every such trial when Schur-Cohn certifies
+        # no row, and only those it refused when it certifies some
+        plan = mc.TrialPlan(20, 1.0, 2000, 12)
+        alpha = mc._sample_block(plan, 0, 2000)
+        b, _ = zeros._circle_fourier_coeffs(alpha, 20, 1.0)
+        margin = mc.TOLERANCES.boundary_margin
+        _, certified = zeros._batch_schur_cohn(b, 1.0, margin)
+        _, wok = zeros._batch_winding(b, 1.0, margin)
+        if certify_none:
+            self._certify_none(monkeypatch)
+            certified[:] = False
+        sampled = np.arange(2000) % mc.CROSS_CHECK_EVERY == 0
+        assert (sampled & certified).any() != certify_none
+        calls, root_counts = [], mc._root_counts
+
+        def spy(alpha, plan):
+            calls.append(alpha)
+            return root_counts(alpha, plan)
+
+        monkeypatch.setattr(mc, "_root_counts", spy)
+        mc._block_counts(plan, 0, 2000)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], alpha[sampled & ~certified & wok])
+
+    def test_root_recount_flags_winding_disagreement(self, monkeypatch):
+        # a winding counter that is always off by one, behind a Schur-Cohn
+        # that certifies nothing, fails exactly the sampled trials winding
+        # certified, each as a mismatch
+        plan = mc.TrialPlan(8, 1.0, 1000, 12)
+        alpha = mc._sample_block(plan, 0, 1000)
+        b, _ = zeros._circle_fourier_coeffs(alpha, 8, 1.0)
+        real = mc._batch_winding
+        honest, wok = real(b, 1.0, mc.TOLERANCES.boundary_margin)
+        want = (np.arange(1000) % mc.CROSS_CHECK_EVERY == 0) & wok
+        assert want.any()
+
+        def off_by_one(b, r, margin):
+            counts, ok = real(b, r, margin)
+            return counts + 1, ok
+
+        self._certify_none(monkeypatch)
+        monkeypatch.setattr(mc, "_batch_winding", off_by_one)
+        counts, failed, mism = mc._block_counts(plan, 0, 1000)
+        assert np.array_equal(mism, want)
+        assert np.array_equal(failed, ~wok | want)
+        assert np.array_equal(counts[wok], honest[wok] + 1)
 
     def test_zero_count_samples_are_cross_checked(self, monkeypatch):
         # mean-zeros and deviation count through the same cascade, so the
