@@ -30,12 +30,15 @@
 # |psi_hat|).  Two of the
 # estimator outputs pin degree 0, which runs the same counting cascade as
 # every other degree: `hole --grid 0,1` and `mean-zeros -N 0` at r = 1,
-# 9000 trials, seed 8, as JSON.  The last ten pin the record shapes and the
-# decay fit: single-row JSON records of `hole -N 4` and `deviation -N 10`,
-# and `fit-decay --grid 2,4,6` (each at --workers 1 and 2), `fit-decay` on
+# 9000 trials, seed 8, as JSON.  Two pin a deviation ladder, which counts
+# both degrees from one draw of each block: `deviation --grid 10,50` at
+# r = 1, delta 0.2, 4000 trials, seed 5, as JSON, at --workers 1 and 2.
+# The last ten pin the record shapes and the decay fit: single-row JSON
+# records of `hole -N 4` and `deviation -N 10`, and `fit-decay --grid
+# 2,4,6` (each at --workers 1 and 2), `fit-decay` on
 # the r = 0.5, seed 2 hole file (whose N = 16 row has point 0 and is
 # dropped), `omega-bound` for one degree and for a grid, and
-# `count -N 200` as JSON: 60 files in all.
+# `count -N 200` as JSON: 62 files in all.
 #
 # The outputs are a pure function of argv, and JSON and CSV write every
 # float exactly (as repr), so two checkouts that agree on every estimate,
@@ -81,6 +84,8 @@ for w in 1 2; do
         --workers "$w" > "$out/hole_N4_w${w}.json"
     su2lab deviation -N 10 -r 1 --delta 0.2 --trials 4000 --seed 5 --format json \
         --workers "$w" > "$out/deviation_N10_w${w}.json"
+    su2lab deviation --grid 10,50 -r 1 --delta 0.2 --trials 4000 --seed 5 --format json \
+        --workers "$w" > "$out/deviation_grid_w${w}.json"
     su2lab fit-decay --grid 2,4,6 -r 0.5 --trials 20000 --seed 3 --format json \
         --workers "$w" > "$out/fit-decay_grid_w${w}.json"
     su2lab concentration --grid 10,40 -r 1 --trials 8192 --seed 6 --format json \

@@ -314,20 +314,24 @@ def _rows_result(rows: list[dict], **extra) -> dict:
     return {"rows": rows, **(rows[0] if len(rows) == 1 else {}), **extra}
 
 
-def _ladder(args, estimators, **echo) -> tuple[dict, dict]:
+def _ladder(args, estimators, counts=False, **echo) -> tuple[dict, dict]:
     """The plan and result of estimates at ``-N`` or over ``--grid``.
 
     Each degree's plan gives one row per ``(estimator, extra)`` pair: the
     plan's fields, ``extra``, then the estimate's.  The estimator is called
-    on the plan, and on ``extra``'s delta too when that is set.  The plan
-    echo is the first degree's, then ``echo``, then the grid if one was
-    given."""
+    on the plan, and on ``extra``'s delta too when that is set.  Count
+    estimators (``counts``) are also given the plan's count law: one
+    ``mc._count_laws`` call counts the whole grid, drawing each block once,
+    at the top degree, in one pool map.  The plan echo is the first
+    degree's, then ``echo``, then the grid if one was given."""
     plans = [_make_plan(args, degree) for degree in _degrees(args)]
+    laws = mc._count_laws(plans) if counts else [None] * len(plans)
     rows = []
-    for plan in plans:
+    for plan, law in zip(plans, laws):
+        given = {} if law is None else {"law": law}
         for estimate, extra in estimators:
             delta = extra.get("delta")
-            est = estimate(plan) if delta is None else estimate(plan, delta)
+            est = estimate(plan, **given) if delta is None else estimate(plan, delta, **given)
             rows.append({"N": plan.degree, "r": plan.radius, "trials": plan.trials,
                          **extra, "trials_failed": est.trials_failed,
                          "point": est.point, "stderr": est.stderr,
@@ -381,16 +385,16 @@ def _handle_count(args) -> tuple[dict, dict]:
 
 
 def _handle_mean_zeros(args) -> tuple[dict, dict]:
-    return _ladder(args, [(mc.estimate_zero_count_mean, {})])
+    return _ladder(args, [(mc.estimate_zero_count_mean, {})], counts=True)
 
 
 def _handle_deviation(args) -> tuple[dict, dict]:
     return _ladder(args, [(mc.estimate_deviation_probability, {"delta": args.delta})],
-                   delta=args.delta)
+                   counts=True, delta=args.delta)
 
 
 def _handle_hole(args) -> tuple[dict, dict]:
-    return _ladder(args, [(mc.estimate_hole_probability, {})])
+    return _ladder(args, [(mc.estimate_hole_probability, {})], counts=True)
 
 
 # (estimator, the flag giving its delta or None); the max-modulus pair runs

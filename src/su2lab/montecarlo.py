@@ -26,7 +26,11 @@ certifies and by winding elsewhere, and recounts every
 Schur-Cohn count by winding, a winding count by Aberth roots.  Count blocks
 reduce to the count law inside the block (the histogram of certified
 counts, then the failed and mismatched totals), which the hole, deviation
-and mean estimators read: none holds a per-trial count.
+and mean estimators read: none holds a per-trial count.  A count ladder,
+plans that share the seed, the trial count and ``workers`` (``_count_laws``),
+is one pass: each block is drawn once, at the top degree, every plan counts
+its prefix of those rows (a trial's first N + 1 coefficients do not depend
+on the row width; see ``rng``), and one pool map covers the ladder.
 
 Blocks run in one worker pool per process.  It starts on the first
 estimate that splits across workers, serves later estimates of the same
@@ -277,9 +281,11 @@ def _root_counts(alpha: np.ndarray, plan: TrialPlan):
     return counts, trusted
 
 
-def _block_counts(plan: TrialPlan, start: int, stop: int):
+def _block_counts(plan: TrialPlan, start: int, stop: int, alpha=None):
     """Per-trial zero counts in B(0, r), returned as ``(counts, failed,
-    mismatch)``.
+    mismatch)``.  ``alpha`` is the block's coefficients when drawn already,
+    at this degree or a higher one: the plan's rows are its first N + 1
+    columns (see ``rng``).
 
     The Schur-Cohn counter counts the rows it certifies.  Rows it cannot
     certify (including any it cannot prove clear of the boundary margin)
@@ -289,7 +295,9 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     below the degree where the weights overflow, by the root oracle.  A
     trustworthy disagreement fails the trial and marks it a mismatch."""
     r, margin = plan.radius, TOLERANCES.boundary_margin
-    alpha = _sample_block(plan, start, stop)
+    if alpha is None:
+        alpha = _sample_block(plan, start, stop)
+    alpha = alpha[:, :plan.degree + 1]
     b, _ = _circle_fourier_coeffs(alpha, plan.degree, r)
     counts, certified = _batch_schur_cohn(b, r, margin)
     ok = certified.copy()
@@ -310,19 +318,40 @@ def _block_counts(plan: TrialPlan, start: int, stop: int):
     return counts, ~ok, mism
 
 
-def _block_count_law(plan: TrialPlan, start: int, stop: int):
-    """The block's count law, one int64 row: the histogram of its certified
-    counts (length N + 1), then the numbers of trials failed and mismatched."""
-    counts, failed, mism = _block_counts(plan, start, stop)
-    hist = np.bincount(counts[~failed], minlength=plan.degree + 1)
-    return (np.concatenate((hist, [failed.sum(), mism.sum()]))[None],)
+def _block_count_laws(plan: TrialPlan, start: int, stop: int, plans):
+    """The block's count law under each of ``plans``, one int64 row each:
+    the histogram of its certified counts (length N + 1), then the numbers
+    of trials failed and mismatched.  The block is drawn once, at ``plan``'s
+    degree, and each of ``plans`` counts its prefix of those rows."""
+    alpha = _sample_block(plan, start, stop)
+    laws = []
+    for p in plans:
+        counts, failed, mism = _block_counts(p, start, stop, alpha)
+        hist = np.bincount(counts[~failed], minlength=p.degree + 1)
+        laws.append(np.concatenate((hist, [failed.sum(), mism.sum()]))[None])
+    return laws
+
+
+def _count_laws(plans: list[TrialPlan]) -> list[np.ndarray]:
+    """The count law of each plan: the rows of ``_block_count_laws`` summed
+    over the blocks, exact integer sums, the same for any worker count or
+    schedule.  The plans must share the seed, the trial count and
+    ``workers``: one pass draws each block once, at the top degree, and one
+    pool map covers them all."""
+    top = max(plans, key=lambda p: p.degree)
+    if any((p.master_seed, p.trials, p.workers) != (top.master_seed, top.trials, top.workers)
+           for p in plans):
+        raise ValueError("plans of one pass must share seed, trials and workers")
+    distinct = tuple(dict.fromkeys(plans))
+    cols = _run_blocked(top, functools.partial(_block_count_laws, plans=distinct))
+    laws = dict(zip(distinct, cols))
+    return [laws[p].sum(axis=0) for p in plans]
 
 
 def _count_law(plan: TrialPlan) -> np.ndarray:
-    """The rows of ``_block_count_law`` summed over the plan's blocks: exact
-    integer sums, the same for any worker count or schedule."""
-    rows, = _run_blocked(plan, _block_count_law)
-    return rows.sum(axis=0)
+    """``_count_laws`` of the plan alone."""
+    law, = _count_laws([plan])
+    return law
 
 
 def _log_norm(alpha: np.ndarray) -> np.ndarray:
@@ -499,9 +528,11 @@ def zero_count_samples(plan: TrialPlan):
     return counts, failed
 
 
-def estimate_zero_count_mean(plan: TrialPlan) -> Estimate:
-    """Mean zero count in B(0, r), from sum k h_k and sum k^2 h_k of the law."""
-    law = _count_law(plan)
+def estimate_zero_count_mean(plan: TrialPlan, law=None) -> Estimate:
+    """Mean zero count in B(0, r), from sum k h_k and sum k^2 h_k of the law.
+    ``law`` is the plan's ``_count_law`` where the caller has it already;
+    by default the plan is drawn and counted alone."""
+    law = _count_law(plan) if law is None else law
     hist, n_failed = law[:-2], int(law[-2])
     used = _usable(n_failed, plan)
     k = np.arange(len(hist))
@@ -515,19 +546,21 @@ def estimate_zero_count_mean(plan: TrialPlan) -> Estimate:
                     used, n_failed)
 
 
-def estimate_deviation_probability(plan: TrialPlan, delta: float) -> Estimate:
-    """Frequency of |Xi - N r^2/(1+r^2)| >= delta * N, for delta > 0."""
+def estimate_deviation_probability(plan: TrialPlan, delta: float, law=None) -> Estimate:
+    """Frequency of |Xi - N r^2/(1+r^2)| >= delta * N, for delta > 0, from
+    the count law (``law`` as for ``estimate_zero_count_mean``)."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    law = _count_law(plan)
+    law = _count_law(plan) if law is None else law
     mu = expected_zero_count(plan.degree, plan.radius)
     event = np.abs(np.arange(len(law) - 2) - mu) >= delta * plan.degree
     return _frequency_estimate(int(law[:-2][event].sum()), int(law[-2]), plan)
 
 
-def estimate_hole_probability(plan: TrialPlan) -> Estimate:
-    """Frequency of zero-free B(0, r): the k = 0 entry of the count law."""
-    law = _count_law(plan)
+def estimate_hole_probability(plan: TrialPlan, law=None) -> Estimate:
+    """Frequency of zero-free B(0, r): the k = 0 entry of the count law
+    (``law`` as for ``estimate_zero_count_mean``)."""
+    law = _count_law(plan) if law is None else law
     return _frequency_estimate(int(law[0]), int(law[-2]), plan)
 
 

@@ -22,6 +22,11 @@ written into the imaginary part of a zeroed complex array, which the
 complex exp and the product with the radius overwrite in place.  The
 stream is unchanged: each entry is bit for bit the formula above on words
 ``2j`` and ``2j+1``.
+
+A row's first ``n`` coefficients therefore do not depend on ``n_coeffs``:
+``gaussian_matrix(s, t, n)`` is bit for bit ``gaussian_matrix(s, t, m)[:, :n]``
+for any ``m >= n``.  A ladder of degrees over the same trials draws each
+block once, at its top degree, and reads every lower degree as a prefix.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ class TestExitCodes:
          MemoryError("Unable to allocate 16.0 TiB"), "Unable to allocate 16.0 TiB"),
     ], ids=["sample-bare", "hole-message"])
     def test_memory_error_is_one(self, module, callee, argv, exc, message, monkeypatch):
-        def exhausted(*args):
+        def exhausted(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(module, callee, exhausted)
@@ -493,6 +493,27 @@ class TestPipelines:
         assert record["plan"]["grid"] == [4, 6]
         rows = record["result"]["rows"]
         assert [row["N"] for row in rows] == [4, 6]
+        for row in rows:
+            _, single = run_cli(argv + ["-N", str(row["N"])])
+            assert json.loads(single)["result"]["rows"] == [row]
+
+    def test_hole_grid_draws_each_block_once(self, monkeypatch):
+        # the ladder draws its two blocks once each, at the top degree, and
+        # every degree's row is that of its own one-degree run
+        draws, draw = [], mc.gaussian_matrix
+
+        def spy(seed, trials, n_coeffs):
+            draws.append((len(trials), n_coeffs))
+            return draw(seed, trials, n_coeffs)
+
+        monkeypatch.setattr(mc, "gaussian_matrix", spy)
+        argv = ["hole", "-r", "0.5", "--trials", "8192", "--seed", "3",
+                "--workers", "1", "--format", "json"]
+        code, out = run_cli(argv + ["--grid", "4,8,12"])
+        assert code == 0
+        assert draws == [(mc.BLOCK_TRIALS, 13)] * 2
+        rows = json.loads(out)["result"]["rows"]
+        assert [row["N"] for row in rows] == [4, 8, 12]
         for row in rows:
             _, single = run_cli(argv + ["-N", str(row["N"])])
             assert json.loads(single)["result"]["rows"] == [row]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -316,16 +317,31 @@ class TestHole:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_count_law_is_the_law_of_the_samples(self, workers):
-        # three full blocks and a partial one: the summed block laws are the
-        # histogram of the per-trial view, then its failed and mismatched
-        # totals, at any worker count
-        plan = mc.TrialPlan(6, 1.0, 3 * mc.BLOCK_TRIALS + 100, 21, workers)
-        law = mc._count_law(plan)
-        counts, failed = mc.zero_count_samples(plan)
-        _, failed_again, mism = mc._run_blocked(plan, mc._block_counts)
-        want = [*np.bincount(counts[~failed], minlength=7), failed_again.sum(), mism.sum()]
-        assert law.dtype == np.int64 and law.tolist() == want
-        assert law[:-1].sum() == plan.trials
+        # three full blocks and a partial one, over an unsorted ladder with
+        # degree 0 and a repeated degree: each plan's law, from one pass
+        # that draws every block at the top degree, is the histogram of its
+        # own per-trial view, then its failed and mismatched totals, at any
+        # worker count; the one-plan law is the same row
+        plans = [mc.TrialPlan(n, 1.0, 3 * mc.BLOCK_TRIALS + 100, 21, workers)
+                 for n in (6, 0, 3, 6)]
+        laws = mc._count_laws(plans)
+        assert len(laws) == len(plans)
+        for plan, law in zip(plans, laws):
+            counts, failed = mc.zero_count_samples(plan)
+            _, failed_again, mism = mc._run_blocked(plan, mc._block_counts)
+            want = [*np.bincount(counts[~failed], minlength=plan.degree + 1),
+                    failed_again.sum(), mism.sum()]
+            assert law.dtype == np.int64 and law.tolist() == want
+            assert law[:-1].sum() == plan.trials
+        assert mc._count_law(plans[0]).tolist() == laws[0].tolist()
+
+    @pytest.mark.parametrize("change", [
+        {"master_seed": 22}, {"trials": 5000}, {"workers": 2}])
+    def test_count_ladder_plans_share_their_trials(self, change):
+        plan = mc.TrialPlan(6, 1.0, 4096, 21)
+        other = dataclasses.replace(mc.TrialPlan(3, 0.5, 4096, 21), **change)
+        with pytest.raises(ValueError, match="share seed, trials and workers"):
+            mc._count_laws([plan, other])
 
     def test_root_check_skips_degrees_beyond_weight_range(self, monkeypatch):
         # the weights overflow from N = 2054: no row is trusted or iterated

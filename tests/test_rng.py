@@ -75,6 +75,21 @@ def test_batch_rows_independent_of_batch_shape():
     assert np.array_equal(big[50:60], small)
 
 
+@pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("trials,widths", [
+    (np.arange(4096, dtype=np.uint64), (1, 2, 5, 13, 51, 200)),  # a full block
+    (np.arange(8192, 8292, dtype=np.uint64), range(1, 201)),  # a partial one
+    (np.array([2**64 - 1], dtype=np.uint64), range(1, 201)),  # one row
+], ids=["full", "partial", "row"])
+def test_row_prefix_does_not_depend_on_width(master_seed, trials, widths):
+    # a ladder of degrees reads each lower degree as a prefix of the top
+    # degree's rows
+    wide = gaussian_matrix(master_seed, trials, 201)
+    for n in widths:
+        narrow = gaussian_matrix(master_seed, trials, n)
+        assert np.array_equal(narrow.view(np.uint64), wide[:, :n].view(np.uint64))
+
+
 def test_streams_differ_across_trials_and_seeds():
     a = gaussian_matrix(1, np.arange(4, dtype=np.uint64), 8)
     b = gaussian_matrix(2, np.arange(4, dtype=np.uint64), 8)
