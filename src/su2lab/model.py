@@ -12,7 +12,6 @@ weights are only materialized by ``_weights``, which refuses such degrees.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngSeed, gaussian_matrix
+from .rng import RngSeed, _check_int, gaussian_matrix
 
 __all__ = [
     "SU2Polynomial",
@@ -118,8 +117,7 @@ class SU2Polynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        object.__setattr__(self, "degree", _check_int(self.degree, "degree"))
         coeffs = np.array(self.coefficients, dtype=complex, copy=True)
         if coeffs.shape != (self.degree + 1,):
             raise ValueError(
@@ -309,51 +307,42 @@ def basis_change_matrix(degree: int, center: complex) -> BasisChangeMatrix:
     Columns of ``U.conj().T`` hold the monomial-basis expansions of the
     recentered basis elements.
     """
-    mat = _expansion_matrix(degree, center)
+    mat = _expansion_matrix(_check_int(degree, "degree"), center)
     return BasisChangeMatrix(center=complex(center), matrix=mat.conj().T)
 
 
-def _recentered_basis_values(degree: int, center: complex, z: complex) -> np.ndarray:
-    """Values of the recentered basis elements at one point, in log space."""
-    n = degree
-    u = z - center
-    v = 1 + np.conj(center) * z
-    logw = _log_weights(n)
-    j = np.arange(n + 1)
-
-    def _logmag_phase(w: complex) -> tuple[float, float]:
-        m = abs(w)
-        return (math.log(m) if m > 0 else -math.inf), cmath.phase(w)
-
-    lu, pu = _logmag_phase(u)
-    lv, pv = _logmag_phase(v)
-    # (N/2) log(1 + |c|^2), finite for every finite center
-    log_norm = n * math.log(2.0 * math.hypot(0.5, abs(center) / 2))
-    with np.errstate(invalid="ignore"):
-        logmag = logw + np.where(j > 0, j * lu, 0.0) \
-            + np.where(n - j > 0, (n - j) * lv, 0.0) - log_norm
-    phase = j * pu + (n - j) * pv
-    vals = np.exp(logmag + 1j * phase)
-    vals[np.isneginf(logmag)] = 0.0
-    return vals
-
-
 def eq2_identity_residual(poly: SU2Polynomial, center: complex, sample_points) -> float:
-    """Max relative gap between psi in monomial form and in recentered form.
+    """Max relative gap between the two sides of eq. (2) at the sample points.
 
-    Evaluates the left side with the original coefficients and the right
-    side with ``alpha' = U alpha`` at each sample point.
+    Under the rotation w = u/v, u = z - c, v = 1 + conj(c) z, the
+    normalized value psi_hat(z) = psi(z) / (1 + |z|^2)^(N/2) changes only by
+    a unit factor:
+
+        psi_hat(z) = (v/|v|)^N psi_hat'(w),
+
+    where psi' has the coefficients ``alpha' = U alpha`` of
+    ``basis_change_matrix``.  Both sides are ``evaluate_normalized`` calls;
+    at the map's pole v = 0 (or where w overflows) the right side is its
+    limit alpha'_N (u/|u|)^N.  A point where v overflows is refused.
     """
-    u = basis_change_matrix(poly.degree, center).matrix
-    alpha_prime = u @ poly.coefficients
-    worst = 0.0
-    for z in sample_points:
-        left = evaluate(poly, z)
-        right = complex(np.sum(alpha_prime * _recentered_basis_values(poly.degree, center, z)))
-        scale = max(abs(left), abs(right))
-        if scale > 0:
-            worst = max(worst, abs(left - right) / scale)
-    return worst
+    zs = np.asarray(sample_points, dtype=complex).ravel()
+    _check_finite(zs, "points")
+    n = poly.degree
+    rotated = SU2Polynomial(n, basis_change_matrix(n, center).matrix @ poly.coefficients)
+    c = complex(center)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, v = zs - c, 1 + c.conjugate() * zs
+        w = u / v
+    if not np.isfinite(v).all():
+        raise ValueError("points and center must stay in double range under the rotation")
+    pole = ~np.isfinite(w)
+    right = np.exp(1j * n * np.angle(np.where(pole, u, v)))
+    right[~pole] *= evaluate_normalized(rotated, w[~pole])
+    right[pole] *= rotated.coefficients[-1]
+    left = evaluate_normalized(poly, zs)
+    scale = np.maximum(np.abs(left), np.abs(right))
+    nonzero = scale > 0
+    return float((np.abs(left - right)[nonzero] / scale[nonzero]).max(initial=0.0))
 
 
 def _normalized_values_on_grid(poly: SU2Polynomial, ambient_degree: int,

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _check_finite, _check_radius, _log_normalization, _weights, log_binomial
-from .rng import RngSeed, gaussian_matrix
+from .rng import RngSeed, _check_int, gaussian_matrix
 from .zeros import (
     DEFAULT_BOUNDARY_MARGIN,
     _aberth_batch,
@@ -145,14 +145,10 @@ class TrialPlan:
     workers: int = 1
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        for name, low in (("degree", 0), ("trials", 1), ("workers", 1)):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, low))
         _check_radius(self.radius)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        RngSeed(self.master_seed)  # refuses a seed outside 64 unsigned bits
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        object.__setattr__(self, "master_seed", RngSeed(self.master_seed).master_seed)
 
 
 @dataclass(frozen=True)
@@ -332,26 +328,20 @@ def _block_count_laws(plan: TrialPlan, start: int, stop: int, plans):
     return laws
 
 
-def _count_laws(plans: list[TrialPlan]) -> list[np.ndarray]:
-    """The count law of each plan: the rows of ``_block_count_laws`` summed
-    over the blocks, exact integer sums, the same for any worker count or
-    schedule.  The plans must share the seed, the trial count and
-    ``workers``: one pass draws each block once, at the top degree, and one
-    pool map covers them all."""
+def _count_laws(plans: list[TrialPlan]) -> list[tuple[np.ndarray, int, int]]:
+    """The count law of each plan, ``(hist, failed, mismatched)``: the rows
+    of ``_block_count_laws`` summed over the blocks, exact integer sums, the
+    same for any worker count or schedule.  The plans must share the seed,
+    the trial count and ``workers``: one pass draws each block once, at the
+    top degree, and one pool map covers them all."""
     top = max(plans, key=lambda p: p.degree)
     if any((p.master_seed, p.trials, p.workers) != (top.master_seed, top.trials, top.workers)
            for p in plans):
         raise ValueError("plans of one pass must share seed, trials and workers")
     distinct = tuple(dict.fromkeys(plans))
     cols = _run_blocked(top, functools.partial(_block_count_laws, plans=distinct))
-    laws = dict(zip(distinct, cols))
-    return [laws[p].sum(axis=0) for p in plans]
-
-
-def _count_law(plan: TrialPlan) -> np.ndarray:
-    """``_count_laws`` of the plan alone."""
-    law, = _count_laws([plan])
-    return law
+    laws = {p: col.sum(axis=0) for p, col in zip(distinct, cols)}
+    return [(laws[p][:-2], int(laws[p][-2]), int(laws[p][-1])) for p in plans]
 
 
 def _log_norm(alpha: np.ndarray) -> np.ndarray:
@@ -511,6 +501,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def expected_zero_count(degree: int, radius: float) -> float:
     """Mean number of zeros in B(0, r): N r^2 / (1 + r^2)."""
+    degree = _check_int(degree, "degree")
     if not radius > 0:
         raise ValueError("radius must be positive")
     if radius > 1e150:  # r^2 would overflow
@@ -530,10 +521,9 @@ def zero_count_samples(plan: TrialPlan):
 
 def estimate_zero_count_mean(plan: TrialPlan, law=None) -> Estimate:
     """Mean zero count in B(0, r), from sum k h_k and sum k^2 h_k of the law.
-    ``law`` is the plan's ``_count_law`` where the caller has it already;
-    by default the plan is drawn and counted alone."""
-    law = _count_law(plan) if law is None else law
-    hist, n_failed = law[:-2], int(law[-2])
+    ``law`` is the plan's entry of ``_count_laws`` where the caller has it
+    already; by default the plan is drawn and counted alone."""
+    hist, n_failed, _ = _count_laws([plan])[0] if law is None else law
     used = _usable(n_failed, plan)
     k = np.arange(len(hist))
     mean = float(k @ hist) / used
@@ -551,17 +541,17 @@ def estimate_deviation_probability(plan: TrialPlan, delta: float, law=None) -> E
     the count law (``law`` as for ``estimate_zero_count_mean``)."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    law = _count_law(plan) if law is None else law
+    hist, n_failed, _ = _count_laws([plan])[0] if law is None else law
     mu = expected_zero_count(plan.degree, plan.radius)
-    event = np.abs(np.arange(len(law) - 2) - mu) >= delta * plan.degree
-    return _frequency_estimate(int(law[:-2][event].sum()), int(law[-2]), plan)
+    event = np.abs(np.arange(len(hist)) - mu) >= delta * plan.degree
+    return _frequency_estimate(int(hist[event].sum()), n_failed, plan)
 
 
 def estimate_hole_probability(plan: TrialPlan, law=None) -> Estimate:
     """Frequency of zero-free B(0, r): the k = 0 entry of the count law
     (``law`` as for ``estimate_zero_count_mean``)."""
-    law = _count_law(plan) if law is None else law
-    return _frequency_estimate(int(law[0]), int(law[-2]), plan)
+    hist, n_failed, _ = _count_laws([plan])[0] if law is None else law
+    return _frequency_estimate(int(hist[0]), n_failed, plan)
 
 
 def _max_modulus_band(plan: TrialPlan, delta: float) -> tuple[float, float]:
@@ -576,10 +566,10 @@ def _max_modulus_band(plan: TrialPlan, delta: float) -> tuple[float, float]:
 
 
 def _circle_tail_threshold(plan: TrialPlan, delta: float) -> float:
+    """The lower edge of ``_max_modulus_band``, for delta in (0, 1)."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    n, r = plan.degree, plan.radius
-    return _log_normalization(n, r) + (n / 2.0) * math.log1p(-delta)
+    return _max_modulus_band(plan, delta)[0]
 
 
 def max_modulus_outlier_frequency(plan: TrialPlan, delta: float) -> Estimate:
@@ -659,9 +649,7 @@ def omega_lower_bound(degree: int, radius: float) -> float:
 
     which by the triangle inequality leaves psi zero-free on B(0, r).
     Uses the exact tails P(|alpha| >= lam) = exp(-lam^2)."""
-    n = degree
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = _check_int(degree, "degree", 1)
     if not radius > 0:
         raise ValueError("radius must be positive")
     log_r = math.log(radius)

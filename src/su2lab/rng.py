@@ -31,6 +31,7 @@ block once, at its top degree, and reads every lower degree as a prefix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,23 @@ _U64 = np.uint64
 _INV_2_53 = 2.0**-53
 
 
+def _check_int(value, name: str, low: int = 0, high: int | None = None,
+               rule: str | None = None) -> int:
+    """``value`` as an ``int`` in ``[low, high]``.  Integers of any type
+    pass, numpy's too; a float does not, not even a whole one, so no two
+    unequal inputs name one stream.  A refusal is a ``ValueError`` that
+    says "<name> must <rule>", by default "be nonnegative" or "be at least
+    <low>"."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < low or (high is not None and value > high):
+        rule = rule or ("be nonnegative" if low == 0 else f"be at least {low}")
+        raise ValueError(f"{name} must {rule}")
+    return value
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Address of one trial's coefficient stream."""
@@ -52,10 +70,9 @@ class RngSeed:
     trial_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be nonnegative")
+        seed = _check_int(self.master_seed, "master_seed", 0, _MASK64, "fit in 64 unsigned bits")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "trial_index", _check_int(self.trial_index, "trial_index"))
 
 
 def mix64(x: int) -> int:

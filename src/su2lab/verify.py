@@ -297,11 +297,11 @@ def check_omega_dominance() -> CheckResult:
 def check_hole_deviation_consistency() -> CheckResult:
     """Hole frequency never exceeds the half-mean zero-count deviation
     frequency on the same trials: both are sums of one count law."""
-    n, r = 4, 0.5
-    hist = mc._count_law(mc.TrialPlan(n, r, 20000, VERIFY_SEED + 11))[:-2]
-    mu = mc.expected_zero_count(n, r)
-    hole = float(hist[0] / hist.sum())
-    dev = float(hist[np.abs(np.arange(n + 1) - mu) >= mu / 2.0].sum() / hist.sum())
+    plan = mc.TrialPlan(4, 0.5, 20000, VERIFY_SEED + 11)
+    law, = mc._count_laws([plan])
+    delta = mc.expected_zero_count(plan.degree, plan.radius) / (2.0 * plan.degree)
+    hole = mc.estimate_hole_probability(plan, law).point
+    dev = mc.estimate_deviation_probability(plan, delta, law).point
     return CheckResult("hole-deviation-consistency", hole - dev, 0.0)
 
 
@@ -310,7 +310,7 @@ def check_reversal_symmetry_statistic() -> CheckResult:
     1/r within 3 pooled stderr (coefficient reversal swaps the events)."""
     n, r, trials = 2, 1.25, 20000
     e_hole = mc.estimate_hole_probability(mc.TrialPlan(n, r, trials, VERIFY_SEED + 12))
-    hist = mc._count_law(mc.TrialPlan(n, 1.0 / r, trials, VERIFY_SEED + 13))[:-2]
+    (hist, _, _), = mc._count_laws([mc.TrialPlan(n, 1.0 / r, trials, VERIFY_SEED + 13)])
     full = float(hist[n] / hist.sum())
     se_full = math.sqrt(max(full * (1 - full), 1e-12) / hist.sum())
     pooled = math.sqrt(e_hole.stderr**2 + se_full**2)

@@ -75,6 +75,7 @@ from .model import (
     _weights,
     evaluate_normalized,
 )
+from .rng import _check_int
 
 __all__ = [
     "Disk",
@@ -1090,8 +1091,7 @@ def poisson_partition_deviation(m: int, kappa: float, r: float,
     where r*r leaves double range, everything is divided by r, as in
     ``_poisson``.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = _check_int(m, "m", 1, rule="be positive")
     if not 0 <= kappa < 1:
         raise ValueError("kappa must lie in [0, 1)")
     _check_radius(r)

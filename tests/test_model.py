@@ -299,10 +299,24 @@ class TestEq2Identity:
             pts = 2.0 * pts / np.max(np.abs(pts))
             assert model.eq2_identity_residual(p, zeta, pts) <= 1e-8
 
+    @pytest.mark.parametrize("n, center", [(7, 1), (30, 0.5 + 0.5j), (200, 0.7 + 0.2j)])
+    def test_pole_of_the_rotation(self, n, center):
+        # at z = -1/conj(c), v = 1 + conj(c) z vanishes (or nearly) and the
+        # right side is its limit
+        p = random_poly(np.random.default_rng(n), n)
+        assert model.eq2_identity_residual(p, center, [-1 / np.conj(center)]) <= 1e-12
+
     def test_huge_center(self):
-        # (N/2) log(1 + |c|^2) must not square |c| past the double range
+        # the rotation's scale sqrt(1 + |c|^2) must not square |c| past the
+        # double range
         p = SU2Polynomial(3, [1, 2, 3, 4])
         assert model.eq2_identity_residual(p, 1e200, [0.5]) <= 1e-8
+
+    def test_rotation_overflow_is_refused(self):
+        # v = 1 + conj(c) z overflows at c = 1e200, z = 1e200j
+        p = SU2Polynomial(3, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="double range"):
+            model.eq2_identity_residual(p, 1e200, [0.5, 1e200j])
 
 
 class TestInnerProduct:

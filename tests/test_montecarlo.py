@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2lab import model
 from su2lab import montecarlo as mc
 from su2lab import zeros
+from su2lab.rng import RngSeed
 
 
 class TestExpectedZeroCount:
@@ -54,6 +56,30 @@ class TestPlanAndEstimateTypes:
     def test_plan_radius_is_positive_and_finite(self, radius):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             mc.TrialPlan(4, radius, 100, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: mc.TrialPlan(4, 0.5, 5000, 1.5),  # was seed 1's stream
+        lambda: mc.TrialPlan(4.0, 0.5, 5000, 1),
+        lambda: mc.TrialPlan(4, 0.5, 5000.0, 1),
+        lambda: mc.TrialPlan(4, 0.5, 5000, 1, workers=2.0),
+        lambda: RngSeed(1, 0.5),  # sampled trial 0
+        lambda: model.SU2Polynomial(1.0, [1.0, 2.0]),
+        lambda: mc.expected_zero_count(-3, 1.0),  # returned -1.5
+        lambda: model.basis_change_matrix(-1, 0.5),  # raised IndexError
+        lambda: mc.omega_lower_bound(2.5, 1.0),
+        lambda: zeros.poisson_partition_deviation(2.5, 0.5, 1.0),
+    ])
+    def test_integer_inputs_are_integers_in_range(self, call):
+        with pytest.raises(ValueError, match="must be"):
+            call()
+
+    def test_numpy_integer_plan_is_the_int_plan(self):
+        plan = mc.TrialPlan(4, 0.5, 5000, 1, 1)
+        np_plan = mc.TrialPlan(np.int64(4), 0.5, np.int32(5000), np.uint64(1), np.int8(1))
+        assert np_plan == plan
+        assert all(type(getattr(np_plan, f)) is int
+                   for f in ("degree", "trials", "master_seed", "workers"))
+        assert mc.estimate_hole_probability(np_plan) == mc.estimate_hole_probability(plan)
 
     def test_estimate_interval_contract(self):
         with pytest.raises(ValueError):
@@ -312,8 +338,8 @@ class TestHole:
         # the count law records
         _, _, mism = mc._run_blocked(plan, mc._block_counts)
         assert np.array_equal(mism, failed)
-        law = mc._count_law(plan)
-        assert law[-2] == law[-1] == 50
+        (_, n_failed, n_mismatched), = mc._count_laws([plan])
+        assert n_failed == n_mismatched == 50
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_count_law_is_the_law_of_the_samples(self, workers):
@@ -321,19 +347,20 @@ class TestHole:
         # degree 0 and a repeated degree: each plan's law, from one pass
         # that draws every block at the top degree, is the histogram of its
         # own per-trial view, then its failed and mismatched totals, at any
-        # worker count; the one-plan law is the same row
+        # worker count; the one-plan law is the same
         plans = [mc.TrialPlan(n, 1.0, 3 * mc.BLOCK_TRIALS + 100, 21, workers)
                  for n in (6, 0, 3, 6)]
         laws = mc._count_laws(plans)
         assert len(laws) == len(plans)
-        for plan, law in zip(plans, laws):
+        for plan, (hist, n_failed, n_mismatched) in zip(plans, laws):
             counts, failed = mc.zero_count_samples(plan)
             _, failed_again, mism = mc._run_blocked(plan, mc._block_counts)
-            want = [*np.bincount(counts[~failed], minlength=plan.degree + 1),
-                    failed_again.sum(), mism.sum()]
-            assert law.dtype == np.int64 and law.tolist() == want
-            assert law[:-1].sum() == plan.trials
-        assert mc._count_law(plans[0]).tolist() == laws[0].tolist()
+            want = np.bincount(counts[~failed], minlength=plan.degree + 1)
+            assert hist.dtype == np.int64 and hist.tolist() == want.tolist()
+            assert (n_failed, n_mismatched) == (failed_again.sum(), mism.sum())
+            assert hist.sum() + n_failed == plan.trials
+        (hist, *totals), = mc._count_laws(plans[:1])
+        assert [hist.tolist(), *totals] == [laws[0][0].tolist(), *laws[0][1:]]
 
     @pytest.mark.parametrize("change", [
         {"master_seed": 22}, {"trials": 5000}, {"workers": 2}])
