@@ -6,7 +6,7 @@
 #
 # `git archive REV src` is unpacked into a temporary checkout, next to a
 # copy of this working tree's identity_outputs.sh, so both sides write the
-# same 62 files (see identity_outputs.sh).  The two directories are then
+# same 63 files (see identity_outputs.sh).  The two directories are then
 # compared with `diff -r`; the exit status is non-zero on any difference,
 # or if either side fails to write its files.  Before the outputs, the
 # script prints `wc -l src/su2lab/*.py` for REV and for the working tree,

@@ -27,7 +27,13 @@
 # rows of 4096-row blocks at N in {1, 2, 3, 10, 40, 100} and r in
 # {0.5, 1, 2}; and its outputs, as float.hex, on the rows 1 + z^N and
 # 1 + z^(N/2) + z^N, whose peaks tie, read at log scale 0 (log max
-# |psi_hat|).  Two of the
+# |psi_hat|).  One more pins the Schur-Cohn kernel: the sha256 of
+# `_batch_schur_cohn`'s counts and certified flags, of
+# `_schur_cohn_steps`' trail and lead (as (rows, N), C-order) and of its
+# log floor, on the Fourier rows of 4096-row blocks at N in {0, 1, 2, 3,
+# 4, 8, 12, 16, 24, 32} and r in {0.05, 0.5, 1, 2, 20}, and on two
+# constructed blocks: degree 0 with a null row, and 1 + z^2 (F = 0), a
+# null row and 1 + z^2/4 at r = 1.  Two of the
 # estimator outputs pin degree 0, which runs the same counting cascade as
 # every other degree: `hole --grid 0,1` and `mean-zeros -N 0` at r = 1,
 # 9000 trials, seed 8, as JSON.  Two pin a deviation ladder, which counts
@@ -38,7 +44,7 @@
 # 2,4,6` (each at --workers 1 and 2), `fit-decay` on
 # the r = 0.5, seed 2 hole file (whose N = 16 row has point 0 and is
 # dropped), `omega-bound` for one degree and for a grid, and
-# `count -N 200` as JSON: 62 files in all.
+# `count -N 200` as JSON: 63 files in all.
 #
 # The outputs are a pure function of argv, and JSON and CSV write every
 # float exactly (as repr), so two checkouts that agree on every estimate,
@@ -177,6 +183,38 @@ for n in (2, 4, 10, 40, 100, 200):
         b, _ = zeros._circle_fourier_coeffs(tied, n, r)
         log_max, theta = zeros._batch_boundary_log_max(b, np.zeros(len(b)))
         print(n, r, *(float(v).hex() for v in (*log_max, *theta)))
+PY
+PYTHONPATH="$root/src" python3 - > "$out/schur_cohn.txt" <<'PY'
+import hashlib
+
+import numpy as np
+
+from su2lab import zeros
+from su2lab.rng import gaussian_matrix
+
+
+def sha(*arrays):
+    # tobytes() lays every array out C-order, so a (rows, N) view of an
+    # (N, rows) array hashes as its (rows, N) copy does
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def show(label, b, r):
+    counts, certified = zeros._batch_schur_cohn(b, r)
+    trail, lead, log_floor = zeros._schur_cohn_steps(b)
+    print(label, r, int(certified.sum()), sha(counts, certified),
+          sha(trail, lead), sha(log_floor))
+    return counts, certified
+
+
+for n in (0, 1, 2, 3, 4, 8, 12, 16, 24, 32):
+    alpha = gaussian_matrix(12, np.arange(4096, dtype=np.uint64), n + 1)
+    for r in (0.05, 0.5, 1.0, 2.0, 20.0):
+        show(n, zeros._circle_fourier_coeffs(alpha, n, r)[0], r)
+for alpha, n, r in (([[2.0 + 1j], [0.0]], 0, 0.7),
+                    ([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.25]], 2, 1.0)):
+    counts, certified = show("rows", zeros._circle_fourier_coeffs(np.array(alpha), n, r)[0], r)
+    print(*counts, *certified)
 PY
 for n in 12 50 200; do
     for s in 1 2; do

@@ -25,6 +25,10 @@ a Markdown table:
   leave undecided (timed here on every row);
 - boundary max: ``_batch_boundary_log_max``.
 
+Below the table one line gives a whole hole-scan block, the unit of work
+of ``hole --grid 4,8,12 -r 0.5``: ``_block_count_laws`` of that ladder on
+the first 4096 trials of seed 7, best of three.
+
 The package is imported from this checkout's ``src/``, with the BLAS and
 OpenMP thread pools pinned to one thread.
 """
@@ -44,6 +48,8 @@ from su2lab import model, zeros  # noqa: E402
 from su2lab import montecarlo as mc  # noqa: E402
 
 DEGREES = (4, 12, 16, 50)
+LADDER = (4, 8, 12)
+LADDER_RADIUS = 0.5
 BLOCK = 4096
 RADIUS = 1.0
 SEED = 7
@@ -124,6 +130,10 @@ def main() -> None:
     for i, name in enumerate(names):
         print(f"| {name:{width}} | " + " | ".join(f"{fmt(col[i][1]):>7}" for col in columns)
               + " |")
+    plans = tuple(mc.TrialPlan(n, LADDER_RADIUS, BLOCK, SEED) for n in LADDER)
+    block = best_ms(lambda: mc._block_count_laws(plans[-1], 0, BLOCK, plans))
+    print(f"\nHole-scan block, _block_count_laws of N = {', '.join(map(str, LADDER))} "
+          f"at r = {LADDER_RADIUS:g} on {BLOCK} rows: {fmt(block)} ms, best of {REPEAT}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, model, montecarlo as mc, verify as verify_mod, zeros
-from .rng import RngSeed
+from .rng import RngSeed, _check_int
 
 DIAG = sys.stderr
 
@@ -175,11 +175,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonneg_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
+    """``text`` as an integer under ``rng._check_int``'s rule; text that
+    is not an integer stays argparse's ``ValueError``."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return value
+    try:
+        return _check_int(value, "value", low)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
+
+
+def _nonneg_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _seed(text: str) -> int:
@@ -192,10 +199,7 @@ def _seed(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+    return _int_at_least(text, 1)
 
 
 def _grid(entry):

@@ -713,23 +713,35 @@ def _schur_cohn_steps(b: np.ndarray):
     ``|f| >= top |F| / (|a_0| + |a_d|)`` (from ``|f*| = |f|`` there) down to
     the final constant.  A row where F vanishes identically turns to NaN
     from then on.
+
+    ``b`` is never written.  The recursion runs in buffers allocated once
+    per call: a coefficient-major copy of ``b``, which each step overwrites
+    with F, and one scratch buffer, which holds the step's moduli and then
+    the coefficients of ``a_d f*``.  ``trail`` and ``lead`` are filled as
+    ``(N, B)`` arrays, one contiguous row per step, and returned transposed.
     """
-    c = np.ascontiguousarray(b.T)  # coefficient-major: each step slices whole rows
+    c = b.T.copy()  # coefficient-major: each step slices whole rows
     n1, rows = c.shape
-    trail = np.empty((n1 - 1, rows), dtype=c.real.dtype)
+    spare = np.empty(n1 * rows, dtype=c.dtype)
+    mag = spare.view(c.real.dtype)  # a step's moduli, read before it writes x
+    trail = np.empty((n1 - 1, rows), dtype=mag.dtype)
     lead = np.empty_like(trail)
-    log_floor = np.zeros(rows, dtype=trail.dtype)
+    log_floor = np.zeros(rows, dtype=mag.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
         for s, d in enumerate(range(n1 - 1, 0, -1)):
-            mag = np.abs(c)
-            top = mag.max(axis=0)
-            trail[s] = mag[0] / top
-            lead[s] = mag[d] / top
+            m = np.abs(c[:d + 1], out=mag[:(d + 1) * rows].reshape(d + 1, rows))
+            top = m.max(axis=0)
+            np.divide(m[0], top, out=trail[s])
+            np.divide(m[d], top, out=lead[s])
             log_floor += np.log(top) - np.log(trail[s] + lead[s])
             # F on the rescaled row a = c / top, with the rescaling folded
-            # into the two multipliers
-            top2 = top * top
-            c = (np.conj(c[0]) / top2) * c[:d] - (c[d] / top2) * np.conj(c[d:0:-1])
+            # into the two multipliers (top^2 cast once, not per division)
+            top2 = (top * top).astype(c.dtype)
+            u, v = np.conj(c[0]) / top2, c[d] / top2
+            x = np.conjugate(c[d:0:-1], out=spare[:d * rows].reshape(d, rows))
+            np.multiply(v, x, out=x)
+            np.multiply(u, c[:d], out=c[:d])
+            np.subtract(c[:d], x, out=c[:d])
         log_floor += np.log(np.abs(c[0]))
     return trail.T, lead.T, log_floor
 
@@ -752,21 +764,24 @@ def _batch_schur_cohn(b: np.ndarray, r: float,
     if n1 - 1 > SCHUR_COHN_MAX_DEGREE:
         return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
     trail, lead, log_floor = _schur_cohn_steps(b)
-    gap = trail - lead
     # a zero w of f with ||w| - 1| <= h forces |f(w / |w|)| <= h max|f'|
     # <= h sum_k k |b_k| (1 + h)^(k-1); the floor must clear twice that.
     # A NaN floor (F = 0) or a -inf one (a null row) never does.
     h = boundary_margin / r
     k = np.arange(1, n1)
+    counts = np.zeros(rows, dtype=np.int64)
+    odd = np.zeros(rows, dtype=bool)  # an odd number of flips so far
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         log_slope = np.log(2.0 * h * (np.abs(b[:, 1:]) @ (k * (1.0 + h) ** (k - 1))))
-        certified = (np.abs(gap) >= SCHUR_COHN_MIN_GAP).all(axis=1)
-        certified &= log_floor > log_slope
-        flips = gap < 0
-    # count = sum over flipping steps of +-d, the sign alternating per flip
-    earlier = np.cumsum(flips, axis=1) - flips
-    sign = 1 - 2 * (earlier & 1)
-    counts = (flips * sign * np.arange(n1 - 1, 0, -1)).sum(axis=1).astype(np.int64)
+        certified = log_floor > log_slope
+        # count = sum over flipping steps of +-d, the sign alternating per
+        # flip; each step's (B,) row of the (N, B) moduli is contiguous
+        for d, t, a in zip(range(n1 - 1, 0, -1), trail.T, lead.T):
+            gap = t - a
+            certified &= np.abs(gap) >= SCHUR_COHN_MIN_GAP
+            flip = gap < 0
+            counts += np.where(odd, -d, d) * flip
+            odd ^= flip
     return counts, certified
 
 

@@ -24,6 +24,20 @@ class TestExitCodes:
         code, _ = run_cli(["hole", "-N", "one", "--trials", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["hole", "-N", "-2"], "-N/--degree: value must be nonnegative, got -2"),
+        (["hole", "-N", "4", "--trials", "0"], "--trials: value must be at least 1, got 0"),
+        (["hole", "-N", "4", "--workers", "0"], "--workers: value must be at least 1, got 0"),
+        (["hole", "-N", "4", "--seed", "-1"], "--seed: value must be nonnegative, got -1"),
+        (["hole", "-N", "4.0"], "invalid _nonneg_int value: '4.0'"),
+        (["hole", "-N", "4", "--trials", "1e3"], "invalid _positive_int value: '1e3'"),
+    ])
+    def test_integer_flags_follow_check_int(self, argv, message, capsys):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == b""
+        assert message in capsys.readouterr().err
+
     def test_runtime_numerical_error_is_one(self, tmp_path):
         f = tmp_path / "two_points.csv"
         f.write_text("N,r,trials,trials_failed,point,stderr,ci_lo,ci_hi,seed\n"

@@ -902,6 +902,47 @@ class TestSchurCohn:
         assert certified.tolist() == [False, False, True]
         assert counts[2] == 0  # zeros of 1 + z^2/4 at +-2i
 
+    def test_never_writes_its_input(self):
+        b = _rows(_sample(21, 512, 12), 12, 1.0)[0]
+        fortran = np.asfortranarray(b)
+        frozen = b.copy()
+        frozen.flags.writeable = False
+        want = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (b.copy(), fortran, frozen):
+                before = rows.copy(order="A")
+                got = (*zeros._schur_cohn_steps(rows), *zeros._batch_schur_cohn(rows, 1.0))
+                assert rows.tobytes(order="A") == before.tobytes(order="A")
+                if want is None:
+                    want = got
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("degree", [1, 2, 12, 32])
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_counts_rebuilt_from_steps(self, degree, r):
+        # the documented rules applied to the recursion's moduli: a step
+        # flips where |a_0| < |a_d| and adds +-d, the sign alternating per
+        # flip; a row is certified when every gap clears the threshold and
+        # the floor clears the margin slope (margin 0: any finite floor)
+        b = _rows(_sample(500 + degree, 4096, degree), degree, r)[0]
+        trail, lead, log_floor = zeros._schur_cohn_steps(b)
+        gap = trail - lead
+        flips = gap < 0
+        sign = 1 - 2 * ((np.cumsum(flips, axis=1) - flips) & 1)
+        counts = (flips * sign * np.arange(degree, 0, -1)).sum(axis=1)
+        gap_ok = (np.abs(gap) >= zeros.SCHUR_COHN_MIN_GAP).all(axis=1)
+        assert gap_ok.mean() > 0.9
+        k = np.arange(1, degree + 1)
+        for margin in (zeros.DEFAULT_BOUNDARY_MARGIN, 0.0):
+            h = margin / r
+            with np.errstate(divide="ignore"):
+                log_slope = np.log(2.0 * h * (np.abs(b[:, 1:]) @ (k * (1.0 + h) ** (k - 1))))
+            got_counts, got_certified = zeros._batch_schur_cohn(b, r, margin)
+            assert np.array_equal(got_counts, counts)
+            assert np.array_equal(got_certified, gap_ok & (log_floor > log_slope))
+
     @pytest.mark.parametrize("degree,r", [(4, 0.5), (12, 1.0), (24, 2.0), (32, 1.0)])
     def test_floor_bounds_circle_minimum(self, degree, r):
         # the floor must sit below min |f| on |z| = 1, which a dense grid
