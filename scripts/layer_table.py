@@ -5,7 +5,10 @@
 For each degree N in {4, 12, 16, 50} the block is the 4096 trials of
 ``TrialPlan(N, 1, 4096, 7)``, sampled once by ``_sample_block``.  Each
 layer is timed on it three times and the best wall is printed, in ms, as
-a Markdown table:
+a Markdown table, with the minor page faults of that call (``ru_minflt``)
+beside it: the script runs every layer in one process, whose allocator
+keeps freed memory that a fresh pool worker would fault in again, so a
+wall whose call faulted little may read lower than a worker pays:
 
 - sampling: ``_sample_block``;
 - Fourier rows: ``_circle_fourier_coeffs``, the rows and log scale that
@@ -23,11 +26,15 @@ a Markdown table:
 - circle means with |log|: the same kernel with its |log| sums on, the
   rerun that ``_block_circle_means`` makes on the rows its log-L1 bounds
   leave undecided (timed here on every row);
-- boundary max: ``_batch_boundary_log_max``.
+- boundary max: ``_batch_boundary_log_max``;
+- max-modulus frequency block: ``_block_max_modulus_outliers`` at
+  delta = 0.05, the whole block of ``max_modulus_outlier_frequency``
+  called alone: sampling, Fourier rows, the grid scan, and the kernel
+  above on the rows the scan leaves undecided.
 
 Below the table one line gives a whole hole-scan block, the unit of work
 of ``hole --grid 4,8,12 -r 0.5``: ``_block_count_laws`` of that ladder on
-the first 4096 trials of seed 7, best of three.
+the first 4096 trials of seed 7, best of three, with that call's faults.
 
 The package is imported from this checkout's ``src/``, with the BLAS and
 OpenMP thread pools pinned to one thread.
@@ -36,6 +43,7 @@ OpenMP thread pools pinned to one thread.
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -81,6 +89,7 @@ def layers(plan: mc.TrialPlan, recount):
     alpha = mc._sample_block(plan, 0, BLOCK)
     b, log_scale = zeros._circle_fourier_coeffs(alpha, n, RADIUS)
     w = alpha * model._weights(n)
+    lo, hi = mc._max_modulus_band(plan, 0.05)
     return [
         ("sampling", lambda: mc._sample_block(plan, 0, BLOCK)),
         ("Fourier rows", lambda: zeros._circle_fourier_coeffs(alpha, n, RADIUS)),
@@ -94,22 +103,32 @@ def layers(plan: mc.TrialPlan, recount):
         ("circle means with abs log",
          lambda: zeros._batch_circle_log_means(b, log_scale, 1e-6)),
         ("boundary max", lambda: zeros._batch_boundary_log_max(b, log_scale)),
+        ("max-modulus frequency block",
+         lambda: mc._block_max_modulus_outliers(plan, 0, BLOCK, lo, hi)),
     ]
 
 
-def best_ms(call) -> float:
-    walls = []
+def best_ms(call) -> tuple[float, int]:
+    """The best wall of ``REPEAT`` calls, in ms, and that call's minor
+    page faults."""
+    runs = []
     for _ in range(REPEAT):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         call()
-        walls.append(time.perf_counter() - t0)
-    return 1e3 * min(walls)
+        wall = time.perf_counter() - t0
+        runs.append((wall, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+    wall, faults = min(runs)
+    return 1e3 * wall, faults
 
 
-def fmt(ms: float | None) -> str:
-    if ms is None:
-        return "—"
+def fmt(ms: float) -> str:
     return f"{ms:.1f}" if ms < 10 else f"{ms:,.0f}"
+
+
+def cell(run: tuple[float, int] | None) -> str:
+    """A layer's wall and, in parentheses, its minor page faults."""
+    return "—" if run is None else f"{fmt(run[0])} ({run[1]:,})"
 
 
 def main() -> None:
@@ -124,16 +143,17 @@ def main() -> None:
     names[names.index("Aberth recount")] = f"Aberth recount ({' / '.join(recounts)} rows)"
     width = max(len(name) for name in names)
     print(f"Per {BLOCK}-row block of TrialPlan(N, {RADIUS:g}, {BLOCK}, {SEED}), "
-          f"in ms, best of {REPEAT}:\n")
-    print(f"| {'Layer':{width}} | " + " | ".join(f"N = {n:<3}" for n in DEGREES) + " |")
-    print(f"|{'-' * (width + 2)}|" + "|".join("-" * 9 for _ in DEGREES) + "|")
+          f"in ms, best of {REPEAT} (minor page faults of that call):\n")
+    print(f"| {'Layer':{width}} | " + " | ".join(f"N = {n:<11}" for n in DEGREES) + " |")
+    print(f"|{'-' * (width + 2)}|" + "|".join("-" * 17 for _ in DEGREES) + "|")
     for i, name in enumerate(names):
-        print(f"| {name:{width}} | " + " | ".join(f"{fmt(col[i][1]):>7}" for col in columns)
+        print(f"| {name:{width}} | " + " | ".join(f"{cell(col[i][1]):>15}" for col in columns)
               + " |")
     plans = tuple(mc.TrialPlan(n, LADDER_RADIUS, BLOCK, SEED) for n in LADDER)
-    block = best_ms(lambda: mc._block_count_laws(plans[-1], 0, BLOCK, plans))
+    ms, faults = best_ms(lambda: mc._block_count_laws(plans[-1], 0, BLOCK, plans))
     print(f"\nHole-scan block, _block_count_laws of N = {', '.join(map(str, LADDER))} "
-          f"at r = {LADDER_RADIUS:g} on {BLOCK} rows: {fmt(block)} ms, best of {REPEAT}")
+          f"at r = {LADDER_RADIUS:g} on {BLOCK} rows: {fmt(ms)} ms "
+          f"({faults:,} minor page faults), best of {REPEAT}")
 
 
 if __name__ == "__main__":

@@ -401,9 +401,11 @@ def _handle_hole(args) -> tuple[dict, dict]:
     return _ladder(args, [(mc.estimate_hole_probability, {})], counts=True)
 
 
-# (estimator, the flag giving its delta or None); the max-modulus pair runs
-# first, so each degree runs the boundary-maximum and circle-mean kernels
-# once each through the one-entry ``_plan_samples`` cache
+# (estimator, the flag giving its delta or None).  The max-modulus pair runs
+# first: the probability needs every refined boundary maximum, so the
+# frequency is given them (``log_max=``) rather than scanning the trials
+# again, and each degree runs the boundary-maximum and circle-mean kernels
+# once each on every row, through the one-entry ``_plan_samples`` cache
 _CONCENTRATION_ESTIMATORS = (
     ("max_modulus_outlier_frequency", "band"),
     ("max_modulus_outlier_probability", "band"),
@@ -421,7 +423,14 @@ def _handle_concentration(args) -> tuple[dict, dict]:
             rule(first, getattr(args, flag))
         except ValueError as exc:
             raise UsageError(f"--{flag}: {exc}") from None
-    estimators = [(getattr(mc, name),
+
+    def estimator(name):
+        if name != "max_modulus_outlier_frequency":
+            return getattr(mc, name)
+        return lambda plan, delta: mc.max_modulus_outlier_frequency(
+            plan, delta, log_max=mc._plan_samples(plan, mc._block_log_max)[0])
+
+    estimators = [(estimator(name),
                    {"estimator": name, "delta": getattr(args, flag) if flag else None})
                   for name, flag in _CONCENTRATION_ESTIMATORS]
     return _ladder(args, estimators, band=args.band, tail=args.tail)

@@ -40,14 +40,19 @@ is dropped when a worker dies, and is joined at interpreter exit by
 later change to a module attribute reaches only ``workers = 1`` runs; a
 forked child starts its own pool rather than using its parent's.
 
-The boundary-maximum and circle-mean blocks (``_block_log_max``,
-``_block_circle_means``) feed several estimators, which all read them
-through ``_plan_samples``: an ``lru_cache`` of one entry in total, keyed
-by ``(plan, block function)``, whose arrays are read-only.  The whole plan
-is the key, ``workers`` included.  A hit runs no kernel, so, as with pool
-workers, a kernel, a ``TOLERANCES`` or a ``_log_l1_threshold`` patched
-after the held run is not reached: a test that monkeypatches one must
-clear the cache with ``_plan_samples.cache_clear()`` or use a fresh plan.
+The circle-mean block (``_block_circle_means``) feeds three estimators,
+and the boundary-maximum block (``_block_log_max``) feeds the max-modulus
+probability and callers that pass its maxima to the frequency as
+``log_max``.  Both are read through ``_plan_samples``: an ``lru_cache`` of
+one entry in total, keyed by ``(plan, block function)``, whose arrays are
+read-only.  The whole plan is the key, ``workers`` included.  A hit runs
+no kernel, so, as with pool workers, a kernel, a ``TOLERANCES`` or a
+``_log_l1_threshold`` patched after the held run is not reached: a test
+that monkeypatches one must clear the cache with
+``_plan_samples.cache_clear()`` or use a fresh plan.  Called alone, the
+max-modulus frequency reads neither: its own block decides each trial
+from the grid scan's bound and refines only the trials it leaves
+undecided (``_max_modulus_outliers``).
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .zeros import (
     DEFAULT_BOUNDARY_MARGIN,
     _aberth_batch,
     _batch_boundary_log_max,
+    _batch_boundary_scan,
     _batch_circle_log_means,
     _batch_schur_cohn,
     _batch_winding,
@@ -357,6 +363,29 @@ def _block_log_max(plan: TrialPlan, start: int, stop: int):
     return log_max, _log_norm(alpha)
 
 
+def _max_modulus_outliers(b: np.ndarray, log_scale: np.ndarray, lo: float, hi: float):
+    """``(outlier, undecided)``: per row of the Fourier rows ``(b,
+    log_scale)``, whether ``_batch_boundary_log_max``'s maximum lies
+    outside [lo, hi], and the indices of the rows that kernel ran on: those
+    the scan's bound leaves undecided (see
+    ``max_modulus_outlier_frequency``), a non-finite scan included."""
+    low, high = _batch_boundary_scan(b, log_scale)
+    outlier = (low > hi) | (high < lo)
+    und = np.flatnonzero(~outlier & ~((lo <= low) & (high <= hi)))
+    if len(und):
+        log_max, _ = _batch_boundary_log_max(b[und], log_scale[und])
+        outlier[und] = (log_max < lo) | (log_max > hi)
+    return outlier, und
+
+
+def _block_max_modulus_outliers(plan: TrialPlan, start: int, stop: int, lo: float, hi: float):
+    """The event of ``max_modulus_outlier_frequency`` per trial, as
+    ``_max_modulus_outliers`` decides it from the band (lo, hi)."""
+    alpha = _sample_block(plan, start, stop)
+    b, log_scale = _circle_fourier_coeffs(alpha, plan.degree, plan.radius)
+    return (_max_modulus_outliers(b, log_scale, lo, hi)[0],)
+
+
 def _block_circle_means(plan: TrialPlan, start: int, stop: int):
     """``(mean log|psi|, log R, log-L1 hit, log-L1 failed, failed)`` per
     trial: the mean from the log sums alone, failed at the node cap, and
@@ -572,15 +601,37 @@ def _circle_tail_threshold(plan: TrialPlan, delta: float) -> float:
     return _max_modulus_band(plan, delta)[0]
 
 
-def max_modulus_outlier_frequency(plan: TrialPlan, delta: float) -> Estimate:
+def max_modulus_outlier_frequency(plan: TrialPlan, delta: float, log_max=None) -> Estimate:
     """Frequency of the boundary maximum leaving the two-sided band
 
         [(1+r^2)^(N/2) (1-delta)^(N/2), (1+r^2)^(N/2) (1+delta)^(N/2)],
 
-    compared in log space (delta = 1 disables the lower side)."""
+    compared in log space (delta = 1 disables the lower side).
+
+    ``log_max`` is the plan's boundary maxima, the first column of
+    ``_block_log_max``, where the caller has them already.  By default a
+    trial is decided from its grid scan (``_batch_boundary_scan``): the
+    maximum S over the M = ``_circle_nodes(N + 1)`` nodes and the bound
+    gamma = -(1/2) log(1 - (pi N / M)^2 / 2), 0.0153 at N = 10 and 40,
+    with S <= log max |psi| <= S + gamma.  |psi_hat|^2 is a real
+    trigonometric polynomial of degree N, so Bernstein's inequality bounds
+    its second derivative by N^2 max |psi_hat|^2; its derivative vanishes
+    at the maximum, and a node lies within pi/M of it.  Each side is
+    widened by ``zeros._SCAN_SLACK`` times (N + 1)^1.5 + |S|, which covers
+    the log scale's sum, the scan's squares against the kernel's moduli and
+    the kernel's Horner error (about 2N sqrt(N + 1) eps relative, since
+    sum |b_k| <= sqrt(N + 1) max |psi_hat|).  A trial is an outlier when
+    S > hi or S + gamma < lo and inside the band when lo <= S and
+    S + gamma <= hi; only the rest, about 1.4 % at N = 10 and 0.6 % at
+    N = 40 for delta = 0.05, run the boundary-maximum kernel, whose rows
+    are independent.  Both ways count the same trials.
+    """
     lo, hi = _max_modulus_band(plan, delta)
-    log_max, _ = _plan_samples(plan, _block_log_max)
-    outlier = (log_max < lo) | (log_max > hi)
+    if log_max is None:
+        block = functools.partial(_block_max_modulus_outliers, lo=lo, hi=hi)
+        outlier, = _run_blocked(plan, block)
+    else:
+        outlier = (log_max < lo) | (log_max > hi)
     return _frequency_estimate(int(outlier.sum()), 0, plan)
 
 

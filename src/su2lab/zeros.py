@@ -46,7 +46,8 @@ stay in double range for any finite row through the range rule of
 ``_in_range``, by which every circle row and the off-center count's moved
 row are made; a row that underflows below the rule's band is rebuilt from
 logs.  The circle means and the boundary maximum sample one first grid,
-of ``_circle_nodes`` angles.  The boundary maximum refines its best peaks
+of ``_circle_nodes`` angles, as does the boundary scan, which bounds the
+maximum from that grid alone.  The boundary maximum refines its best peaks
 by safeguarded Newton on the derivative of |psi_hat|^2, one Horner pass
 per round.  The circle means find the zeros near the circle by Newton
 from its lowest minima, in the same kind of pass, and divide them out of
@@ -112,6 +113,7 @@ _ABERTH_MAX_SWEEPS = 500
 _ABERTH_POLISH = 2  # Newton steps on every root after the sweeps
 _NEWTON_TOL = 1e-10  # a boundary-maximum angle freezes once its Newton step is below this
 _NEWTON_ROUNDS = 100  # cap on the safeguarded Newton rounds of one angle
+_SCAN_SLACK = 2.0**-40  # boundary-scan rounding slack per unit of (N + 1)^1.5 + |log max|
 _NEAR_BAND = 0.1  # circle means divide out the zeros with ||w|/r - 1| below this
 _ZERO_NEWTON_TOL = 2.0**-40  # a near-circle zero freezes once its Newton step is below this, relative
 _ZERO_NEWTON_ROUNDS = 20  # cap on the Newton rounds of one near-circle zero
@@ -1052,6 +1054,30 @@ def _batch_boundary_log_max(b: np.ndarray, log_scale: np.ndarray):
     out_theta = np.where(refined >= peak[:, 0], angle[np.arange(rows), pick],
                          2.0 * np.pi * top[:, 0] / m)
     return np.maximum(refined, peak[:, 0]) + log_scale, out_theta
+
+
+def _batch_boundary_scan(b: np.ndarray, log_scale: np.ndarray):
+    """``(low, high)``: per row of the Fourier rows ``(b, log_scale)``,
+    bounds on the value of ``_batch_boundary_log_max`` from its first grid
+    alone, M = ``_circle_nodes(N + 1)`` nodes in the same row chunks.  With
+    S = (1/2) log max |psi_hat|^2 + log_scale over the grid, low = S - e
+    and high = S + gamma + e, where gamma = -(1/2) log(1 - (pi N / M)^2 / 2)
+    bounds the grid's miss (derived at
+    ``montecarlo.max_modulus_outlier_frequency``) and e = ``_SCAN_SLACK``
+    ((N + 1)^1.5 + |S|) the rounding of both kernels.  A row with S = -inf
+    gets high = NaN, so no comparison with it holds."""
+    rows, n1 = b.shape
+    m = _circle_nodes(n1)
+    top = np.empty(rows)
+    chunk = max(1, _GRID_CHUNK // m)
+    for s in range(0, rows, chunk):
+        vals = np.fft.ifft(b[s : s + chunk], n=m, axis=1, norm="forward")
+        top[s : s + chunk] = (vals.real * vals.real + vals.imag * vals.imag).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scan = 0.5 * np.log(top) + log_scale
+        slack = _SCAN_SLACK * (n1**1.5 + np.abs(scan))
+        gamma = -0.5 * math.log1p(-0.5 * (math.pi * (n1 - 1) / m) ** 2)
+        return scan - slack, scan + gamma + slack
 
 
 def max_modulus_boundary(poly: SU2Polynomial, r: float) -> BoundaryMaximum:

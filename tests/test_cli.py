@@ -571,6 +571,25 @@ class TestConcentration:
                              est.stderr, *est.ci95))
         assert got == want
 
+    def test_one_boundary_maximum_pass_per_degree(self, monkeypatch):
+        # the frequency is given the maxima the probability reads, so each
+        # degree runs the kernel once, on every row, and no scan refines
+        calls, kernel = [], mc._batch_boundary_log_max
+
+        def spy(b, log_scale):
+            calls.append(len(b))
+            return kernel(b, log_scale)
+
+        monkeypatch.setattr(mc, "_batch_boundary_log_max", spy)
+        mc._plan_samples.cache_clear()
+        try:
+            code, _ = run_cli(["concentration", "--grid", "10,40", "--trials", "600",
+                               "--workers", "1"])
+        finally:
+            mc._plan_samples.cache_clear()
+        assert code == 0
+        assert calls == [600, 600]
+
     def test_grid_rows_and_csv_header(self):
         code, out = run_cli(["concentration", "--grid", "3,2", "--trials", "50",
                              "--workers", "1"])

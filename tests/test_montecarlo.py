@@ -730,7 +730,9 @@ class TestConcentrationMemo:
         mc.max_modulus_outlier_frequency(self.plan(), 0.05)
         mc.max_modulus_outlier_probability(self.plan(), 0.05)
         assert means == [600]
-        assert maxima == [600]
+        # alone, the frequency refines only the rows its scan leaves
+        # undecided; the probability then runs the one full pass
+        assert len(maxima) == 2 and 0 < maxima[0] <= 30 and maxima[1] == 600
 
     @pytest.mark.parametrize("changes", [
         dict(workers=2),
@@ -746,7 +748,7 @@ class TestConcentrationMemo:
     def test_other_run_drops_the_entry(self, monkeypatch):
         means = _spy(monkeypatch, "_batch_circle_log_means")
         mc.circle_average_lower_tail_frequency(self.plan(), 0.1)
-        mc.max_modulus_outlier_frequency(self.plan(), 0.05)
+        mc.max_modulus_outlier_probability(self.plan(), 0.05)
         mc.log_l1_outlier_frequency(self.plan())
         assert means == [600, 600]
 
@@ -812,6 +814,68 @@ class TestConcentrationMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+class TestMaxModulusScan:
+    """Alone, ``max_modulus_outlier_frequency`` decides most trials from
+    the grid scan's bound and refines the rest; given the plan's maxima
+    it runs no kernel.  Both ways count the same trials."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        mc._plan_samples.cache_clear()
+        yield
+        mc._plan_samples.cache_clear()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("degree", [0, 1, 10, 40])
+    def test_scan_equals_the_given_maxima(self, degree, radius, workers):
+        plan = mc.TrialPlan(degree, radius, mc.BLOCK_TRIALS + 300, 37, workers=workers)
+        log_max, _ = mc._plan_samples(plan, mc._block_log_max)
+        for delta in (0.01, 0.05, 0.2, 1.0):
+            alone = mc.max_modulus_outlier_frequency(plan, delta)
+            assert alone == mc.max_modulus_outlier_frequency(plan, delta, log_max=log_max)
+
+    @pytest.mark.parametrize("degree", [8, 16, 32])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_edge_between_scan_and_peak_is_refined(self, degree, side, monkeypatch):
+        # 1 + e^{i phi} z^N has N tied peaks of |psi_hat| = 2; N divides the
+        # grid's M, so a phase puts every peak half a grid step from every
+        # node, where the scan misses the peak by the most.  A band edge
+        # midway between the scan and log 2 leaves the scan undecided
+        m = zeros._circle_nodes(degree + 1)
+        phase = -degree * np.pi / m - 2.0 * np.pi * degree * np.arange(5) / m
+        b = np.zeros((5, degree + 1), dtype=complex)
+        b[:, 0], b[:, -1] = 1.0, np.exp(1j * phase)
+        log_scale = np.zeros(5)
+        low, high = zeros._batch_boundary_scan(b, log_scale)
+        want_scan = math.log(2.0 * math.cos(degree * math.pi / (2 * m)))
+        assert np.allclose(low, want_scan, rtol=0, atol=1e-9)
+        edge = 0.5 * (want_scan + math.log(2.0))
+        lo, hi = (-math.inf, edge) if side == "upper" else (edge, 1.0)
+        maxima = _spy(monkeypatch, "_batch_boundary_log_max")
+        outlier, undecided = mc._max_modulus_outliers(b, log_scale, lo, hi)
+        assert maxima == [5] and undecided.tolist() == list(range(5))
+        log_max, _ = zeros._batch_boundary_log_max(b, log_scale)
+        assert np.allclose(log_max, math.log(2.0), rtol=0, atol=1e-12)
+        assert (low <= log_max).all() and (log_max <= high).all()
+        assert outlier.tolist() == ((log_max < lo) | (log_max > hi)).tolist()
+        assert outlier.all() == (side == "upper") and outlier.any() == (side == "upper")
+
+    @pytest.mark.parametrize("degree,most", [(10, 0.025), (40, 0.01)])
+    def test_only_undecided_rows_run_the_kernel(self, degree, most, monkeypatch):
+        # the bound is 0.0153 at both degrees; over seeds 0-39 the scan
+        # leaves 1.4 % of the 2048 trials at N = 10 (at most 2.1 %) and
+        # 0.55 % at N = 40 (at most 0.9 %) undecided at delta = 0.05
+        plan = mc.TrialPlan(degree, 1.0, 2048, 1)
+        maxima = _spy(monkeypatch, "_batch_boundary_log_max")
+        alone = mc.max_modulus_outlier_frequency(plan, 0.05)
+        assert len(maxima) == 1 and 0 < maxima[0] <= most * plan.trials
+        log_max, _ = mc._run_blocked(plan, mc._block_log_max)
+        del maxima[:]
+        assert mc.max_modulus_outlier_frequency(plan, 0.05, log_max=log_max) == alone
+        assert maxima == []
 
 
 class TestDeterminism:

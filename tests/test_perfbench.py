@@ -37,5 +37,9 @@ def test_layer_table_runs(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("Per 32-row block")
     rows = [line for line in lines if line.startswith("| ") and "Layer" not in line]
-    assert len(rows) == 9
+    assert len(rows) == 10
+    assert rows[-1].startswith("| max-modulus frequency block ")
     assert all(cell.strip() for row in rows for cell in row.split("|")[1:-1])
+    # each timed cell carries its call's minor page faults
+    assert all(cell.strip() == "—" or cell.strip().endswith(")")
+               for row in rows for cell in row.split("|")[2:-1])
